@@ -2,8 +2,11 @@
 
 Commands: impute, train, predict, benchmark, synth, gradcheck. A single
 JSON config file can preset anything; explicit flags win over the config.
-Every piece of randomness derives from one --seed, fanned out per stage
-by name, so a fixed seed makes every file output bit-reproducible.
+A flag that overrides a config key stores its value under that key's name
+(``--epochs`` of train is ``rnn.epochs``), and both reach one resolver,
+:func:`genoseq.pipeline.resolve_config`. Every piece of randomness derives
+from one --seed, fanned out per stage by name, so a fixed seed makes every
+file output bit-reproducible.
 
 Exit codes: 0 success, 1 usage/config/parse errors, 2 numerical
 divergence, 3 output I/O failures. Diagnostics go to standard error and
@@ -18,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +30,7 @@ from . import gradcheck, mf, pipeline, rnn, tasks
 from .data import (build_sequences, genotype_sequences, genotype_to_csv,
                    parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                    split_dataset, synth_lowrank_genotypes, synth_phenotypes,
-                   synth_population_genotypes)
+                   synth_population_genotypes, write_json)
 from .errors import ConfigError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 
@@ -39,16 +43,6 @@ EXIT_IO = 3
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
-
-_CONFIG_KEYS = {
-    "": {"seed", "out", "threads", "geno", "pheno", "truth", "mf", "rnn", "data",
-         "traits", "success_tolerance", "genotype_mode"},
-    "mf": {"features", "alpha", "beta", "epochs", "init_range", "cost_tolerance",
-           "mode", "seed"},
-    "rnn": {"cell", "hidden", "learning_rate", "epochs", "clip_norm", "batch_mode"},
-    "data": {"chunk_width", "normalization", "ratios"},
-}
-
 
 class _UsageError(Exception):
     pass
@@ -68,190 +62,92 @@ def _setup_logging():
 
 
 def load_cli_config(path) -> dict:
-    """Load and schema-check a config JSON; unknown keys are rejected."""
+    """Load a config JSON as {config key: value}; unknown keys are rejected."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS[""]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section in ("mf", "rnn", "data"):
-        sub = doc.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(sub) - _CONFIG_KEYS[section]
-        if bad:
-            raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
-    return doc
+    return pipeline.flatten_config(doc)
 
 
 def _require_file(path, what: str) -> Path:
+    if path is None:
+        raise ConfigError(f"no {what} file given")
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} file not found: {p}")
     return p
 
 
-def _cfg_get(config: dict, section: str, key: str, flag_value, default):
-    if flag_value is not None:
-        return flag_value
-    sub = config.get(section, {}) if section else config
-    return sub.get(key, default)
-
-
-def _build_pipeline_config(args, config: dict) -> pipeline.PipelineConfig:
-    seed = _cfg_get(config, "", "seed", args.seed, 0)
-    defaults = mf.MfConfig()
-    mf_cfg = mf.MfConfig(
-        features=_cfg_get(config, "mf", "features", getattr(args, "features", None),
-                          defaults.features),
-        alpha=_cfg_get(config, "mf", "alpha", getattr(args, "alpha", None), defaults.alpha),
-        beta=_cfg_get(config, "mf", "beta", getattr(args, "beta", None), defaults.beta),
-        epochs=_cfg_get(config, "mf", "epochs", getattr(args, "mf_epochs", None),
-                        defaults.epochs),
-        init_range=tuple(config.get("mf", {}).get("init_range", defaults.init_range)),
-        cost_tolerance=config.get("mf", {}).get("cost_tolerance"),
-        mode=config.get("mf", {}).get("mode", defaults.mode),
-    )
-    clip = config.get("rnn", {}).get("clip_norm", "default")
-    rnn_cfg = pipeline.RnnSettings(
-        cell=_cfg_get(config, "rnn", "cell", getattr(args, "cell", None), "relu_identity"),
-        hidden=_cfg_get(config, "rnn", "hidden", getattr(args, "hidden", None), 16),
-        learning_rate=_cfg_get(config, "rnn", "learning_rate", getattr(args, "lr", None), 0.05),
-        epochs=_cfg_get(config, "rnn", "epochs", getattr(args, "epochs", None), 100),
-        clip_norm=clip,
-        batch_mode=config.get("rnn", {}).get("batch_mode", "full_batch"),
-    )
-    traits = getattr(args, "trait", None)
-    if traits is None:
-        traits = config.get("traits", [0])
-    elif not isinstance(traits, (list, tuple)):
-        traits = [traits]
-    return pipeline.PipelineConfig(
-        mf=mf_cfg, rnn=rnn_cfg,
-        chunk_width=_cfg_get(config, "data", "chunk_width", getattr(args, "chunk_width", None), 20),
-        normalization=_cfg_get(config, "data", "normalization", getattr(args, "normalization", None), "scaled"),
-        ratios=tuple(config.get("data", {}).get("ratios", (0.8, 0.1, 0.1))),
-        seed=seed, traits=tuple(traits),
-        success_tolerance=_cfg_get(config, "", "success_tolerance",
-                                   getattr(args, "success_tolerance", None), 0.1),
-        genotype_mode=config.get("genotype_mode", "imputed"),
-    )
-
-
-def _out_dir(args, config: dict) -> Path:
-    out = Path(_cfg_get(config, "", "out", args.out, "."))
+def _out_dir(values: dict) -> Path:
+    out = Path(values.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_impute(args, config: dict) -> int:
-    geno_path = _require_file(_cfg_get(config, "", "geno", args.geno, None), "genotype")
-    truth_arg = _cfg_get(config, "", "truth", args.truth, None)
-    out = _out_dir(args, config)
-    seed = _cfg_get(config, "", "seed", args.seed, 0)
+def cmd_impute(args, values: dict) -> int:
+    cfg = pipeline.resolve_config(values)
+    geno_path = _require_file(values.get("geno"), "genotype")
+    out = _out_dir(values)
 
     geno = parse_genotype_csv(geno_path)
-    defaults = mf.MfConfig()
-    cfg = mf.MfConfig(
-        features=_cfg_get(config, "mf", "features", args.features, defaults.features),
-        alpha=_cfg_get(config, "mf", "alpha", args.alpha, defaults.alpha),
-        beta=_cfg_get(config, "mf", "beta", args.beta, defaults.beta),
-        epochs=_cfg_get(config, "mf", "epochs", args.epochs, defaults.epochs),
-        init_range=tuple(config.get("mf", {}).get("init_range", defaults.init_range)),
-        cost_tolerance=config.get("mf", {}).get("cost_tolerance"),
-        mode=config.get("mf", {}).get("mode", defaults.mode),
-        seed=derive_seed(seed, "mf"),
-    )
-    factors, curve = mf.mf_fit(geno, cfg)
-    imputed = mf.impute(geno, factors)
-
-    accuracy = None
-    if truth_arg is not None:
-        truth = parse_genotype_csv(_require_file(truth_arg, "truth"))
-        holes = ~geno.observed
-        missing_pct, _ = mf.imputation_accuracy(truth, imputed, holes)
-        _, full_pct = mf.imputation_accuracy(truth, mf.rounded_reconstruction(geno, factors), holes)
-        accuracy = (missing_pct, full_pct)
+    truth = values.get("truth")
+    truth = parse_genotype_csv(_require_file(truth, "truth")) if truth is not None else None
+    mf_cfg = cfg.seeded_mf()
+    imputed, curve, accuracy = mf.fit_impute(geno, mf_cfg, truth)
 
     genotype_to_csv(imputed, out / "imputed.csv")
     curve.to_csv(out / "mf_cost.csv")
-    mf.write_fit_report(mf.fit_report(cfg, curve, accuracy), out / "fit_report.json")
+    write_json(mf.fit_report(mf_cfg, curve, accuracy), out / "fit_report.json")
     print(f"imputed {int((~geno.observed).sum())} cells; wrote 3 files to {out}")
     return EXIT_OK
 
 
-def cmd_train(args, config: dict) -> int:
-    geno_path = _require_file(_cfg_get(config, "", "geno", args.geno, None), "genotype")
-    pheno_path = _require_file(_cfg_get(config, "", "pheno", args.pheno, None), "phenotype")
-    out = _out_dir(args, config)
-    cfg = _build_pipeline_config(args, config)
+def cmd_train(args, values: dict) -> int:
+    cfg = pipeline.resolve_config(values)
+    geno_path = _require_file(values.get("geno"), "genotype")
+    pheno_path = _require_file(values.get("pheno"), "phenotype")
+    out = _out_dir(values)
 
     geno = parse_genotype_csv(geno_path)
-    if not geno.fully_observed():
-        raise ConfigError("genotype file still has missing cells; run impute first")
     phenos = parse_phenotype_csv(pheno_path)
     trait = cfg.traits[0]
-    if not 0 <= trait < phenos.traits:
-        raise ConfigError(f"trait index {trait} out of range for {phenos.traits} traits")
+    pipeline.check_traits([trait], phenos)
 
     split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
     batch = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
-    parts = {name: batch.subset_by_samples(idx)
-             for name, idx in (("train", split.train), ("validation", split.validation),
-                               ("test", split.test))}
-    if len(parts["train"]) == 0:
-        raise ConfigError("no training samples with an observed trait value")
-
-    seed = derive_seed(cfg.seed, f"rnn/trait{trait}")
-    params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1, seed)
-    trained, curve = rnn.train(params, parts["train"],
-                               parts["validation"] if len(parts["validation"]) else None,
-                               cfg.rnn.train_config(seed))
+    trained, result = pipeline.train_trait(batch, split, cfg, trait)
 
     rnn.save_checkpoint(trained, out / "checkpoint.json")
-    curve.to_csv(out / "train_curve.csv")
-    train_targets = parts["train"].targets
-    target_range = float(train_targets.max() - train_targets.min())
-    metrics = {}
-    for name, part in parts.items():
-        if len(part):
-            m = pipeline.evaluate_split(trained, part, cfg.success_tolerance, target_range)
-            metrics[name] = {"correlation": m.correlation, "mse": m.mse,
-                             "success_pct": m.success_pct, "n": len(part)}
-    (out / "train_report.json").write_text(
-        json.dumps({"config": cfg.to_dict(), "trait": trait, "metrics": metrics},
-                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    result.curve.to_csv(out / "train_curve.csv")
+    metrics = {name: {**m._asdict(), "n": result.n_samples[name]}
+               for name, m in result.metrics.items()}
+    write_json({"config": cfg.to_dict(), "trait": trait, "metrics": metrics},
+                out / "train_report.json")
     print(f"trained {cfg.rnn.cell} on trait {trait}; wrote 3 files to {out}")
     return EXIT_OK
 
 
-def cmd_predict(args, config: dict) -> int:
+def cmd_predict(args, values: dict) -> int:
+    cfg = pipeline.resolve_config(values)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    geno_path = _require_file(_cfg_get(config, "", "geno", args.geno, None), "genotype")
-    out = _out_dir(args, config)
+    geno_path = _require_file(values.get("geno"), "genotype")
+    out = _out_dir(values)
 
     params = rnn.load_checkpoint(ckpt_path)
     geno = parse_genotype_csv(geno_path)
-    if not geno.fully_observed():
-        raise ConfigError("genotype file still has missing cells; run impute first")
 
-    pheno_arg = _cfg_get(config, "", "pheno", args.pheno, None)
-    trait = args.trait if args.trait is not None else 0
-    normalization = _cfg_get(config, "data", "normalization", args.normalization, "scaled")
-
-    if pheno_arg is not None:
-        phenos = parse_phenotype_csv(_require_file(pheno_arg, "phenotype"))
-        batch = build_sequences(geno, phenos, trait, params.n_in, normalization)
+    pheno_path = values.get("pheno")
+    if pheno_path is not None:
+        phenos = parse_phenotype_csv(_require_file(pheno_path, "phenotype"))
+        pipeline.check_traits(cfg.traits[:1], phenos)
+        batch = build_sequences(geno, phenos, cfg.traits[0], params.n_in, cfg.normalization)
         preds = rnn.predict(params, batch)
         sample_ids = batch.sample_indices
     else:
-        inputs = genotype_sequences(geno, params.n_in, normalization)
+        inputs = genotype_sequences(geno, params.n_in, cfg.normalization)
         preds = rnn.predict(params, inputs)
         sample_ids = np.arange(geno.samples)
 
@@ -260,79 +156,62 @@ def cmd_predict(args, config: dict) -> int:
         for idx, p in zip(sample_ids, preds[:, 0]):
             fh.write(f"{int(idx)},{float(p)!r}\n")
 
-    if pheno_arg is not None:
+    if pheno_path is not None:
         corr = rnn.pearson_correlation(preds, batch.targets)
         metrics = {"correlation": corr, "mse": rnn.loss_mse(preds, batch.targets),
                    "n": len(batch)}
-        (out / "predict_metrics.json").write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(metrics, out / "predict_metrics.json")
         print(f"predicted {len(preds)} samples; wrote 2 files to {out}")
     else:
         print(f"predicted {len(preds)} samples; wrote 1 file to {out}")
     return EXIT_OK
 
 
-def cmd_benchmark(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    seed = _cfg_get(config, "", "seed", args.seed, 0)
+def cmd_benchmark(args, values: dict) -> int:
+    # the cell comparison trains at a higher default learning rate than train
+    cfg = pipeline.resolve_config(
+        values, pipeline.PipelineConfig(rnn=pipeline.RnnSettings(learning_rate=0.1)))
+    out = _out_dir(values)
     cells = args.cells if args.cells else list(rnn.CELLS)
-    for c in cells:
-        if c not in rnn.CELLS:
-            raise ConfigError(f"unknown cell {c!r}; choose from {rnn.CELLS}")
     batch = tasks.make_task(args.task, args.sequences, args.length,
-                            derive_seed(seed, f"benchmark/{args.task}"))
-    settings = pipeline.RnnSettings(
-        hidden=_cfg_get(config, "rnn", "hidden", args.hidden, 16),
-        learning_rate=_cfg_get(config, "rnn", "learning_rate", args.lr, 0.1),
-        epochs=_cfg_get(config, "rnn", "epochs", args.epochs, 100),
-    )
-    comparison = pipeline.compare_on_batch(batch, cells, settings.hidden, settings, seed,
-                                           threads=max(1, args.threads))
+                            derive_seed(cfg.seed, f"benchmark/{args.task}"))
+    comparison = pipeline.compare_on_batch(batch, cells, cfg.rnn.hidden, cfg.rnn, cfg.seed)
     for cell in cells:
         comparison.curves[cell].to_csv(out / f"{cell}_curve.csv")
-    (out / "benchmark.json").write_text(
-        json.dumps({"task": args.task, "length": args.length, "sequences": args.sequences,
-                    "seed": seed, "settings": settings.to_dict(),
-                    **comparison.to_json_dict()},
-                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json({"task": args.task, "length": args.length, "sequences": args.sequences,
+                 "seed": cfg.seed, "settings": asdict(cfg.rnn), **comparison.to_json_dict()},
+                out / "benchmark.json")
     order = " < ".join(comparison.ordering)
     print(f"benchmark {args.task}(length={args.length}): final-loss order {order}; "
           f"wrote {len(cells) + 1} files to {out}")
     return EXIT_OK
 
 
-def cmd_synth(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    seed = _cfg_get(config, "", "seed", args.seed, 0)
+def cmd_synth(args, values: dict) -> int:
+    seed = pipeline.resolve_config(values).seed
+    out = _out_dir(values)
     gen_seed = derive_seed(seed, "synth/geno")
-    if args.generator == "lowrank":
-        holed, truth = synth_lowrank_genotypes(args.samples, args.snps, args.rank,
-                                               args.missing_frac, gen_seed,
-                                               args.missing_mode)
-    else:
-        holed, truth = synth_population_genotypes(args.samples, args.snps, args.rank,
-                                                  args.missing_frac, gen_seed,
-                                                  args.missing_mode)
-    phenos = synth_phenotypes(truth, traits=args.traits, seed=derive_seed(seed, "synth/pheno"),
+    generate = (synth_lowrank_genotypes if args.generator == "lowrank"
+                else synth_population_genotypes)
+    holed, truth = generate(args.samples, args.snps, args.rank, args.missing_frac, gen_seed,
+                            args.missing_mode)
+    phenos = synth_phenotypes(truth, traits=args.n_traits, seed=derive_seed(seed, "synth/pheno"),
                               missing_per_trait=args.trait_missing)
     genotype_to_csv(holed, out / "geno_holed.csv")
     genotype_to_csv(truth, out / "geno_truth.csv")
     phenotype_to_csv(phenos, out / "pheno.csv")
     meta = {"generator": args.generator, "samples": args.samples, "snps": args.snps,
             "rank": args.rank, "missing_frac": args.missing_frac,
-            "missing_mode": args.missing_mode, "traits": args.traits,
+            "missing_mode": args.missing_mode, "traits": args.n_traits,
             "trait_missing": args.trait_missing, "seed": seed}
-    (out / "synth_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    write_json(meta, out / "synth_meta.json")
     print(f"wrote synthetic dataset ({args.samples}x{args.snps}, "
           f"{int((~holed.observed).sum())} holes) to {out}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args, config: dict) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    seed = _cfg_get(config, "", "seed", args.seed, 0)
+def cmd_gradcheck(args, values: dict) -> int:
+    seed = pipeline.resolve_config(values).seed
     scopes = args.cells if args.cells else None
     results = gradcheck.run_all(args.trials, seed, scopes)
     failed = False
@@ -355,30 +234,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; 1 (default) guarantees bit-reproducibility")
+
+    def trait(p):
+        p.add_argument("--trait", dest="traits", metavar="INDEX", type=int, nargs=1,
+                       help="trait column index (default 0)")
 
     p = sub.add_parser("impute", parents=[], help="fit the factorization and fill missing genotypes")
     shared(p)
     p.add_argument("--geno", help="genotype CSV with missing cells")
     p.add_argument("--truth", help="fully observed genotype CSV for accuracy reporting")
-    p.add_argument("--features", type=int, help="latent feature count")
-    p.add_argument("--alpha", type=float, help="learning rate")
-    p.add_argument("--beta", type=float, help="regularization weight")
-    p.add_argument("--epochs", type=int, help="training epochs")
+    p.add_argument("--features", dest="mf.features", type=int, help="latent feature count")
+    p.add_argument("--alpha", dest="mf.alpha", type=float, help="learning rate")
+    p.add_argument("--beta", dest="mf.beta", type=float, help="regularization weight")
+    p.add_argument("--epochs", dest="mf.epochs", type=int, help="training epochs")
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("train", help="train a phenotype model on a hole-free genotype file")
     shared(p)
     p.add_argument("--geno", help="fully observed genotype CSV")
     p.add_argument("--pheno", help="phenotype CSV")
-    p.add_argument("--trait", type=int, help="trait column index (default 0)")
-    p.add_argument("--cell", choices=rnn.CELLS, help="recurrent cell kind")
-    p.add_argument("--hidden", type=int, help="hidden units")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--chunk-width", dest="chunk_width", type=int, help="SNPs per timestep")
-    p.add_argument("--normalization", choices=("scaled", "raw"))
+    trait(p)
+    p.add_argument("--cell", dest="rnn.cell", choices=rnn.CELLS, help="recurrent cell kind")
+    p.add_argument("--hidden", dest="rnn.hidden", type=int, help="hidden units")
+    p.add_argument("--lr", dest="rnn.learning_rate", type=float, help="learning rate")
+    p.add_argument("--epochs", dest="rnn.epochs", type=int, help="training epochs")
+    p.add_argument("--chunk-width", dest="data.chunk_width", type=int, help="SNPs per timestep")
+    p.add_argument("--normalization", dest="data.normalization", choices=("scaled", "raw"))
     p.add_argument("--success-tolerance", dest="success_tolerance", type=float)
     p.set_defaults(func=cmd_train)
 
@@ -387,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--geno", help="fully observed genotype CSV")
     p.add_argument("--pheno", help="phenotype CSV for metrics (optional)")
-    p.add_argument("--trait", type=int, help="trait column index (default 0)")
-    p.add_argument("--normalization", choices=("scaled", "raw"))
+    trait(p)
+    p.add_argument("--normalization", dest="data.normalization", choices=("scaled", "raw"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="compare cells on a synthetic memory task")
@@ -396,10 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=tasks.TASKS, default="lag")
     p.add_argument("--length", type=int, default=100, help="sequence length / lag")
     p.add_argument("--sequences", type=int, default=24)
-    p.add_argument("--cells", nargs="+", help="cells to compare (default: all three)")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--cells", nargs="+", choices=rnn.CELLS,
+                   help="cells to compare (default: all three)")
+    p.add_argument("--hidden", dest="rnn.hidden", type=int)
+    p.add_argument("--lr", dest="rnn.learning_rate", type=float, help="learning rate (default 0.1)")
+    p.add_argument("--epochs", dest="rnn.epochs", type=int)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("synth", help="emit a synthetic genotype/phenotype dataset")
@@ -411,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--missing-mode", dest="missing_mode", choices=("entry", "snp_block"),
                    default="entry")
     p.add_argument("--generator", choices=("lowrank", "population"), default="lowrank")
-    p.add_argument("--traits", type=int, default=2)
+    p.add_argument("--traits", dest="n_traits", metavar="TRAITS", type=int, default=2)
     p.add_argument("--trait-missing", dest="trait_missing", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -441,7 +323,8 @@ def main(argv=None) -> int:
         config = load_cli_config(args.config) if args.config else {}
         if config:
             log.debug("loaded config with keys %s", sorted(config))
-        return args.func(args, config)
+        flags = {k: v for k, v in vars(args).items() if v is not None}
+        return args.func(args, {**config, **flags})
     except DivergenceError as e:
         print(f"genoseq: divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED

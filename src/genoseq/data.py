@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,12 +129,6 @@ class SequenceBatch:
                              self.timesteps, self.chunk_width,
                              self.sample_indices[wanted], list(self.excluded))
 
-    def take(self, rows) -> "SequenceBatch":
-        rows = np.asarray(rows, dtype=np.int64)
-        return SequenceBatch(self.inputs[rows], self.targets[rows],
-                             self.timesteps, self.chunk_width,
-                             self.sample_indices[rows], list(self.excluded))
-
 
 def encode_calls(tokens) -> list[int]:
     """Encode genotype call tokens to integers: AA=0, AB=1, BB=2, Null=5.
@@ -151,15 +147,33 @@ def encode_calls(tokens) -> list[int]:
     return out
 
 
-def _open_text(source):
+@contextmanager
+def _text_source(source):
+    """A text handle on ``source``: a path is opened here and closed on exit, others read as is."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary file-like
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        yield io.TextIOWrapper(source, encoding="utf-8", newline="")
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as indented JSON with sorted keys, the form of every JSON export."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def text_sink(dest):
+    """A text handle on ``dest``: a path is opened here and closed on exit, a handle is used as is."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield dest
 
 
 def parse_genotype_csv(source) -> GenotypeMatrix:
@@ -169,9 +183,8 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
     observed mask is False exactly where the sentinel or Null occurred.
     Ragged rows and empty files are rejected.
     """
-    fh = _open_text(source)
-    reader = csv.reader(fh)
-    try:
+    with _text_source(source) as fh:
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty genotype file")
@@ -187,9 +200,6 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
                 rows.append(encode_calls(cells))
             except ParseError as e:
                 raise ParseError(str(e), row=r + 1, col=e.col) from None
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
     codes = np.array(rows, dtype=np.int16).reshape(len(rows), n_snps)
     observed = codes != MISSING_SENTINEL
     return GenotypeMatrix(codes, observed, snp_ids)
@@ -197,29 +207,22 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
 
 def genotype_to_csv(g: GenotypeMatrix, dest) -> None:
     """Write a GenotypeMatrix back to CSV, unobserved cells as the sentinel."""
-    close = False
-    if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with text_sink(dest) as fh:
         ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
-        dest.write(",".join(ids) + "\n")
+        fh.write(",".join(ids) + "\n")
         body = np.where(g.observed, g.codes, MISSING_SENTINEL)
         for row in body:
-            dest.write(",".join(str(int(c)) for c in row) + "\n")
-    finally:
-        if close:
-            dest.close()
+            fh.write(",".join(str(int(c)) for c in row) + "\n")
 
 
 def parse_phenotype_csv(source) -> PhenotypeTable:
     """Parse a phenotype CSV: header of trait names, real-valued body.
 
-    An empty cell or "NA" (any case) marks a missing measurement.
+    An empty cell or "NA" (any case) marks a missing measurement; a
+    measurement must be a finite number.
     """
-    fh = _open_text(source)
-    reader = csv.reader(fh)
-    try:
+    with _text_source(source) as fh:
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty phenotype file")
@@ -242,12 +245,11 @@ def parse_phenotype_csv(source) -> PhenotypeTable:
                         vrow.append(float(cell))
                     except ValueError:
                         raise ParseError(f"non-numeric phenotype cell {cell!r}", row=r + 1, col=c) from None
+                    if not math.isfinite(vrow[-1]):
+                        raise ParseError(f"non-finite phenotype cell {cell!r}", row=r + 1, col=c)
                     orow.append(True)
             values.append(vrow)
             observed.append(orow)
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
     vals = np.array(values, dtype=np.float64).reshape(len(values), n_traits)
     mask = np.array(observed, dtype=bool).reshape(len(values), n_traits)
     return PhenotypeTable(vals, mask, names)
@@ -255,19 +257,12 @@ def parse_phenotype_csv(source) -> PhenotypeTable:
 
 def phenotype_to_csv(p: PhenotypeTable, dest) -> None:
     """Write a PhenotypeTable to CSV, missing cells as NA."""
-    close = False
-    if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with text_sink(dest) as fh:
         names = p.trait_names if p.trait_names is not None else [f"trait{j}" for j in range(p.traits)]
-        dest.write(",".join(names) + "\n")
+        fh.write(",".join(names) + "\n")
         for u in range(p.samples):
             cells = [repr(float(p.values[u, t])) if p.observed[u, t] else "NA" for t in range(p.traits)]
-            dest.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            dest.close()
+            fh.write(",".join(cells) + "\n")
 
 
 def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:
@@ -307,10 +302,6 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
     """
     if not 1 <= rank <= min(samples, snps):
         raise ConfigError(f"rank must be in [1, {min(samples, snps)}], got {rank}")
-    if not 0.0 <= missing_frac < 1.0:
-        raise ConfigError(f"missing_frac must be in [0, 1), got {missing_frac}")
-    if missing_mode not in ("entry", "snp_block"):
-        raise ConfigError(f"unknown missing_mode {missing_mode!r}")
 
     rng = Rng(seed)
     if rank == 1:
@@ -332,6 +323,8 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
 
 def _mask_holes(truth: GenotypeMatrix, missing_frac: float, missing_mode: str,
                 rng: Rng) -> GenotypeMatrix:
+    if not 0.0 <= missing_frac < 1.0:
+        raise ConfigError(f"missing_frac must be in [0, 1), got {missing_frac}")
     if missing_mode not in ("entry", "snp_block"):
         raise ConfigError(f"unknown missing_mode {missing_mode!r}")
     samples, snps = truth.samples, truth.snps
@@ -366,8 +359,6 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
     """
     if not 1 <= groups <= min(samples, snps):
         raise ConfigError(f"groups must be in [1, {min(samples, snps)}], got {groups}")
-    if not 0.0 <= missing_frac < 1.0:
-        raise ConfigError(f"missing_frac must be in [0, 1), got {missing_frac}")
 
     rng = Rng(seed)
     assign = np.floor(rng.uniform(samples, 0, groups)).astype(np.int64)
@@ -418,18 +409,11 @@ def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
     reported via ``excluded``. Normalization "scaled" maps codes {0,1,2}
     to {0, 0.5, 1}; "raw" keeps the codes.
     """
-    if not g.fully_observed():
-        raise StateError("genotype matrix has unobserved cells; impute before building sequences")
+    x = genotype_sequences(g, chunk_width, normalization)
     if g.samples != phenos.samples:
         raise DataError(f"genotype has {g.samples} samples but phenotypes have {phenos.samples}")
     if not 0 <= trait < phenos.traits:
         raise IndexError(f"trait index {trait} out of range for {phenos.traits} traits")
-    if chunk_width < 1:
-        raise ConfigError(f"chunk_width must be >= 1, got {chunk_width}")
-    if normalization not in NORMALIZATIONS:
-        raise ConfigError(f"unknown normalization {normalization!r}")
-
-    x = genotype_sequences(g, chunk_width, normalization)
     t_seq = x.shape[1]
 
     keep = phenos.observed[:, trait]
@@ -456,10 +440,3 @@ def genotype_sequences(g: GenotypeMatrix, chunk_width: int,
         x *= 0.5
     return x.reshape(u, t_seq, chunk_width)
 
-
-def dechunk(batch: SequenceBatch, snps: int, normalization: str = "scaled") -> np.ndarray:
-    """Invert build_sequences: recover the (rows, snps) genotype codes."""
-    flat = batch.inputs.reshape(len(batch), -1)[:, :snps]
-    if normalization == "scaled":
-        flat = flat * 2.0
-    return np.rint(flat).astype(np.int16)

@@ -94,9 +94,9 @@ def check_mf(trials: int, seed: int, h: float = 1e-5) -> float:
     return worst
 
 
-def _pack(params: rnn.RnnParams) -> np.ndarray:
-    return np.concatenate([params.tensors()[k].reshape(-1)
-                           for k in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")])
+def _pack(tensors: dict[str, np.ndarray]) -> np.ndarray:
+    """Parameters or gradients as one vector, in the order _unpack reads them."""
+    return np.concatenate([tensors[k].reshape(-1) for k in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")])
 
 
 def _unpack(params: rnn.RnnParams, theta: np.ndarray) -> rnn.RnnParams:
@@ -146,11 +146,10 @@ def check_rnn(cell: str, trials: int, seed: int, h: float = 1e-5) -> float:
             candidate = _unpack(params, theta)
             return rnn.loss_mse(rnn.rnn_forward(candidate, x).outputs, targets)
 
-        numeric = central_difference(loss_at, _pack(params), h)
-        grads = rnn.bptt_gradients(params, (x, targets))
-        analytic = np.concatenate([grads[k].reshape(-1)
-                                   for k in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")])
-        floor = fd_noise_floor(loss_at(_pack(params)), h)
+        theta0 = _pack(params.tensors())
+        numeric = central_difference(loss_at, theta0, h)
+        analytic = _pack(rnn.bptt_gradients(params, (x, targets)))
+        floor = fd_noise_floor(loss_at(theta0), h)
         worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
     return worst
 

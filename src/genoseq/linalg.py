@@ -1,4 +1,4 @@
-"""Dense float64 matrices, seeded random initialization, norms, activations.
+"""Seeded random streams, seed derivation, the Frobenius norm, the logistic function.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
 of float64. Matrices are treated as immutable values: public operations
@@ -13,11 +13,7 @@ calls with the same seed replay the same stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError, ShapeError
 
 Matrix = np.ndarray
 
@@ -103,106 +99,9 @@ def derive_seed(seed: int, label: str) -> int:
     return int(mixed[0])
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """How to fill a new matrix: kind plus the parameters that kind needs."""
-
-    kind: str  # "uniform" | "gaussian" | "identity" | "zeros"
-    seed: int = 0
-    lo: float = 0.0
-    hi: float = 1.0
-    mean: float = 0.0
-    stddev: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian", "identity", "zeros"):
-            raise ConfigError(f"unknown init kind {self.kind!r}")
-        if self.kind == "uniform" and not self.lo < self.hi:
-            raise ConfigError(f"uniform init requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "gaussian" and not self.stddev > 0:
-            raise ConfigError(f"gaussian init requires stddev > 0, got {self.stddev}")
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, seed: int = 0) -> "InitSpec":
-        return cls("uniform", seed=seed, lo=lo, hi=hi)
-
-    @classmethod
-    def gaussian(cls, mean: float, stddev: float, seed: int = 0) -> "InitSpec":
-        return cls("gaussian", seed=seed, mean=mean, stddev=stddev)
-
-    @classmethod
-    def identity(cls) -> "InitSpec":
-        return cls("identity")
-
-    @classmethod
-    def zeros(cls) -> "InitSpec":
-        return cls("zeros")
-
-
-def mat_new(rows: int, cols: int, init: InitSpec) -> Matrix:
-    """Create a rows x cols matrix filled per ``init``.
-
-    Identical (rows, cols, init) including the seed produce bit-identical
-    matrices.
-    """
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
-    if init.kind == "zeros":
-        return np.zeros((rows, cols))
-    if init.kind == "identity":
-        if rows != cols:
-            raise ShapeError(f"identity init requires a square target, got {rows}x{cols}")
-        return np.eye(rows)
-    rng = Rng(init.seed)
-    if init.kind == "uniform":
-        return rng.uniform((rows, cols), init.lo, init.hi)
-    return rng.gaussian((rows, cols), init.mean, init.stddev)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product; dims a.rows x b.cols."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def frobenius_sq(a: Matrix) -> float:
     """Sum of squared entries (the squared Frobenius norm)."""
     return float(np.sum(a * a))
-
-
-def activation_apply(kind: str, a: Matrix) -> Matrix:
-    """Apply an elementwise activation; output shape equals input shape."""
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "identity":
-        return np.array(a, dtype=np.float64, copy=True)
-    raise ConfigError(f"unknown activation {kind!r}")
-
-
-def activation_grad(kind: str, pre_activation: Matrix) -> Matrix:
-    """Elementwise derivative evaluated at pre-activation values.
-
-    The relu derivative at exactly 0 is defined as 0 (subgradient choice).
-    """
-    z = np.asarray(pre_activation, dtype=np.float64)
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "sigmoid":
-        s = sigmoid(z)
-        return s * (1.0 - s)
-    if kind == "identity":
-        return np.ones_like(z)
-    raise ConfigError(f"unknown activation {kind!r}")
 
 
 def sigmoid(a: Matrix) -> Matrix:

@@ -14,13 +14,11 @@ differentiable at zero, so that convention is used throughout.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import GenotypeMatrix
+from .data import GenotypeMatrix, text_sink
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .linalg import Rng, frobenius_sq
 
@@ -58,12 +56,6 @@ class MfConfig:
             raise ConfigError(f"init_range requires a < b, got [{a}, {b}]")
         if self.mode not in MF_MODES:
             raise ConfigError(f"mode must be one of {MF_MODES}, got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {"features": self.features, "alpha": self.alpha, "beta": self.beta,
-                "epochs": self.epochs, "init_range": list(self.init_range),
-                "seed": self.seed, "cost_tolerance": self.cost_tolerance,
-                "mode": self.mode}
 
 
 @dataclass
@@ -104,24 +96,14 @@ class CostCurve:
     def __len__(self) -> int:
         return len(self.records)
 
-    def final_objective(self) -> float:
-        return self.records[-1].objective if self.records else float("nan")
-
     def final_sse(self) -> float:
         return self.records[-1].mse * self.n_observed if self.records else float("nan")
 
     def to_csv(self, dest) -> None:
-        close = False
-        if isinstance(dest, (str, Path)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            dest.write("epoch,sse,objective\n")
+        with text_sink(dest) as fh:
+            fh.write("epoch,sse,objective\n")
             for r in self.records:
-                dest.write(f"{r.epoch},{float(r.mse * self.n_observed)!r},{float(r.objective)!r}\n")
-        finally:
-            if close:
-                dest.close()
+                fh.write(f"{r.epoch},{float(r.mse * self.n_observed)!r},{float(r.objective)!r}\n")
 
     def to_rows(self) -> list[dict]:
         return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
@@ -229,10 +211,24 @@ def impute(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
     integer (ties to even) clamped into {0, 1, 2}; the result is fully
     observed.
     """
-    recon = np.clip(np.rint(mf_reconstruct(fp)), 0, 2).astype(g.codes.dtype)
-    codes = np.where(g.observed, g.codes, recon)
-    ids = list(g.snp_ids) if g.snp_ids is not None else None
-    return GenotypeMatrix(codes, np.ones_like(codes, dtype=bool), ids)
+    recon = rounded_reconstruction(g, fp)
+    return GenotypeMatrix(np.where(g.observed, g.codes, recon.codes), recon.observed, recon.snp_ids)
+
+
+def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = None):
+    """Fit, fill the holes once, and score against ``truth`` when given.
+
+    Returns (imputed matrix, cost curve, accuracy); accuracy is None without a
+    truth, else (missing_pct of the imputation, full_pct of the rounded reconstruction).
+    """
+    factors, curve = mf_fit(g, cfg)
+    imputed = impute(g, factors)
+    accuracy = None
+    if truth is not None:
+        holes = ~g.observed
+        accuracy = (imputation_accuracy(truth, imputed, holes)[0],
+                    imputation_accuracy(truth, rounded_reconstruction(g, factors), holes)[1])
+    return imputed, curve, accuracy
 
 
 def rounded_reconstruction(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
@@ -260,20 +256,13 @@ def imputation_accuracy(truth: GenotypeMatrix, imputed: GenotypeMatrix, holes: n
     return missing_pct, full_pct
 
 
-def fit_report(cfg: MfConfig, curve: CostCurve, accuracy=None) -> dict:
-    """JSON-ready summary of one fit: resolved config, curve, optional accuracy."""
-    report = {"config": cfg.to_dict(),
-              "n_observed": curve.n_observed,
-              "curve": curve.to_rows()}
+def fit_report(cfg: MfConfig | None, curve: CostCurve, accuracy=None) -> dict:
+    """JSON-ready summary of one fit: resolved config (when given), curve, optional accuracy."""
+    report = {"n_observed": curve.n_observed, "curve": curve.to_rows()}
+    if cfg is not None:
+        report["config"] = asdict(cfg)
     if accuracy is not None:
         missing_pct, full_pct = accuracy
         report["accuracy"] = {"missing_pct": missing_pct, "full_pct": full_pct}
     return report
 
-
-def write_fit_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def with_seed(cfg: MfConfig, seed: int) -> MfConfig:
-    return replace(cfg, seed=seed)

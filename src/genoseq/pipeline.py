@@ -4,25 +4,27 @@ The stages run in a fixed order and every stage draws its seed from the
 master seed by name (see :func:`genoseq.linalg.derive_seed`), so a run is
 a pure function of (input files, config) and two runs with the same
 config export byte-identical reports.
+
+This module also owns the config schema: every config-file key, with its
+section, default and type, comes from the dataclass fields (see resolve_config).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from types import UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import mf, rnn
 from .data import (GenotypeMatrix, PhenotypeTable, SequenceBatch, SplitIndices,
                    build_sequences, parse_genotype_csv, parse_phenotype_csv,
-                   split_dataset)
+                   split_dataset, write_json)
 from .errors import ConfigError, DataError, DivergenceError
 from .linalg import derive_seed
 
@@ -30,6 +32,8 @@ log = logging.getLogger("genoseq.pipeline")
 
 REPORT_VERSION = "genoseq-report-v1"
 GENOTYPE_MODES = ("imputed", "observed")
+FILE_KEYS = ("out", "geno", "pheno", "truth")  # config-file paths, not run settings
+_DATA = {"section": "data"}  # PipelineConfig fields kept in the config file's "data" section
 
 
 @dataclass(frozen=True)
@@ -40,32 +44,24 @@ class RnnSettings:
     hidden: int = 16
     learning_rate: float = 0.05
     epochs: int = 100
-    clip_norm: float | None | str = "default"  # "default" resolves per cell
+    clip_norm: float | None | Literal["default"] = "default"  # "default" resolves per cell
     batch_mode: str = "full_batch"
 
-    def resolved_clip(self, cell: str | None = None) -> float | None:
-        if self.clip_norm == "default":
-            return rnn.default_clip_norm(cell or self.cell)
-        return self.clip_norm
-
-    def train_config(self, seed: int, cell: str | None = None) -> rnn.TrainConfig:
+    def train_config(self, cell: str | None = None) -> rnn.TrainConfig:
+        """Trainer settings for ``cell`` (default: this cell), its clip norm resolved."""
+        cell = cell or self.cell
+        clip = rnn.default_clip_norm(cell) if self.clip_norm == "default" else self.clip_norm
         return rnn.TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                               clip_norm=self.resolved_clip(cell), seed=seed,
-                               batch_mode=self.batch_mode)
-
-    def to_dict(self) -> dict:
-        return {"cell": self.cell, "hidden": self.hidden,
-                "learning_rate": self.learning_rate, "epochs": self.epochs,
-                "clip_norm": self.clip_norm, "batch_mode": self.batch_mode}
+                               clip_norm=clip, batch_mode=self.batch_mode)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     mf: mf.MfConfig = field(default_factory=mf.MfConfig)
     rnn: RnnSettings = field(default_factory=RnnSettings)
-    chunk_width: int = 20
-    normalization: str = "scaled"
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    chunk_width: int = field(default=20, metadata=_DATA)
+    normalization: str = field(default="scaled", metadata=_DATA)
+    ratios: tuple[float, float, float] = field(default=(0.8, 0.1, 0.1), metadata=_DATA)
     seed: int = 0
     traits: tuple[int, ...] = (0,)
     success_tolerance: float = 0.1
@@ -82,12 +78,92 @@ class PipelineConfig:
             raise ConfigError(f"genotype_mode must be one of {GENOTYPE_MODES}")
 
     def to_dict(self) -> dict:
-        return {"mf": self.mf.to_dict(), "rnn": self.rnn.to_dict(),
-                "chunk_width": self.chunk_width, "normalization": self.normalization,
-                "ratios": list(self.ratios), "seed": self.seed,
-                "traits": list(self.traits),
-                "success_tolerance": self.success_tolerance,
-                "genotype_mode": self.genotype_mode}
+        """The config as JSON data, its tuples as lists."""
+        return asdict(self, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items})
+
+    def seeded_mf(self) -> mf.MfConfig:
+        """The factorization config with its seed derived from the master seed."""
+        return replace(self.mf, seed=derive_seed(self.seed, "mf"))
+
+
+def _config_keys() -> dict[str, tuple]:
+    """{"section.name" or top-level name: (type hint, type as written)} for every config key.
+
+    The keys are the fields of PipelineConfig (in the section their metadata
+    names), of MfConfig ("mf") and RnnSettings ("rnn"), and the FILE_KEYS.
+    MfConfig.seed is no key: it always derives from the master seed.
+    """
+    keys = {k: (str, "str") for k in FILE_KEYS}
+    for prefix, cls in (("", PipelineConfig), ("mf.", mf.MfConfig), ("rnn.", RnnSettings)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            section = f.metadata.get("section")
+            key = f"{section}.{f.name}" if section else prefix + f.name
+            if not is_dataclass(hints[f.name]) and key != "mf.seed":
+                keys[key] = (hints[f.name], f.type)
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+
+
+def flatten_config(doc) -> dict:
+    """A config-file document as {CONFIG_KEYS name: value}; unknown keys raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flat = {}
+    for name, value in doc.items():
+        if name in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            flat.update((f"{name}.{k}", v) for k, v in value.items())
+        else:
+            flat[name] = value
+    unknown = [k for k in flat if k not in CONFIG_KEYS] + [k for k in doc if "." in k]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return flat
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON or flag value fits a field's type hint."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(h, value) for h in args)
+    if origin is Literal:
+        return value in args
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        elems = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(elems) and all(map(_fits, elems, value))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def resolve_config(values: dict, base: PipelineConfig | None = None) -> PipelineConfig:
+    """The run config: ``values``, by CONFIG_KEYS name, over ``base`` (default PipelineConfig()).
+
+    A value must fit its field's type: an int fits a float, a bool no number,
+    and a list of the right length fits (and becomes) a tuple. File keys are
+    only checked; names that are no config key (other flags) are ignored.
+    """
+    base = base or PipelineConfig()
+    parts = {"": {}, "mf": {}, "rnn": {}}
+    for key, (hint, written) in CONFIG_KEYS.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if not _fits(hint, value):
+            raise ConfigError(f"config key {key!r} must be {written}, got {value!r}")
+        section, _, name = key.rpartition(".")
+        if key not in FILE_KEYS:
+            parts.get(section, parts[""])[name] = tuple(value) if isinstance(value, list) else value
+    return replace(base, mf=replace(base.mf, **parts["mf"]), rnn=replace(base.rnn, **parts["rnn"]),
+                   **parts[""])
 
 
 class SplitMetrics(NamedTuple):
@@ -129,11 +205,7 @@ class RunReport:
                "split_sizes": self.split_sizes,
                "excluded_samples": list(self.excluded_samples)}
         if self.mf_curve is not None:
-            doc["mf"] = {"n_observed": self.mf_curve.n_observed,
-                         "curve": self.mf_curve.to_rows()}
-            if self.mf_accuracy is not None:
-                missing_pct, full_pct = self.mf_accuracy
-                doc["mf"]["accuracy"] = {"missing_pct": missing_pct, "full_pct": full_pct}
+            doc["mf"] = mf.fit_report(None, self.mf_curve, self.mf_accuracy)
         doc["traits"] = []
         for tr in self.trait_results:
             entry = {"trait": tr.trait, "cell": tr.cell, "status": tr.status,
@@ -142,9 +214,7 @@ class RunReport:
                 entry["error"] = tr.error
             if tr.curve is not None:
                 entry["curve"] = tr.curve.to_rows()
-            entry["metrics"] = {split: {"correlation": m.correlation, "mse": m.mse,
-                                        "success_pct": m.success_pct}
-                                for split, m in tr.metrics.items()}
+            entry["metrics"] = {split: m._asdict() for split, m in tr.metrics.items()}
             doc["traits"].append(entry)
         return doc
 
@@ -173,78 +243,67 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     return SplitMetrics(corr, mse, success_pct)
 
 
+def check_traits(traits, phenos: PhenotypeTable) -> None:
+    """Reject a trait index the phenotype table does not have."""
+    for t in traits:
+        if not 0 <= t < phenos.traits:
+            raise ConfigError(f"trait index {t} out of range for {phenos.traits} traits")
+
+
 def _prepare(geno: GenotypeMatrix, phenos: PhenotypeTable, cfg: PipelineConfig,
              report: RunReport, truth: GenotypeMatrix | None):
     """Imputation (or observed-row filtering) stage; returns the hole-free data."""
     t0 = time.perf_counter()
     if cfg.genotype_mode == "imputed":
-        mf_cfg = mf.with_seed(cfg.mf, derive_seed(cfg.seed, "mf"))
-        factors, curve = mf.mf_fit(geno, mf_cfg)
-        report.mf_curve = curve
-        if truth is not None:
-            holes = ~geno.observed
-            missing_pct, _ = mf.imputation_accuracy(truth, mf.impute(geno, factors), holes)
-            _, full_pct = mf.imputation_accuracy(truth, mf.rounded_reconstruction(geno, factors), holes)
-            report.mf_accuracy = (missing_pct, full_pct)
-        effective = mf.impute(geno, factors)
-        effective_phenos = phenos
-        kept = np.arange(geno.samples)
+        geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
     else:
         keep = geno.observed.all(axis=1)
-        kept = np.nonzero(keep)[0]
-        if kept.size == 0:
+        if not keep.any():
             raise DataError("observed mode: no sample is fully observed")
-        effective = GenotypeMatrix(geno.codes[keep], geno.observed[keep], geno.snp_ids)
-        effective_phenos = PhenotypeTable(phenos.values[keep], phenos.observed[keep],
-                                          phenos.trait_names)
+        geno = GenotypeMatrix(geno.codes[keep], geno.observed[keep], geno.snp_ids)
+        phenos = PhenotypeTable(phenos.values[keep], phenos.observed[keep], phenos.trait_names)
         report.excluded_samples = np.nonzero(~keep)[0].tolist()
     report.stage_seconds["impute"] = time.perf_counter() - t0
-    return effective, effective_phenos, kept
+    return geno, phenos
 
 
-def _train_trait(trait: int, geno: GenotypeMatrix, phenos: PhenotypeTable,
-                 split: SplitIndices, cfg: PipelineConfig) -> TraitResult:
-    result = TraitResult(trait=trait, cell=cfg.rnn.cell)
-    batch_all = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
-    parts = {"train": batch_all.subset_by_samples(split.train),
-             "validation": batch_all.subset_by_samples(split.validation),
-             "test": batch_all.subset_by_samples(split.test)}
-    result.n_samples = {k: len(v) for k, v in parts.items()}
-    if len(parts["train"]) == 0:
-        result.status = "failed"
-        result.error = "no training samples with an observed trait value"
-        return result
+def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
+                trait: int) -> tuple[rnn.RnnParams, TraitResult]:
+    """Train one trait's model and score it on every split; returns (model, result).
 
-    seed = derive_seed(cfg.seed, f"rnn/trait{trait}")
-    params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1, seed)
-    tcfg = cfg.rnn.train_config(seed)
-    val = parts["validation"] if len(parts["validation"]) else None
+    ``batch`` holds the samples with the trait observed and ``split`` assigns
+    them to train, validation and test. Raises DataError when no training
+    sample has the trait and DivergenceError when training diverges; either
+    carries the failed TraitResult as ``result``.
+    """
+    parts = {name: batch.subset_by_samples(idx) for name, idx in
+             (("train", split.train), ("validation", split.validation), ("test", split.test))}
+    result = TraitResult(trait=trait, cell=cfg.rnn.cell,
+                         n_samples={name: len(part) for name, part in parts.items()})
     try:
-        trained, curve = rnn.train(params, parts["train"], val, tcfg)
-    except DivergenceError as e:
-        result.status = "failed"
-        result.error = str(e)
-        result.curve = getattr(e, "curve", None)
-        return result
-    result.curve = curve
+        if len(parts["train"]) == 0:
+            raise DataError("no training samples with an observed trait value")
+        params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
+                              derive_seed(cfg.seed, f"rnn/trait{trait}"))
+        val = parts["validation"] if len(parts["validation"]) else None
+        trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn.train_config())
+    except (DataError, DivergenceError) as e:
+        result.status, result.error, result.curve = "failed", str(e), getattr(e, "curve", None)
+        e.result = result
+        raise
     train_targets = parts["train"].targets
     target_range = float(train_targets.max() - train_targets.min())
-    for name, part in parts.items():
-        if len(part):
-            result.metrics[name] = evaluate_split(trained, part, cfg.success_tolerance,
-                                                  target_range)
-    return result
+    result.metrics = {name: evaluate_split(trained, part, cfg.success_tolerance, target_range)
+                      for name, part in parts.items() if len(part)}
+    return trained, result
 
 
-def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig,
-                 truth_path=None, threads: int = 1) -> RunReport:
+def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) -> RunReport:
     """Execute every stage on the given files and assemble the report.
 
     Ground-truth metrics appear only when ``truth_path`` is supplied
     (synthetic runs). A divergence while training one trait marks that
-    trait's entry failed and the remaining traits still run. Traits are
-    independent units; ``threads`` > 1 trains them concurrently, with the
-    report assembled in trait order either way.
+    trait's entry failed and the remaining traits still run.
     """
     report = RunReport(config=cfg.to_dict(), seeds={"master": cfg.seed})
     t0 = time.perf_counter()
@@ -254,16 +313,14 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig,
     report.stage_seconds["parse"] = time.perf_counter() - t0
     if geno.samples != phenos.samples:
         raise DataError(f"genotype has {geno.samples} samples, phenotypes {phenos.samples}")
-    for t in cfg.traits:
-        if not 0 <= t < phenos.traits:
-            raise ConfigError(f"trait index {t} out of range for {phenos.traits} traits")
+    check_traits(cfg.traits, phenos)
 
-    geno, phenos, _ = _prepare(geno, phenos, cfg, report, truth)
+    geno, phenos = _prepare(geno, phenos, cfg, report, truth)
 
     split_seed = derive_seed(cfg.seed, "split")
     split = split_dataset(geno.samples, cfg.ratios, split_seed)
     report.seeds["split"] = split_seed
-    report.seeds["mf"] = derive_seed(cfg.seed, "mf")
+    report.seeds["mf"] = cfg.seeded_mf().seed
     report.split_sizes = {"train": int(split.train.size),
                           "validation": int(split.validation.size),
                           "test": int(split.test.size)}
@@ -271,15 +328,12 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig,
     t0 = time.perf_counter()
     for trait in cfg.traits:
         report.seeds[f"rnn/trait{trait}"] = derive_seed(cfg.seed, f"rnn/trait{trait}")
-    if threads > 1 and len(cfg.traits) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _train_trait(t, geno, phenos, split, cfg),
-                                    cfg.traits))
-    else:
-        results = [_train_trait(t, geno, phenos, split, cfg) for t in cfg.traits]
-    for result in results:
-        if result.status == "failed":
-            log.warning("trait %d failed: %s", result.trait, result.error)
+        batch = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
+        try:
+            _, result = train_trait(batch, split, cfg, trait)
+        except (DataError, DivergenceError) as e:
+            result = e.result
+            log.warning("trait %d failed: %s", trait, result.error)
         report.trait_results.append(result)
     report.stage_seconds["train"] = time.perf_counter() - t0
     for stage, secs in report.stage_seconds.items():
@@ -304,45 +358,33 @@ class CellComparison:
 
 
 def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSettings,
-                     seed: int, threads: int = 1) -> CellComparison:
+                     seed: int) -> CellComparison:
     """Train each cell on the same batch with a matched budget.
 
     The data, epochs, and learning rate are identical; initializations are
     cell-appropriate (an identity recurrence cannot share values with a
     gaussian one) but all derive from the same seed. A diverging cell
-    keeps its partial curve and is marked; the others complete. Cells are
-    independent units and may train concurrently (``threads`` > 1).
+    keeps its partial curve and is marked; the others complete.
     """
     if len(cells) < 2:
         raise ConfigError("cell comparison needs at least two cells")
     init_seed = derive_seed(seed, "compare/init")
 
-    def run_one(cell: str):
+    curves, finals, diverged = {}, {}, {}
+    for cell in cells:
         params = rnn.rnn_init(cell, batch.chunk_width, hidden, batch.targets.shape[1],
                               init_seed)
         # start every cell at the mean-prediction plateau: with a zero
         # output bias the first epochs chase the target mean, and that
         # transient drifts the hidden biases of integrating cells
         params.b_o[:] = batch.targets.mean(axis=0)
-        tcfg = settings.train_config(init_seed, cell)
         try:
-            _, curve = rnn.train(params, batch, None, tcfg)
+            _, curves[cell] = rnn.train(params, batch, None, settings.train_config(cell))
+            finals[cell] = curves[cell].final_train_loss()
         except DivergenceError as e:
-            return getattr(e, "curve", rnn.TrainingCurve()), float("inf"), str(e)
-        return curve, curve.final_train_loss(), None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, cells))
-    else:
-        outcomes = [run_one(c) for c in cells]
-
-    curves, finals, diverged = {}, {}, {}
-    for cell, (curve, final, err) in zip(cells, outcomes):
-        curves[cell] = curve
-        finals[cell] = final
-        if err is not None:
-            diverged[cell] = err
+            curves[cell] = getattr(e, "curve", rnn.TrainingCurve())
+            finals[cell] = float("inf")
+            diverged[cell] = str(e)
     ordering = sorted(cells, key=lambda c: finals[c])
     return CellComparison(curves, finals, diverged, ordering)
 
@@ -352,7 +394,7 @@ def compare_cells(geno_path, pheno_path, cfg: PipelineConfig, cells) -> CellComp
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
     report = RunReport(config=cfg.to_dict(), seeds={"master": cfg.seed})
-    geno, phenos, _ = _prepare(geno, phenos, cfg, report, None)
+    geno, phenos = _prepare(geno, phenos, cfg, report, None)
     split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
     batch = build_sequences(geno, phenos, cfg.traits[0], cfg.chunk_width, cfg.normalization)
     train_batch = batch.subset_by_samples(split.train)
@@ -385,8 +427,7 @@ def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
 
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        write_json(report.to_json_dict(), path)
         written.append(path)
     if "csv" in formats:
         if report.mf_curve is not None:
@@ -410,10 +451,6 @@ def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
 
     manifest = {"files": [{"name": p.name, "sha256": _sha256(p)}
                           for p in sorted(written, key=lambda p: p.name)]}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    write_json(manifest, out / "manifest.json")
     return manifest
 
-
-def config_with_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    return replace(cfg, seed=seed)

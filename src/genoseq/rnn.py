@@ -19,13 +19,13 @@ backpropagation through time and optional global-norm gradient clipping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import SequenceBatch
-from .errors import ConfigError, DivergenceError, InputError, ShapeError
+from .data import SequenceBatch, text_sink, write_json
+from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeError
 from .linalg import Rng, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
@@ -76,12 +76,7 @@ class RnnParams:
                 "b_h": self.b_h, "b_o": self.b_o}
 
     def replace_tensors(self, tensors: dict[str, np.ndarray]) -> "RnnParams":
-        return RnnParams(self.cell, self.n_in, self.n_hidden, self.n_out,
-                         tensors["w_ih"], tensors["w_hh"], tensors["w_ho"],
-                         tensors["b_h"], tensors["b_o"])
-
-    def copy(self) -> "RnnParams":
-        return self.replace_tensors({k: v.copy() for k, v in self.tensors().items()})
+        return replace(self, **tensors)
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     clip_norm: float | None = None
-    loss: str = "mse"
-    seed: int = 0
     batch_mode: str = "full_batch"  # or "per_sample"
 
     def __post_init__(self):
@@ -100,8 +93,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
-        if self.loss != "mse":
-            raise ConfigError(f"unsupported loss {self.loss!r}")
         if self.batch_mode not in ("full_batch", "per_sample"):
             raise ConfigError(f"unknown batch_mode {self.batch_mode!r}")
 
@@ -124,18 +115,11 @@ class TrainingCurve:
         return self.records[-1].train_loss if self.records else float("nan")
 
     def to_csv(self, dest) -> None:
-        close = False
-        if isinstance(dest, (str, Path)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            dest.write("epoch,train_loss,val_loss\n")
+        with text_sink(dest) as fh:
+            fh.write("epoch,train_loss,val_loss\n")
             for r in self.records:
                 val = repr(float(r.val_loss)) if r.val_loss is not None else ""
-                dest.write(f"{r.epoch},{float(r.train_loss)!r},{val}\n")
-        finally:
-            if close:
-                dest.close()
+                fh.write(f"{r.epoch},{float(r.train_loss)!r},{val}\n")
 
     def to_rows(self) -> list[dict]:
         return [{"epoch": r.epoch, "train_loss": r.train_loss, "val_loss": r.val_loss}
@@ -147,8 +131,7 @@ def default_clip_norm(cell: str) -> float | None:
     return None if cell == "lstm" else 1.0
 
 
-def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int,
-             weight_scale: float | None = None) -> RnnParams:
+def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnParams:
     """Seed-deterministic initialization for one cell.
 
     relu_identity gets an exact identity recurrent matrix and zero hidden
@@ -157,15 +140,13 @@ def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int,
     weights gaussian(0, 0.1) - gated cells tolerate (and need) the larger
     scale, since every signal passes through two sub-unity gates - with
     zero biases except the forget gate, which starts at LSTM_FORGET_BIAS.
-    ``weight_scale`` overrides the per-cell default. Tensors are drawn in
-    the order w_ih, w_hh, w_ho from a single stream.
+    Tensors are drawn in the order w_ih, w_hh, w_ho from a single stream.
     """
     if min(n_in, n_hidden, n_out) < 1:
         raise ConfigError(f"dims must be >= 1, got in={n_in} hidden={n_hidden} out={n_out}")
     if cell not in CELLS:
         raise ConfigError(f"unknown cell {cell!r}")
-    if weight_scale is None:
-        weight_scale = 0.1 if cell == "lstm" else 0.01
+    weight_scale = 0.1 if cell == "lstm" else 0.01
     rng = Rng(seed)
     rows = 4 * n_hidden if cell == "lstm" else n_hidden
     w_ih = rng.gaussian((rows, n_in), 0.0, weight_scale)
@@ -477,17 +458,30 @@ def save_checkpoint(params: RnnParams, path) -> None:
            "n_in": params.n_in, "n_hidden": params.n_hidden, "n_out": params.n_out,
            "tensors": {name: _encode_array(value)
                        for name, value in params.tensors().items()}}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def load_checkpoint(path) -> RnnParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('version')!r}")
-    tensors = {name: _decode_array(value) for name, value in doc["tensors"].items()}
-    return RnnParams(doc["cell"], doc["n_in"], doc["n_hidden"], doc["n_out"],
-                     tensors["w_ih"], tensors["w_hh"], tensors["w_ho"],
-                     tensors["b_h"], tensors["b_o"])
+    """Read a model written by save_checkpoint; a malformed file raises ParseError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ParseError(f"checkpoint is not JSON: {e}") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version!r}")
+    try:
+        cell = doc["cell"]
+        dims = [doc[k] for k in ("n_in", "n_hidden", "n_out")]
+        tensors = {name: _decode_array(doc["tensors"][name])
+                   for name in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")}
+    except KeyError as e:
+        raise ParseError(f"checkpoint lacks the entry {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"malformed checkpoint: {e}") from None
+    if not all(type(d) is int for d in dims):
+        raise ParseError(f"checkpoint dimensions must be integers, got {dims}")
+    return RnnParams(cell, *dims, **tensors)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -13,7 +13,6 @@ from .data import SequenceBatch
 from .errors import ConfigError
 from .linalg import Rng
 
-TASKS = ("lag", "deep", "adding")
 
 
 def lag_memory_task(n_sequences: int, lag: int, seed: int,
@@ -82,11 +81,10 @@ def adding_task(n_sequences: int, length: int, seed: int) -> SequenceBatch:
     return SequenceBatch(inputs, targets[:, None], length, 2)
 
 
+TASKS = {"lag": lag_memory_task, "deep": deep_recall_task, "adding": adding_task}
+
+
 def make_task(name: str, n_sequences: int, length: int, seed: int) -> SequenceBatch:
-    if name == "lag":
-        return lag_memory_task(n_sequences, length, seed)
-    if name == "deep":
-        return deep_recall_task(n_sequences, length, seed)
-    if name == "adding":
-        return adding_task(n_sequences, length, seed)
-    raise ConfigError(f"unknown task {name!r}; choose from {TASKS}")
+    if name not in TASKS:
+        raise ConfigError(f"unknown task {name!r}; choose from {tuple(TASKS)}")
+    return TASKS[name](n_sequences, length, seed)

@@ -126,7 +126,7 @@ def test_06_end_to_end_determinism(tmp_path):
     geno, pheno, truth_p, cfg = _pipeline_fixture(tmp_path, "data")
     manifests = []
     for tag in ("run1", "run2"):
-        report = run_pipeline(geno, pheno, cfg, truth_path=truth_p, threads=1)
+        report = run_pipeline(geno, pheno, cfg, truth_path=truth_p)
         manifests.append(export_report(report, tmp_path / tag, formats=("json", "csv")))
     assert manifests[0] == manifests[1], "export manifests differ between identical runs"
     hashes = {f["name"]: f["sha256"] for f in manifests[0]["files"]}

@@ -90,6 +90,10 @@ class TestImpute:
         assert set(report["accuracy"]) == {"missing_pct", "full_pct"}
         assert 0 <= report["accuracy"]["missing_pct"] <= 100
 
+    def test_no_genotype_given_exits_1(self, tmp_path, capsys):
+        assert _run("impute", "--out", str(tmp_path / "imp")) == 1
+        assert capsys.readouterr().err == "genoseq: no genotype file given\n"
+
     def test_seeded_rerun_identical(self, tmp_path):
         data = _synth(tmp_path)
         outs = []
@@ -141,6 +145,18 @@ class TestTrain:
                   "--cell", "gru")
         assert rc == 1
 
+    def test_non_finite_phenotype_exits_1(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        pheno = tmp_path / "pheno_nan.csv"
+        lines = (data / "pheno.csv").read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        pheno.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = _run("train", "--geno", str(imputed), "--pheno", str(pheno), "--epochs", "5",
+                  "--out", str(tmp_path / "model"))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("genoseq: non-finite phenotype cell 'nan' (row 3")
+
     def test_holed_genotype_rejected(self, tmp_path):
         data = _synth(tmp_path)
         rc = _run("train", "--geno", str(data / "geno_holed.csv"),
@@ -177,6 +193,36 @@ class TestPredict:
         data, imputed = _imputed(tmp_path)
         rc = _run("predict", "--checkpoint", str(tmp_path / "none.json"),
                   "--geno", str(imputed))
+        assert rc == 1
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: "{not json",
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "tensors"}),
+        lambda doc: json.dumps({**doc, "tensors": {k: v for k, v in doc["tensors"].items()
+                                                   if k != "w_hh"}}),
+    ], ids=["not_json", "no_tensors", "no_w_hh"])
+    def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        ckpt = model_dir / "checkpoint.json"
+        ckpt.write_text(mangle(json.loads(ckpt.read_text())))
+        capsys.readouterr()
+        rc = _run("predict", "--checkpoint", str(ckpt), "--geno", str(imputed),
+                  "--out", str(tmp_path / "preds"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
+
+    def test_trait_out_of_range_exits_1(self, tmp_path):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        rc = _run("predict", "--checkpoint", str(model_dir / "checkpoint.json"),
+                  "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+                  "--trait", "9", "--out", str(tmp_path / "preds"))
         assert rc == 1
 
     def test_predict_without_targets(self, tmp_path):
@@ -287,6 +333,37 @@ class TestSharedBehavior:
         assert report["config"]["features"] == 3   # from config
         assert report["config"]["epochs"] == 40    # flag wins
         assert len(report["curve"]) == 40
+
+    @pytest.mark.parametrize("doc", [
+        {"mf": {"features": "8"}}, {"rnn": {"hidden": "16"}}, {"data": {"ratios": 5}},
+        {"mf": {"init_range": 3}}, {"traits": 7}, {"mf": {"epochs": True}},
+        {"rnn": {"clip_norm": "off"}}, {"threads": 2}, {"mf": {"seed": 3}},
+    ], ids=["features_str", "hidden_str", "ratios_int", "init_range_int", "traits_int",
+            "epochs_bool", "clip_norm_str", "threads", "mf_seed"])
+    def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, doc):
+        data, imputed = _imputed(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = _run("train", "--config", str(cfg), "--geno", str(imputed),
+                  "--pheno", str(data / "pheno.csv"), "--epochs", "2",
+                  "--out", str(tmp_path / "model"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
+
+    def test_config_ints_fit_float_keys(self, tmp_path):
+        data, imputed = _imputed(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"success_tolerance": 1, "mf": {"init_range": [0, 1]},
+                                   "rnn": {"clip_norm": None}, "traits": [1]}))
+        out = tmp_path / "model"
+        rc = _run("train", "--config", str(cfg), "--geno", str(imputed),
+                  "--pheno", str(data / "pheno.csv"), "--epochs", "2", "--out", str(out))
+        assert rc == 0
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["config"]["success_tolerance"] == 1 and report["trait"] == 1
+        assert report["config"]["rnn"]["clip_norm"] is None
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

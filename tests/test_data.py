@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, build_sequences, dechunk,
+from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build_sequences,
                           encode_calls, genotype_sequences, genotype_to_csv,
                           parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                           split_dataset, synth_lowrank_genotypes, synth_phenotypes,
@@ -99,6 +99,11 @@ class TestPhenotypeCsv:
     def test_non_numeric_cell_rejected(self):
         with pytest.raises(ParseError):
             parse_phenotype_csv(b"t\nabc\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected_with_location(self, cell):
+        with pytest.raises(ParseError, match=r"non-finite .*\(row 2, column 1\)"):
+            parse_phenotype_csv(f"t1,t2\n1.0,2.0\n3.0,{cell}\n".encode())
 
     def test_round_trip(self):
         p = parse_phenotype_csv(b"t1,t2\n1.5,NA\n-2.25,3.0\n")
@@ -218,6 +223,14 @@ class TestSynthPhenotypes:
         a = synth_phenotypes(truth, seed=4)
         b = synth_phenotypes(truth, seed=4)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def dechunk(batch: SequenceBatch, snps: int, normalization: str = "scaled") -> np.ndarray:
+    """Invert build_sequences: recover the (rows, snps) genotype codes."""
+    flat = batch.inputs.reshape(len(batch), -1)[:, :snps]
+    if normalization == "scaled":
+        flat = flat * 2.0
+    return np.rint(flat).astype(np.int16)
 
 
 def _small_dataset(u=6, v=7, missing_trait_rows=()):

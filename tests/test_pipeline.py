@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from genoseq.cli import main
 
 from genoseq.data import (genotype_to_csv, phenotype_to_csv, synth_lowrank_genotypes,
                           synth_phenotypes)
@@ -110,13 +113,13 @@ class TestRunPipeline:
     def test_split_hygiene(self, tmp_path):
         from genoseq.data import build_sequences, parse_genotype_csv, parse_phenotype_csv, split_dataset
         from genoseq.linalg import derive_seed
-        from genoseq.mf import impute, mf_fit, with_seed
+        from genoseq.mf import impute, mf_fit
 
         geno, pheno, _ = _write_dataset(tmp_path)
         cfg = _small_config()
         g = parse_genotype_csv(geno)
         p = parse_phenotype_csv(pheno)
-        factors, _ = mf_fit(g, with_seed(cfg.mf, derive_seed(cfg.seed, "mf")))
+        factors, _ = mf_fit(g, replace(cfg.mf, seed=derive_seed(cfg.seed, "mf")))
         filled = impute(g, factors)
         split = split_dataset(filled.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
         batch = build_sequences(filled, p, 0, cfg.chunk_width, cfg.normalization)
@@ -168,12 +171,20 @@ class TestRunPipeline:
             wins += m["train"].mse <= m["test"].mse
         assert wins >= 8
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        geno, pheno, _ = _write_dataset(tmp_path)
-        a = run_pipeline(geno, pheno, _small_config(traits=(0, 1)), threads=1)
-        b = run_pipeline(geno, pheno, _small_config(traits=(0, 1)), threads=2)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == \
-            json.dumps(b.to_json_dict(), sort_keys=True)
+    def test_train_command_matches_observed_pipeline(self, tmp_path):
+        # one training path: the CLI and the pipeline must not fork again
+        _, pheno, truth = _write_dataset(tmp_path, trait_missing=3)
+        rc = main(["train", "--geno", str(truth), "--pheno", str(pheno), "--trait", "1",
+                   "--cell", "lstm", "--hidden", "6", "--epochs", "15", "--chunk-width", "8",
+                   "--seed", "5", "--out", str(tmp_path / "model")])
+        assert rc == 0
+        cli_metrics = json.loads((tmp_path / "model" / "train_report.json").read_text())["metrics"]
+        cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, epochs=15), chunk_width=8,
+                             seed=5, traits=(1,), genotype_mode="observed")
+        (result,) = run_pipeline(truth, pheno, cfg).trait_results
+        assert set(cli_metrics) == set(result.metrics) == {"train", "validation", "test"}
+        for split, m in result.metrics.items():
+            assert cli_metrics[split] == {**m._asdict(), "n": result.n_samples[split]}
 
 
 class TestCompareCells:
