@@ -105,15 +105,23 @@ def cmd_impute(args, values: dict) -> int:
     return EXIT_OK
 
 
+def _single_trait(cfg) -> int:
+    """The one trait a model is trained or evaluated on."""
+    if len(cfg.traits) != 1:
+        raise ConfigError(f"traits must name exactly one trait for this command, "
+                          f"got {list(cfg.traits)}")
+    return cfg.traits[0]
+
+
 def cmd_train(args, values: dict) -> int:
     cfg = pipeline.resolve_config(values)
+    trait = _single_trait(cfg)
     geno_path = _require_file(values.get("geno"), "genotype")
     pheno_path = _require_file(values.get("pheno"), "phenotype")
     out = _out_dir(values)
 
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
-    trait = cfg.traits[0]
     pipeline.check_traits([trait], phenos)
 
     split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
@@ -132,6 +140,7 @@ def cmd_train(args, values: dict) -> int:
 
 def cmd_predict(args, values: dict) -> int:
     cfg = pipeline.resolve_config(values)
+    trait = _single_trait(cfg)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     geno_path = _require_file(values.get("geno"), "genotype")
     out = _out_dir(values)
@@ -142,8 +151,8 @@ def cmd_predict(args, values: dict) -> int:
     pheno_path = values.get("pheno")
     if pheno_path is not None:
         phenos = parse_phenotype_csv(_require_file(pheno_path, "phenotype"))
-        pipeline.check_traits(cfg.traits[:1], phenos)
-        batch = build_sequences(geno, phenos, cfg.traits[0], params.n_in, cfg.normalization)
+        pipeline.check_traits([trait], phenos)
+        batch = build_sequences(geno, phenos, trait, params.n_in, cfg.normalization)
         preds = rnn.predict(params, batch)
         sample_ids = batch.sample_indices
     else:

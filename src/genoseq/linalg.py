@@ -1,9 +1,8 @@
 """Seeded random streams, seed derivation, the Frobenius norm, the logistic function.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
-of float64. Matrices are treated as immutable values: public operations
-return fresh arrays and never mutate their arguments, so results are safe
-to share across threads.
+of float64. Public operations never mutate their arguments; they return
+fresh arrays unless the caller passes an ``out`` buffer to write into.
 
 Randomness comes from :class:`Rng`, a counter-mode SplitMix64 generator.
 The i-th raw output is a pure function of (seed, i), so every draw is
@@ -104,12 +103,15 @@ def frobenius_sq(a: Matrix) -> float:
     return float(np.sum(a * a))
 
 
-def sigmoid(a: Matrix) -> Matrix:
-    """Numerically stable logistic function."""
-    z = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def sigmoid(a: Matrix, out: Matrix | None = None) -> Matrix:
+    """Logistic function, as 0.5 * tanh(0.5 * a) + 0.5.
+
+    tanh saturates to exactly +-1 instead of overflowing, so the result is
+    exactly 0 or 1 far out on either side, with no masks and no exp. With
+    ``out``, the result is written there.
+    """
+    out = np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -351,7 +352,11 @@ class CellComparison:
     ordering: list[str]  # cells sorted by final loss, best first
 
     def to_json_dict(self) -> dict:
-        return {"final_losses": self.final_losses,
+        # a diverged cell's loss is inf here, which JSON cannot hold; it is
+        # exported as null, and ``diverged`` says why
+        finals = {c: loss if math.isfinite(loss) else None
+                  for c, loss in self.final_losses.items()}
+        return {"final_losses": finals,
                 "ordering": self.ordering,
                 "diverged": self.diverged,
                 "curves": {c: curve.to_rows() for c, curve in self.curves.items()}}

@@ -163,19 +163,61 @@ def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnP
 
 @dataclass
 class ForwardPass:
-    """Everything the backward pass needs: states, outputs, pre-activations.
+    """The states and activations of one forward pass, kept for the backward pass.
 
-    Arrays are batch-major: hidden is (batch, T, M), outputs (batch, n_out),
-    pre_activations (batch, T, M) (or (batch, T, 4M) for lstm).
+    The buffers are time-major, so that one timestep is a contiguous block
+    and all T steps reshape to one (T·batch, ·) matrix without a copy.
+    ``x`` is (T, batch, n_in) and ``states`` holds h_0 .. h_T as
+    (T+1, batch, M). ``pre`` holds the pre-activations gate-major, as
+    (gates, T, batch, M) with one gate block for the relu and tanh cells
+    and four (i, f, o, g) for the lstm, so that each gate of each step is
+    contiguous. The lstm adds its gate activations in the same layout as
+    ``acts``, the cell states c_0 .. c_T as ``cells`` and
+    tanh(c_1) .. tanh(c_T) as ``tanh_c``. The properties give batch-major
+    views.
+
+    ``bptt_gradients`` runs a private pass and consumes it: its backward
+    writes the derivative factors and the per-step gradients into that
+    pass's ``pre`` (and the lstm's ``tanh_c``). A pass that
+    ``rnn_forward`` returns to a caller is never modified.
     """
 
-    inputs: np.ndarray
-    hidden: np.ndarray
+    x: np.ndarray
+    states: np.ndarray
+    pre: np.ndarray
     outputs: np.ndarray
-    pre_activations: np.ndarray
-    h0: np.ndarray
-    cell_states: np.ndarray | None = None  # lstm only, (batch, T, M), c_0 excluded
-    gates: dict | None = None              # lstm only: i, f, o, g, tanh_c
+    acts: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    tanh_c: np.ndarray | None = None
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self.x.transpose(1, 0, 2)
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """h_1 .. h_T as (batch, T, M)."""
+        return self.states[1:].transpose(1, 0, 2)
+
+    @property
+    def pre_activations(self) -> np.ndarray:
+        """(batch, T, rows), gate blocks side by side; a copy for the lstm."""
+        gates, t_len, b, m = self.pre.shape
+        return self.pre.transpose(2, 1, 0, 3).reshape(b, t_len, gates * m)
+
+    @property
+    def cell_states(self) -> np.ndarray | None:
+        """lstm only: c_1 .. c_T as (batch, T, M)."""
+        return None if self.cells is None else self.cells[1:].transpose(1, 0, 2)
+
+    @property
+    def gates(self) -> dict[str, np.ndarray] | None:
+        """lstm only: i, f, o, g and tanh_c, each (batch, T, M)."""
+        if self.acts is None:
+            return None
+        views = {name: a.transpose(1, 0, 2) for name, a in zip("ifog", self.acts)}
+        views["tanh_c"] = self.tanh_c.transpose(1, 0, 2)
+        return views
 
 
 def _as_batch(inputs) -> np.ndarray:
@@ -187,11 +229,18 @@ def _as_batch(inputs) -> np.ndarray:
     return x
 
 
+def _blocks(w: np.ndarray, m: int) -> np.ndarray:
+    """A hidden-side tensor (gates·M, k) as its gate blocks, (gates, M, k)."""
+    return w.reshape(-1, m, w.shape[-1])
+
+
 def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> ForwardPass:
     """Run the recurrence over one sequence (T, n_in) or a batch (B, T, n_in).
 
     h_0 is zero unless given. The readout is linear and evaluated at the
-    final timestep.
+    final timestep. The input side of every step, x_t W_ih^T + b_h, is one
+    matrix product per gate block over all T steps, made before the loop;
+    each step then adds only its recurrent term h_{t-1} W_hh^T.
     """
     x = _as_batch(inputs)
     b, t_len, n_in = x.shape
@@ -200,62 +249,65 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> Forw
     if n_in != params.n_in:
         raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
+    states = np.empty((t_len + 1, b, m))
     if h0 is None:
-        h0 = np.zeros((b, m))
+        states[0] = 0.0
     else:
         h0 = np.asarray(h0, dtype=np.float64)
-        if h0.shape == (m,):
-            h0 = np.broadcast_to(h0, (b, m)).copy()
-        if h0.shape != (b, m):
+        if h0.shape not in ((m,), (b, m)):
             raise ShapeError(f"h0 must have shape ({m},) or ({b}, {m}), got {h0.shape}")
+        states[0] = h0
 
+    xs = np.ascontiguousarray(x.transpose(1, 0, 2))
+    w_ih = _blocks(params.w_ih, m)
+    pre = np.empty((w_ih.shape[0], t_len, b, m))
+    np.matmul(xs.reshape(t_len * b, n_in), w_ih.transpose(0, 2, 1),
+              out=pre.reshape(-1, t_len * b, m))
+    pre += params.b_h.reshape(-1, 1, 1, m)
+    lstm_buffers = ()
     if params.cell == "lstm":
-        return _forward_lstm(params, x, h0)
+        lstm_buffers = _recur_lstm(params, pre, states)
+    else:
+        act = np.tanh if params.cell == "simple_tanh" else _relu
+        w_hh_t = params.w_hh.T
+        for t in range(t_len):
+            z = pre[0, t]
+            z += states[t] @ w_hh_t
+            act(z, out=states[t + 1])
+    y = states[-1] @ params.w_ho.T + params.b_o
+    return ForwardPass(xs, states, pre, y, *lstm_buffers)
 
-    act = np.tanh if params.cell == "simple_tanh" else lambda z: np.maximum(z, 0.0)
-    hs = np.empty((b, t_len + 1, m))
-    zs = np.empty((b, t_len, m))
-    hs[:, 0] = h0
-    h = h0
+
+def _relu(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
+
+
+def _recur_lstm(params: RnnParams, pre: np.ndarray, states: np.ndarray):
+    """The lstm time loop: completes ``pre`` and fills ``states``.
+
+    Returns the pass's gate activations, cell states and tanh(c).
+    """
+    t_len, b, m = pre.shape[1:]
+    acts = np.empty((4, t_len, b, m))
+    cells = np.empty((t_len + 1, b, m))
+    tanh_c = np.empty((t_len, b, m))
+    cells[0] = 0.0
+    # W_hh^T of each gate block, contiguous for the per-step products
+    w_rec = np.ascontiguousarray(_blocks(params.w_hh, m).transpose(0, 2, 1))
     for t in range(t_len):
-        z = x[:, t] @ params.w_ih.T + h @ params.w_hh.T + params.b_h
-        h = act(z)
-        zs[:, t] = z
-        hs[:, t + 1] = h
-    y = h @ params.w_ho.T + params.b_o
-    return ForwardPass(x, hs[:, 1:], y, zs, h0)
-
-
-def _forward_lstm(params: RnnParams, x: np.ndarray, h0: np.ndarray) -> ForwardPass:
-    b, t_len, _ = x.shape
-    m = params.n_hidden
-    hs = np.empty((b, t_len + 1, m))
-    cs = np.empty((b, t_len + 1, m))
-    pre = np.empty((b, t_len, 4 * m))
-    gi = np.empty((b, t_len, m))
-    gf = np.empty((b, t_len, m))
-    go = np.empty((b, t_len, m))
-    gg = np.empty((b, t_len, m))
-    tc = np.empty((b, t_len, m))
-    hs[:, 0] = h0
-    cs[:, 0] = 0.0
-    h, c = h0, cs[:, 0]
-    for t in range(t_len):
-        a = x[:, t] @ params.w_ih.T + h @ params.w_hh.T + params.b_h
-        i = sigmoid(a[:, :m])
-        f = sigmoid(a[:, m:2 * m])
-        o = sigmoid(a[:, 2 * m:3 * m])
-        g = np.tanh(a[:, 3 * m:])
-        c = f * c + i * g
-        tch = np.tanh(c)
-        h = o * tch
-        pre[:, t] = a
-        gi[:, t], gf[:, t], go[:, t], gg[:, t], tc[:, t] = i, f, o, g, tch
-        hs[:, t + 1] = h
-        cs[:, t + 1] = c
-    y = h @ params.w_ho.T + params.b_o
-    return ForwardPass(x, hs[:, 1:], y, pre, h0, cs[:, 1:],
-                       {"i": gi, "f": gf, "o": go, "g": gg, "tanh_c": tc, "cs": cs})
+        a = pre[:, t]
+        a += np.matmul(states[t], w_rec)
+        i, f, o, g = acts[:, t]
+        sigmoid(a[0], out=i)
+        sigmoid(a[1], out=f)
+        sigmoid(a[2], out=o)
+        np.tanh(a[3], out=g)
+        c = cells[t + 1]
+        np.multiply(f, cells[t], out=c)
+        c += i * g
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=states[t + 1])
+    return acts, cells, tanh_c
 
 
 def loss_mse(predictions, targets) -> float:
@@ -278,7 +330,8 @@ def bptt_gradients(params: RnnParams, batch) -> dict[str, np.ndarray]:
     """Exact gradient of the mean MSE over the batch, by full unrolling.
 
     Accepts a SequenceBatch or an (inputs, targets) pair. Gradient tensors
-    match the parameter shapes.
+    match the parameter shapes. The backward runs on a private forward
+    pass and reuses its buffers as scratch.
     """
     x, targets = _batch_arrays(batch)
     x = _as_batch(x)
@@ -289,56 +342,83 @@ def bptt_gradients(params: RnnParams, batch) -> dict[str, np.ndarray]:
 
 
 def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray) -> dict[str, np.ndarray]:
-    x = fwd.inputs
-    b, t_len, _ = x.shape
+    """Backpropagate through a private pass, consuming its buffers.
+
+    The loop runs only what depends on the later steps' error: each step
+    turns ``fwd.pre[:, t]`` from precomputed derivative factors into the
+    pre-activation gradient in place. dW_ih, dW_hh and db_h are then one
+    matrix product (or sum) per gate block over all T steps.
+    """
+    t_len, b, n_in = fwd.x.shape
     m = params.n_hidden
     targets = np.asarray(targets, dtype=np.float64).reshape(b, params.n_out)
 
     dy = 2.0 * (fwd.outputs - targets) / (b * params.n_out)
-    h_last = fwd.hidden[:, -1]
-    d_who = dy.T @ h_last
+    d_who = dy.T @ fwd.states[-1]
     d_bo = dy.sum(axis=0)
     dh = dy @ params.w_ho
 
-    prev_h = lambda t: fwd.hidden[:, t - 1] if t > 0 else fwd.h0
-
+    grad = fwd.pre
     if params.cell == "lstm":
-        gates = fwd.gates
-        cs = gates["cs"]
-        d_wih = np.zeros_like(params.w_ih)
-        d_whh = np.zeros_like(params.w_hh)
-        d_bh = np.zeros_like(params.b_h)
+        carry = _lstm_factors(fwd)
+        forget = fwd.acts[1]
+        w_hh = _blocks(params.w_hh, m)
         dc = np.zeros((b, m))
         for t in range(t_len - 1, -1, -1):
-            i, f, o = gates["i"][:, t], gates["f"][:, t], gates["o"][:, t]
-            g, tch = gates["g"][:, t], gates["tanh_c"][:, t]
-            do_ = dh * tch
-            dc = dc + dh * o * (1.0 - tch * tch)
-            da = np.concatenate([
-                (dc * g) * i * (1.0 - i),
-                (dc * cs[:, t]) * f * (1.0 - f),
-                do_ * o * (1.0 - o),
-                (dc * i) * (1.0 - g * g),
-            ], axis=1)
-            d_wih += da.T @ x[:, t]
-            d_whh += da.T @ prev_h(t)
-            d_bh += da.sum(axis=0)
-            dh = da @ params.w_hh
-            dc = dc * f
+            dc += dh * carry[t]
+            da = grad[:, t]
+            da[:2] *= dc  # input and forget gates
+            da[2] *= dh
+            da[3] *= dc
+            dh = np.matmul(da, w_hh).sum(axis=0)
+            dc *= forget[t]
     else:
-        grad_act = ((lambda z: 1.0 - np.tanh(z) ** 2) if params.cell == "simple_tanh"
-                    else (lambda z: (z > 0.0).astype(np.float64)))
-        d_wih = np.zeros_like(params.w_ih)
-        d_whh = np.zeros_like(params.w_hh)
-        d_bh = np.zeros_like(params.b_h)
+        h = fwd.states[1:]
+        dz_all = grad[0]
+        if params.cell == "simple_tanh":
+            np.multiply(h, h, out=dz_all)
+            np.subtract(1.0, dz_all, out=dz_all)
+        else:
+            np.greater(h, 0.0, out=dz_all)
         for t in range(t_len - 1, -1, -1):
-            dz = dh * grad_act(fwd.pre_activations[:, t])
-            d_wih += dz.T @ x[:, t]
-            d_whh += dz.T @ prev_h(t)
-            d_bh += dz.sum(axis=0)
+            dz = dz_all[t]
+            dz *= dh
             dh = dz @ params.w_hh
 
+    flat_t = grad.reshape(-1, t_len * b, m).transpose(0, 2, 1)
+    d_wih = np.matmul(flat_t, fwd.x.reshape(t_len * b, n_in)).reshape(-1, n_in)
+    d_whh = np.matmul(flat_t, fwd.states[:-1].reshape(t_len * b, m)).reshape(-1, m)
+    d_bh = flat_t.sum(axis=2).reshape(-1)
     return {"w_ih": d_wih, "w_hh": d_whh, "w_ho": d_who, "b_h": d_bh, "b_o": d_bo}
+
+
+def _lstm_factors(fwd: ForwardPass) -> np.ndarray:
+    """The lstm's derivative factors for all T steps, written over the pass's buffers.
+
+    ``fwd.pre`` becomes, per gate block, what the step's error is
+    multiplied by: g·i(1-i), c_{t-1}·f(1-f) and i(1-g²) take dc, and
+    tanh(c_t)·o(1-o) takes dh. ``fwd.tanh_c`` becomes o(1-tanh²c_t),
+    which carries dh into dc; it is returned.
+    """
+    i, f, o, g = fwd.acts
+    fi, ff, fo, fg = fwd.pre
+    np.subtract(1.0, i, out=fi)
+    fi *= i
+    fi *= g
+    np.subtract(1.0, f, out=ff)
+    ff *= f
+    ff *= fwd.cells[:-1]
+    np.subtract(1.0, o, out=fo)
+    fo *= o
+    fo *= fwd.tanh_c
+    np.multiply(g, g, out=fg)
+    np.subtract(1.0, fg, out=fg)
+    fg *= i
+    carry = fwd.tanh_c
+    carry *= carry
+    np.subtract(1.0, carry, out=carry)
+    carry *= o
+    return carry
 
 
 def gradient_norm(grads: dict[str, np.ndarray]) -> float:
@@ -481,6 +561,9 @@ def load_checkpoint(path) -> RnnParams:
         raise ParseError(f"malformed checkpoint: {e}") from None
     if not all(type(d) is int for d in dims):
         raise ParseError(f"checkpoint dimensions must be integers, got {dims}")
+    for name, value in tensors.items():
+        if not np.isfinite(value).all():
+            raise ParseError(f"checkpoint tensor {name} holds a non-finite value")
     return RnnParams(cell, *dims, **tensors)
 
 

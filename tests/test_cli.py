@@ -157,11 +157,29 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("genoseq: non-finite phenotype cell 'nan' (row 3")
 
+    def test_more_than_one_trait_exits_1(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        config = tmp_path / "two_traits.json"
+        config.write_text(json.dumps({"traits": [0, 1]}))
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--config", str(config), "--geno", str(imputed),
+                  "--pheno", str(data / "pheno.csv"), "--epochs", "2", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "traits" in err[0]
+        assert not out.exists()
+
     def test_holed_genotype_rejected(self, tmp_path):
         data = _synth(tmp_path)
         rc = _run("train", "--geno", str(data / "geno_holed.csv"),
                   "--pheno", str(data / "pheno.csv"), "--epochs", "5")
         assert rc == 1
+
+
+def _with_nan_w_ho(doc):
+    doc["tensors"]["w_ho"]["data"][0] = "nan"
+    return json.dumps(doc)
 
 
 class TestPredict:
@@ -200,7 +218,8 @@ class TestPredict:
         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "tensors"}),
         lambda doc: json.dumps({**doc, "tensors": {k: v for k, v in doc["tensors"].items()
                                                    if k != "w_hh"}}),
-    ], ids=["not_json", "no_tensors", "no_w_hh"])
+        _with_nan_w_ho,
+    ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -214,6 +233,21 @@ class TestPredict:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
+
+    def test_more_than_one_trait_exits_1(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        config = tmp_path / "two_traits.json"
+        config.write_text(json.dumps({"traits": [0, 1]}))
+        capsys.readouterr()
+        rc = _run("predict", "--config", str(config),
+                  "--checkpoint", str(model_dir / "checkpoint.json"), "--geno", str(imputed),
+                  "--pheno", str(data / "pheno.csv"), "--out", str(tmp_path / "preds"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "traits" in err[0]
 
     def test_trait_out_of_range_exits_1(self, tmp_path):
         data, imputed = _imputed(tmp_path)
@@ -262,6 +296,22 @@ class TestBenchmark:
             assert rc == 0
             hashes.append(_hash_dir(out))
         assert hashes[0] == hashes[1]
+
+    def test_diverged_cell_exports_null_loss_in_valid_json(self, tmp_path):
+        out = tmp_path / "bench"
+        rc = _run("benchmark", "--task", "deep", "--length", "20", "--sequences", "8",
+                  "--lr", "1e12", "--epochs", "5", "--seed", "3", "--out", str(out))
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"benchmark.json holds the non-JSON constant {name}")
+
+        doc = json.loads((out / "benchmark.json").read_text(), parse_constant=reject)
+        assert doc["diverged"]
+        for cell in doc["diverged"]:
+            assert doc["final_losses"][cell] is None
+        n_finite = len(doc["ordering"]) - len(doc["diverged"])
+        assert set(doc["ordering"][n_finite:]) == set(doc["diverged"])
 
     def test_unknown_cell_exits_1(self, tmp_path):
         rc = _run("benchmark", "--cells", "gru", "--epochs", "2",

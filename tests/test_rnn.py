@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genoseq.gradcheck as gc
-from genoseq.errors import ConfigError, DivergenceError, InputError, ShapeError
+from genoseq import rnn
+from genoseq.errors import (ConfigError, DivergenceError, InputError, ParseError,
+                            ShapeError)
 from genoseq.linalg import Rng
 from genoseq.rnn import (CELLS, LSTM_FORGET_BIAS, RnnParams, TrainConfig,
                          bptt_gradients, clip_gradients, default_clip_norm,
@@ -19,6 +22,83 @@ def _tiny_tanh(w_ih=1.0, w_hh=0.5, w_ho=2.0):
     return RnnParams("simple_tanh", 1, 1, 1,
                      np.array([[w_ih]]), np.array([[w_hh]]), np.array([[w_ho]]),
                      np.zeros(1), np.zeros(1))
+
+
+def _reference_sigmoid(z):
+    """The masked two-branch logistic that linalg.sigmoid replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference(params, x, targets, h0=None):
+    """Per-step forward and backward loops, the oracle of the hoisted kernels.
+
+    Every product is formed inside the time loop, in the order the
+    equations state it: no hoisted input product, no precomputed
+    derivative factors, weight gradients accumulated step by step.
+    Returns (hidden (B, T, M), outputs, gradients).
+    """
+    b, t_len, _ = x.shape
+    m = params.n_hidden
+    hs = np.empty((b, t_len + 1, m))
+    hs[:, 0] = 0.0 if h0 is None else h0
+    cs = np.zeros((b, t_len + 1, m))
+    zs, gates = [], []
+    for t in range(t_len):
+        a = x[:, t] @ params.w_ih.T + hs[:, t] @ params.w_hh.T + params.b_h
+        zs.append(a)
+        if params.cell == "lstm":
+            i, f, o = (_reference_sigmoid(a[:, k * m:(k + 1) * m]) for k in range(3))
+            g = np.tanh(a[:, 3 * m:])
+            cs[:, t + 1] = f * cs[:, t] + i * g
+            tch = np.tanh(cs[:, t + 1])
+            gates.append((i, f, o, g, tch))
+            hs[:, t + 1] = o * tch
+        elif params.cell == "simple_tanh":
+            hs[:, t + 1] = np.tanh(a)
+        else:
+            hs[:, t + 1] = np.maximum(a, 0.0)
+    y = hs[:, -1] @ params.w_ho.T + params.b_o
+
+    dy = 2.0 * (y - targets) / (b * params.n_out)
+    grads = {name: np.zeros_like(value) for name, value in params.tensors().items()}
+    grads["w_ho"] = dy.T @ hs[:, -1]
+    grads["b_o"] = dy.sum(axis=0)
+    dh = dy @ params.w_ho
+    dc = np.zeros((b, m))
+    for t in range(t_len - 1, -1, -1):
+        if params.cell == "lstm":
+            i, f, o, g, tch = gates[t]
+            dc = dc + dh * o * (1.0 - tch * tch)
+            da = np.concatenate([(dc * g) * i * (1.0 - i),
+                                 (dc * cs[:, t]) * f * (1.0 - f),
+                                 dh * tch * o * (1.0 - o),
+                                 (dc * i) * (1.0 - g * g)], axis=1)
+            dc = dc * f
+        elif params.cell == "simple_tanh":
+            da = dh * (1.0 - np.tanh(zs[t]) ** 2)
+        else:
+            da = dh * (zs[t] > 0.0)
+        grads["w_ih"] += da.T @ x[:, t]
+        grads["w_hh"] += da.T @ hs[:, t]
+        grads["b_h"] += da.sum(axis=0)
+        dh = da @ params.w_hh
+    return hs[:, 1:], y, grads
+
+
+def _generic_instance(cell, batch, t_len, n_in, hidden=4, n_out=2, seed=0):
+    """Random weights away from the special init values, with inputs and targets."""
+    rng = Rng(seed)
+    params = rnn_init(cell, n_in, hidden, n_out, seed=seed)
+    params = params.replace_tensors({k: rng.gaussian(v.shape, 0.0, 0.4)
+                                     for k, v in params.tensors().items()})
+    x = rng.uniform((batch, t_len, n_in), -1.0, 1.0)
+    targets = rng.uniform((batch, n_out), -1.0, 1.0)
+    return params, x, targets
 
 
 class TestRnnInit:
@@ -152,6 +232,69 @@ class TestBpttGradients:
         p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
         with pytest.raises(InputError):
             bptt_gradients(p, (np.zeros((0, 3, 1)), np.zeros((0, 1))))
+
+
+# (batch, T, n_in, hidden, given h0); the first has the deep-memory task's
+# width 1, the last the walkthrough's lstm shape (T=10 chunks of width 20, M=16)
+ORACLE_SHAPES = [
+    pytest.param(1, 7, 1, 4, False, id="one_sequence"),
+    pytest.param(5, 1, 3, 4, False, id="one_step"),
+    pytest.param(4, 9, 3, 4, True, id="given_h0"),
+    pytest.param(3, 10, 20, 16, False, id="walkthrough_shape"),
+]
+
+
+class TestKernelsMatchPerStepReference:
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("batch,t_len,n_in,hidden,with_h0", ORACLE_SHAPES)
+    def test_forward_and_gradients(self, cell, batch, t_len, n_in, hidden, with_h0):
+        params, x, targets = _generic_instance(cell, batch, t_len, n_in, hidden, seed=t_len)
+        h0 = Rng(1).uniform((batch, hidden), 0.0, 1.0) if with_h0 else None
+        hidden_ref, y_ref, grads_ref = _reference(params, x, targets, h0)
+
+        fwd = rnn_forward(params, x, h0=h0)
+        np.testing.assert_allclose(fwd.hidden, hidden_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fwd.outputs, y_ref, rtol=1e-12, atol=0)
+        if h0 is None:
+            grads = bptt_gradients(params, (x, targets))
+        else:
+            grads = rnn._backward(params, fwd, targets)
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            ref = grads_ref[name]
+            assert g.shape == ref.shape
+            # a gradient entry is a sum over steps and samples, now taken in
+            # another order: an entry that cancels to far below its tensor's
+            # scale keeps the absolute error of that scale, not its own
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("batch", [1, 3])  # one sequence is already time-major: no copy
+    def test_gradients_leave_arguments_unchanged_and_repeat(self, cell, batch):
+        params, x, targets = _generic_instance(cell, batch, 6, 2)
+        before = {k: v.copy() for k, v in params.tensors().items()}
+        x_before, t_before = x.copy(), targets.copy()
+        first = bptt_gradients(params, (x, targets))
+        second = bptt_gradients(params, (x, targets))
+        for k, v in params.tensors().items():
+            assert v.tobytes() == before[k].tobytes()
+        assert x.tobytes() == x_before.tobytes()
+        assert targets.tobytes() == t_before.tobytes()
+        for k in first:
+            assert first[k].tobytes() == second[k].tobytes()
+
+    def test_gradient_oracle_catches_a_skewed_gate_factor(self, monkeypatch):
+        assert gc.check_rnn("lstm", trials=5, seed=303) < 1e-5
+        exact = rnn._lstm_factors
+
+        def skewed(fwd):
+            carry = exact(fwd)
+            fwd.pre[0] *= 1.0 + 1e-4  # the input gate's factor g*i*(1-i)
+            return carry
+
+        monkeypatch.setattr(rnn, "_lstm_factors", skewed)
+        assert gc.check_rnn("lstm", trials=5, seed=303) > 1e-5
 
 
 class TestClipGradients:
@@ -330,6 +473,17 @@ class TestCheckpoint:
             assert q.tensors()[k].tobytes() == p.tensors()[k].tobytes()
         x = Rng(9).uniform((4, 6, 3))
         assert predict(q, x).tobytes() == predict(p, x).tobytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, value):
+        p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        doc = json.loads(path.read_text())
+        doc["tensors"]["w_ho"]["data"][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="w_ho"):
+            load_checkpoint(path)
 
     def test_version_checked(self, tmp_path):
         p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
