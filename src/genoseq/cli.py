@@ -122,7 +122,6 @@ def cmd_train(args, values: dict) -> int:
 
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
-    pipeline.check_traits([trait], phenos)
 
     split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
     batch = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
@@ -151,9 +150,8 @@ def cmd_predict(args, values: dict) -> int:
     pheno_path = values.get("pheno")
     if pheno_path is not None:
         phenos = parse_phenotype_csv(_require_file(pheno_path, "phenotype"))
-        pipeline.check_traits([trait], phenos)
         batch = build_sequences(geno, phenos, trait, params.n_in, cfg.normalization)
-        preds = rnn.predict(params, batch)
+        preds = rnn.predict(params, batch.inputs)
         sample_ids = batch.sample_indices
     else:
         inputs = genotype_sequences(geno, params.n_in, cfg.normalization)

@@ -300,9 +300,7 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
     ("entry" mode) or concentrates missingness in a fraction of SNP
     columns ("snp_block" mode, 1-25% of samples hit per affected SNP).
     """
-    if not 1 <= rank <= min(samples, snps):
-        raise ConfigError(f"rank must be in [1, {min(samples, snps)}], got {rank}")
-
+    _check_synth_shape(samples, snps, rank, "rank")
     rng = Rng(seed)
     if rank == 1:
         a = rng.uniform((samples, 1))
@@ -319,6 +317,13 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
     truth = GenotypeMatrix(codes, np.ones_like(codes, dtype=bool))
     holed = _mask_holes(truth, missing_frac, missing_mode, rng)
     return holed, truth
+
+
+def _check_synth_shape(samples: int, snps: int, rank: int, rank_name: str) -> None:
+    if samples < 1 or snps < 1:
+        raise ConfigError(f"samples and snps must be >= 1, got {samples}x{snps}")
+    if not 1 <= rank <= min(samples, snps):
+        raise ConfigError(f"{rank_name} must be in [1, {min(samples, snps)}], got {rank}")
 
 
 def _mask_holes(truth: GenotypeMatrix, missing_frac: float, missing_mode: str,
@@ -357,9 +362,7 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
     about ``groups`` features to predict held-out cells, which makes this
     the right instance for capacity-trend comparisons.
     """
-    if not 1 <= groups <= min(samples, snps):
-        raise ConfigError(f"groups must be in [1, {min(samples, snps)}], got {groups}")
-
+    _check_synth_shape(samples, snps, groups, "groups")
     rng = Rng(seed)
     assign = np.floor(rng.uniform(samples, 0, groups)).astype(np.int64)
     protos = rng.uniform((groups, snps), 0.0, 2.0)
@@ -380,8 +383,9 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
     """
     if traits < 1:
         raise ConfigError(f"traits must be >= 1, got {traits}")
-    if missing_per_trait > truth.samples:
-        raise ConfigError("missing_per_trait exceeds the number of samples")
+    if not 0 <= missing_per_trait <= truth.samples:
+        raise ConfigError(f"missing_per_trait must be in [0, {truth.samples}], "
+                          f"got {missing_per_trait}")
     rng = Rng(seed)
     u = truth.samples
     k = min(snps_per_trait, truth.snps)
@@ -399,6 +403,13 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
     return PhenotypeTable(values, observed, [f"trait{t + 1}" for t in range(traits)])
 
 
+def check_traits(traits, phenos: PhenotypeTable) -> None:
+    """Reject a trait index the phenotype table does not have."""
+    for t in traits:
+        if not 0 <= t < phenos.traits:
+            raise ConfigError(f"trait index {t} out of range for {phenos.traits} traits")
+
+
 def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
                     chunk_width: int, normalization: str = "scaled") -> SequenceBatch:
     """Cut each sample's SNP row into fixed-width timestep chunks.
@@ -412,8 +423,7 @@ def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
     x = genotype_sequences(g, chunk_width, normalization)
     if g.samples != phenos.samples:
         raise DataError(f"genotype has {g.samples} samples but phenotypes have {phenos.samples}")
-    if not 0 <= trait < phenos.traits:
-        raise IndexError(f"trait index {trait} out of range for {phenos.traits} traits")
+    check_traits([trait], phenos)
     t_seq = x.shape[1]
 
     keep = phenos.observed[:, trait]

@@ -160,23 +160,23 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0):
     factor rows after each cell (p's row first, then q's row using the
     fresh p values).
     """
-    if cfg.mode == "full_batch":
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow to inf is detected below and reported as divergence, so the
+    # intermediate warnings carry no information
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.mode == "full_batch":
             dp, dq = mf_gradients(g, fp, cfg.beta)
             new = FactorPair(fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq)
-    else:
-        p = fp.p.copy()
-        q = fp.q.copy()
-        codes = g.codes.astype(np.float64)
-        for u in range(g.samples):
-            for v in np.nonzero(g.observed[u])[0]:
-                err = codes[u, v] - p[u] @ q[v]
-                p_u = p[u] + cfg.alpha * (2.0 * err * q[v] - cfg.beta * p[u])
-                q[v] = q[v] + cfg.alpha * (2.0 * err * p_u - cfg.beta * q[v])
-                p[u] = p_u
-        new = FactorPair(p, q)
-
-    with np.errstate(over="ignore", invalid="ignore"):
+        else:
+            p = fp.p.copy()
+            q = fp.q.copy()
+            codes = g.codes.astype(np.float64)
+            for u in range(g.samples):
+                for v in np.nonzero(g.observed[u])[0]:
+                    err = codes[u, v] - p[u] @ q[v]
+                    p_u = p[u] + cfg.alpha * (2.0 * err * q[v] - cfg.beta * p[u])
+                    q[v] = q[v] + cfg.alpha * (2.0 * err * p_u - cfg.beta * q[v])
+                    p[u] = p_u
+            new = FactorPair(p, q)
         sse, objective = mf_cost(g, new, cfg.beta)
     if not np.isfinite(objective):
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)

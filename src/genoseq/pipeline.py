@@ -24,10 +24,11 @@ import numpy as np
 
 from . import mf, rnn
 from .data import (GenotypeMatrix, PhenotypeTable, SequenceBatch, SplitIndices,
-                   build_sequences, parse_genotype_csv, parse_phenotype_csv,
+                   build_sequences, check_traits, parse_genotype_csv, parse_phenotype_csv,
                    split_dataset, write_json)
 from .errors import ConfigError, DataError, DivergenceError
 from .linalg import derive_seed
+from .rnn import RnnSettings
 
 log = logging.getLogger("genoseq.pipeline")
 
@@ -35,25 +36,6 @@ REPORT_VERSION = "genoseq-report-v1"
 GENOTYPE_MODES = ("imputed", "observed")
 FILE_KEYS = ("out", "geno", "pheno", "truth")  # config-file paths, not run settings
 _DATA = {"section": "data"}  # PipelineConfig fields kept in the config file's "data" section
-
-
-@dataclass(frozen=True)
-class RnnSettings:
-    """Architecture plus trainer knobs for the per-trait models."""
-
-    cell: str = "relu_identity"
-    hidden: int = 16
-    learning_rate: float = 0.05
-    epochs: int = 100
-    clip_norm: float | None | Literal["default"] = "default"  # "default" resolves per cell
-    batch_mode: str = "full_batch"
-
-    def train_config(self, cell: str | None = None) -> rnn.TrainConfig:
-        """Trainer settings for ``cell`` (default: this cell), its clip norm resolved."""
-        cell = cell or self.cell
-        clip = rnn.default_clip_norm(cell) if self.clip_norm == "default" else self.clip_norm
-        return rnn.TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                               clip_norm=clip, batch_mode=self.batch_mode)
 
 
 @dataclass(frozen=True)
@@ -232,7 +214,7 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     """
     if len(batch) == 0:
         raise DataError("cannot evaluate an empty batch")
-    preds = rnn.predict(model, batch)
+    preds = rnn.predict(model, batch.inputs)
     actual = batch.targets
     corr = rnn.pearson_correlation(preds, actual) if len(batch) >= 2 else None
     mse = rnn.loss_mse(preds, actual)
@@ -242,30 +224,6 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     per_sample = np.max(np.abs(preds - actual), axis=1)
     success_pct = 100.0 * float(np.mean(per_sample <= band))
     return SplitMetrics(corr, mse, success_pct)
-
-
-def check_traits(traits, phenos: PhenotypeTable) -> None:
-    """Reject a trait index the phenotype table does not have."""
-    for t in traits:
-        if not 0 <= t < phenos.traits:
-            raise ConfigError(f"trait index {t} out of range for {phenos.traits} traits")
-
-
-def _prepare(geno: GenotypeMatrix, phenos: PhenotypeTable, cfg: PipelineConfig,
-             report: RunReport, truth: GenotypeMatrix | None):
-    """Imputation (or observed-row filtering) stage; returns the hole-free data."""
-    t0 = time.perf_counter()
-    if cfg.genotype_mode == "imputed":
-        geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
-    else:
-        keep = geno.observed.all(axis=1)
-        if not keep.any():
-            raise DataError("observed mode: no sample is fully observed")
-        geno = GenotypeMatrix(geno.codes[keep], geno.observed[keep], geno.snp_ids)
-        phenos = PhenotypeTable(phenos.values[keep], phenos.observed[keep], phenos.trait_names)
-        report.excluded_samples = np.nonzero(~keep)[0].tolist()
-    report.stage_seconds["impute"] = time.perf_counter() - t0
-    return geno, phenos
 
 
 def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
@@ -287,7 +245,7 @@ def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
         params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
                               derive_seed(cfg.seed, f"rnn/trait{trait}"))
         val = parts["validation"] if len(parts["validation"]) else None
-        trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn.train_config())
+        trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn)
     except (DataError, DivergenceError) as e:
         result.status, result.error, result.curve = "failed", str(e), getattr(e, "curve", None)
         e.result = result
@@ -316,7 +274,18 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
         raise DataError(f"genotype has {geno.samples} samples, phenotypes {phenos.samples}")
     check_traits(cfg.traits, phenos)
 
-    geno, phenos = _prepare(geno, phenos, cfg, report, truth)
+    # imputation, or in observed mode the fully observed samples only
+    t0 = time.perf_counter()
+    if cfg.genotype_mode == "imputed":
+        geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
+    else:
+        keep = geno.observed.all(axis=1)
+        if not keep.any():
+            raise DataError("observed mode: no sample is fully observed")
+        geno = GenotypeMatrix(geno.codes[keep], geno.observed[keep], geno.snp_ids)
+        phenos = PhenotypeTable(phenos.values[keep], phenos.observed[keep], phenos.trait_names)
+        report.excluded_samples = np.nonzero(~keep)[0].tolist()
+    report.stage_seconds["impute"] = time.perf_counter() - t0
 
     split_seed = derive_seed(cfg.seed, "split")
     split = split_dataset(geno.samples, cfg.ratios, split_seed)
@@ -384,7 +353,7 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
         # transient drifts the hidden biases of integrating cells
         params.b_o[:] = batch.targets.mean(axis=0)
         try:
-            _, curves[cell] = rnn.train(params, batch, None, settings.train_config(cell))
+            _, curves[cell] = rnn.train(params, batch, None, settings)
             finals[cell] = curves[cell].final_train_loss()
         except DivergenceError as e:
             curves[cell] = getattr(e, "curve", rnn.TrainingCurve())
@@ -392,18 +361,6 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
             diverged[cell] = str(e)
     ordering = sorted(cells, key=lambda c: finals[c])
     return CellComparison(curves, finals, diverged, ordering)
-
-
-def compare_cells(geno_path, pheno_path, cfg: PipelineConfig, cells) -> CellComparison:
-    """Fig-style training-error comparison on the pipeline's own data."""
-    geno = parse_genotype_csv(geno_path)
-    phenos = parse_phenotype_csv(pheno_path)
-    report = RunReport(config=cfg.to_dict(), seeds={"master": cfg.seed})
-    geno, phenos = _prepare(geno, phenos, cfg, report, None)
-    split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
-    batch = build_sequences(geno, phenos, cfg.traits[0], cfg.chunk_width, cfg.normalization)
-    train_batch = batch.subset_by_samples(split.train)
-    return compare_on_batch(train_batch, cells, cfg.rnn.hidden, cfg.rnn, cfg.seed)
 
 
 def _sha256(path: Path) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -80,18 +81,31 @@ class RnnParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float
-    epochs: int
-    clip_norm: float | None = None
+class RnnSettings:
+    """Architecture plus trainer knobs for the per-trait models.
+
+    ``clip_norm`` is the global gradient-norm bound, None for no clipping;
+    "default" clips at 1.0 for the relu and tanh cells and not at all for
+    the lstm, resolved by ``train`` from the cell of the model it trains.
+    """
+
+    cell: str = "relu_identity"
+    hidden: int = 16
+    learning_rate: float = 0.05
+    epochs: int = 100
+    clip_norm: float | None | Literal["default"] = "default"
     batch_mode: str = "full_batch"  # or "per_sample"
 
     def __post_init__(self):
+        if self.cell not in CELLS:
+            raise ConfigError(f"unknown cell {self.cell!r}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
+        if self.clip_norm not in (None, "default") and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
         if self.batch_mode not in ("full_batch", "per_sample"):
             raise ConfigError(f"unknown batch_mode {self.batch_mode!r}")
@@ -126,11 +140,6 @@ class TrainingCurve:
                 for r in self.records]
 
 
-def default_clip_norm(cell: str) -> float | None:
-    """Default gradient clipping: 1.0 for the relu and tanh cells, none for lstm."""
-    return None if cell == "lstm" else 1.0
-
-
 def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnParams:
     """Seed-deterministic initialization for one cell.
 
@@ -144,8 +153,6 @@ def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnP
     """
     if min(n_in, n_hidden, n_out) < 1:
         raise ConfigError(f"dims must be >= 1, got in={n_in} hidden={n_hidden} out={n_out}")
-    if cell not in CELLS:
-        raise ConfigError(f"unknown cell {cell!r}")
     weight_scale = 0.1 if cell == "lstm" else 0.01
     rng = Rng(seed)
     rows = 4 * n_hidden if cell == "lstm" else n_hidden
@@ -173,8 +180,8 @@ class ForwardPass:
     and four (i, f, o, g) for the lstm, so that each gate of each step is
     contiguous. The lstm adds its gate activations in the same layout as
     ``acts``, the cell states c_0 .. c_T as ``cells`` and
-    tanh(c_1) .. tanh(c_T) as ``tanh_c``. The properties give batch-major
-    views.
+    tanh(c_1) .. tanh(c_T) as ``tanh_c``. ``inputs`` and ``hidden`` are
+    batch-major views.
 
     ``bptt_gradients`` runs a private pass and consumes it: its backward
     writes the derivative factors and the per-step gradients into that
@@ -198,26 +205,6 @@ class ForwardPass:
     def hidden(self) -> np.ndarray:
         """h_1 .. h_T as (batch, T, M)."""
         return self.states[1:].transpose(1, 0, 2)
-
-    @property
-    def pre_activations(self) -> np.ndarray:
-        """(batch, T, rows), gate blocks side by side; a copy for the lstm."""
-        gates, t_len, b, m = self.pre.shape
-        return self.pre.transpose(2, 1, 0, 3).reshape(b, t_len, gates * m)
-
-    @property
-    def cell_states(self) -> np.ndarray | None:
-        """lstm only: c_1 .. c_T as (batch, T, M)."""
-        return None if self.cells is None else self.cells[1:].transpose(1, 0, 2)
-
-    @property
-    def gates(self) -> dict[str, np.ndarray] | None:
-        """lstm only: i, f, o, g and tanh_c, each (batch, T, M)."""
-        if self.acts is None:
-            return None
-        views = {name: a.transpose(1, 0, 2) for name, a in zip("ifog", self.acts)}
-        views["tanh_c"] = self.tanh_c.transpose(1, 0, 2)
-        return views
 
 
 def _as_batch(inputs) -> np.ndarray:
@@ -450,15 +437,18 @@ def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: flo
     return params.replace_tensors(tensors)
 
 
-def train(params: RnnParams, train_batch, val_batch, cfg: TrainConfig):
+def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
     """Gradient-descent training loop; returns (trained params, curve).
 
     full_batch mode takes one step per epoch on the whole batch;
     per_sample mode steps after each sequence, visiting them in index
     order. Each epoch ends with a fresh loss evaluation (and a validation
     loss when a validation batch is given). Deterministic for a fixed
-    (params, data, config).
+    (params, data, settings); the model comes from ``params``, not ``settings``.
     """
+    clip_norm = settings.clip_norm
+    if clip_norm == "default":
+        clip_norm = None if params.cell == "lstm" else 1.0
     x_train, t_train = _batch_arrays(train_batch)
     if x_train.shape[0] == 0:
         raise InputError("empty training batch")
@@ -469,17 +459,17 @@ def train(params: RnnParams, train_batch, val_batch, cfg: TrainConfig):
 
     def one_step(inputs, targets):
         grads = bptt_gradients(params, (inputs, targets))
-        if cfg.clip_norm is not None:
-            grads = clip_gradients(grads, cfg.clip_norm)
-        return sgd_step(params, grads, cfg.learning_rate)
+        if clip_norm is not None:
+            grads = clip_gradients(grads, clip_norm)
+        return sgd_step(params, grads, settings.learning_rate)
 
     curve = TrainingCurve()
-    for epoch in range(cfg.epochs):
+    for epoch in range(settings.epochs):
         # overflow to inf is detected and reported as divergence, so the
         # intermediate warnings carry no information
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.batch_mode == "full_batch":
+                if settings.batch_mode == "full_batch":
                     params = one_step(x_train, t_train)
                 else:
                     for i in range(x_train.shape[0]):
@@ -498,10 +488,9 @@ def train(params: RnnParams, train_batch, val_batch, cfg: TrainConfig):
     return params, curve
 
 
-def predict(params: RnnParams, batch) -> np.ndarray:
-    """Final-timestep outputs per sequence; no state is shared between them."""
-    x, _ = _batch_arrays(batch) if isinstance(batch, (SequenceBatch, tuple)) else (batch, None)
-    return rnn_forward(params, x).outputs
+def predict(params: RnnParams, inputs) -> np.ndarray:
+    """Final-timestep outputs per input sequence; no state is shared between them."""
+    return rnn_forward(params, inputs).outputs
 
 
 def pearson_correlation(pred, actual) -> float | None:

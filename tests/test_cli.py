@@ -58,6 +58,18 @@ class TestSynth:
         b = _synth(tmp_path / "b")
         assert _hash_dir(a) == _hash_dir(b)
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--trait-missing", "-1"), "missing_per_trait"),
+        (("--samples", "0"), "samples"),
+        (("--snps", "0", "--generator", "population"), "snps"),
+    ], ids=["negative_trait_missing", "no_samples", "no_snps"])
+    def test_bad_size_exits_1_with_one_line(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "d"
+        assert _run("synth", *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and named in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestImpute:
     def test_happy_path(self, tmp_path):
@@ -93,6 +105,19 @@ class TestImpute:
     def test_no_genotype_given_exits_1(self, tmp_path, capsys):
         assert _run("impute", "--out", str(tmp_path / "imp")) == 1
         assert capsys.readouterr().err == "genoseq: no genotype file given\n"
+
+    def test_per_entry_divergence_is_one_line(self, tmp_path, capsys):
+        # the numpy overflow warnings of the diverging sweep must not leak
+        data = _synth(tmp_path)
+        config = tmp_path / "per_entry.json"
+        config.write_text(json.dumps({"mf": {"mode": "per_entry"}}))
+        capsys.readouterr()
+        rc = _run("impute", "--config", str(config), "--geno", str(data / "geno_holed.csv"),
+                  "--alpha", "5", "--features", "4", "--epochs", "20",
+                  "--out", str(tmp_path / "imp"))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: divergence: ")
 
     def test_seeded_rerun_identical(self, tmp_path):
         data = _synth(tmp_path)
@@ -144,6 +169,17 @@ class TestTrain:
         rc = _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
                   "--cell", "gru")
         assert rc == 1
+
+    def test_bad_rnn_setting_fails_before_reading_inputs(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rnn": {"learning_rate": -1}}))
+        capsys.readouterr()
+        rc = _run("train", "--config", str(config), "--geno", str(tmp_path / "nope.csv"),
+                  "--pheno", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "model"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
+        assert "learning_rate" in err[0] and "not found" not in err[0]
 
     def test_non_finite_phenotype_exits_1(self, tmp_path, capsys):
         data, imputed = _imputed(tmp_path)
@@ -200,7 +236,7 @@ class TestPredict:
         g = parse_genotype_csv(imputed)
         p = parse_phenotype_csv(data / "pheno.csv")
         batch = build_sequences(g, p, 0, params.n_in)
-        expected = predict(params, batch)
+        expected = predict(params, batch.inputs)
         lines = (out / "predictions.csv").read_text().strip().splitlines()[1:]
         got = np.array([float(line.split(",")[1]) for line in lines])
         assert got.tobytes() == expected[:, 0].tobytes()

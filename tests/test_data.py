@@ -281,7 +281,7 @@ class TestBuildSequences:
 
     def test_trait_out_of_range(self):
         g, p = _small_dataset()
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError, match="trait index 5 out of range"):
             build_sequences(g, p, trait=5, chunk_width=2)
 
     @given(st.integers(1, 12), st.integers(2, 30))

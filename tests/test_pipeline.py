@@ -10,9 +10,8 @@ from genoseq.data import (genotype_to_csv, phenotype_to_csv, synth_lowrank_genot
                           synth_phenotypes)
 from genoseq.errors import ConfigError, DataError
 from genoseq.mf import MfConfig
-from genoseq.pipeline import (PipelineConfig, RnnSettings, compare_cells,
-                              compare_on_batch, evaluate_split, export_report,
-                              run_pipeline)
+from genoseq.pipeline import (PipelineConfig, RnnSettings, compare_on_batch,
+                              evaluate_split, export_report, run_pipeline)
 from genoseq.rnn import RnnParams
 from genoseq.tasks import deep_recall_task
 
@@ -188,19 +187,10 @@ class TestRunPipeline:
 
 
 class TestCompareCells:
-    def test_aligned_curves(self, tmp_path):
-        geno, pheno, _ = _write_dataset(tmp_path)
-        cfg = _small_config(rnn_epochs=15)
-        cmp = compare_cells(geno, pheno, cfg, ["simple_tanh", "relu_identity"])
-        assert set(cmp.curves) == {"simple_tanh", "relu_identity"}
-        assert all(len(c) == 15 for c in cmp.curves.values())
-        assert set(cmp.final_losses) == set(cmp.curves)
-        assert cmp.ordering[0] in cmp.curves
-
-    def test_needs_two_cells(self, tmp_path):
-        geno, pheno, _ = _write_dataset(tmp_path)
+    def test_needs_two_cells(self):
+        batch = deep_recall_task(4, 10, seed=5)
         with pytest.raises(ConfigError):
-            compare_cells(geno, pheno, _small_config(), ["lstm"])
+            compare_on_batch(batch, ["lstm"], 4, RnnSettings(), seed=2)
 
     def test_three_cells_hundred_epochs_aligned(self):
         batch = deep_recall_task(6, 10, seed=5)

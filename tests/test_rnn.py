@@ -11,11 +11,10 @@ from genoseq import rnn
 from genoseq.errors import (ConfigError, DivergenceError, InputError, ParseError,
                             ShapeError)
 from genoseq.linalg import Rng
-from genoseq.rnn import (CELLS, LSTM_FORGET_BIAS, RnnParams, TrainConfig,
-                         bptt_gradients, clip_gradients, default_clip_norm,
-                         gradient_norm, load_checkpoint, loss_mse,
-                         pearson_correlation, predict, rnn_forward, rnn_init,
-                         save_checkpoint, sgd_step, train)
+from genoseq.rnn import (CELLS, LSTM_FORGET_BIAS, RnnParams, RnnSettings,
+                         bptt_gradients, clip_gradients, gradient_norm,
+                         load_checkpoint, loss_mse, pearson_correlation, predict,
+                         rnn_forward, rnn_init, save_checkpoint, sgd_step, train)
 
 
 def _tiny_tanh(w_ih=1.0, w_hh=0.5, w_ho=2.0):
@@ -170,18 +169,17 @@ class TestRnnForward:
     def test_lstm_gates_in_unit_interval(self):
         p = rnn_init("lstm", 2, 4, 1, seed=7)
         fwd = rnn_forward(p, Rng(3).uniform((5, 20, 2), -1, 1))
-        for name in ("i", "f", "o"):
-            g = fwd.gates[name]
+        for g in fwd.acts[:3]:  # input, forget and output gates
             assert (g > 0.0).all() and (g < 1.0).all()
 
     def test_lstm_cell_state_bounded_on_long_bounded_inputs(self):
         p = rnn_init("lstm", 2, 4, 1, seed=7)
         fwd = rnn_forward(p, Rng(5).uniform((2, 1000, 2), -1, 1))
-        assert np.isfinite(fwd.cell_states).all()
-        f_max = fwd.gates["f"].max()
+        assert np.isfinite(fwd.cells).all()
+        f_max = fwd.acts[1].max()
         assert f_max < 1.0
         bound = 1.0 / (1.0 - f_max) + 1e-9
-        assert np.abs(fwd.cell_states).max() <= bound
+        assert np.abs(fwd.cells).max() <= bound
 
 
 class TestLossMse:
@@ -321,10 +319,17 @@ class TestClipGradients:
         out = clip_gradients(grads, clip)
         assert gradient_norm(out) <= clip + 1e-12
 
-    def test_default_clip_policy(self):
-        assert default_clip_norm("simple_tanh") == 1.0
-        assert default_clip_norm("relu_identity") == 1.0
-        assert default_clip_norm("lstm") is None
+    def test_default_clip_policy(self, monkeypatch):
+        # clip_norm="default" clips the relu and tanh cells at 1.0 and never the lstm
+        bounds = []
+        monkeypatch.setattr(rnn, "clip_gradients",
+                            lambda grads, clip_norm: bounds.append(clip_norm) or grads)
+        x, targets = Rng(2).uniform((3, 4, 2)), Rng(3).uniform((3, 1))
+        for cell in CELLS:
+            bounds.clear()
+            train(rnn_init(cell, 2, 3, 1, seed=1), (x, targets), None,
+                  RnnSettings(learning_rate=0.01, epochs=2))
+            assert bounds == ([] if cell == "lstm" else [1.0, 1.0])
 
 
 class TestSgdStep:
@@ -358,6 +363,16 @@ class TestSgdStep:
             sgd_step(p, grads, 0.1)
 
 
+class TestRnnSettings:
+    @pytest.mark.parametrize("field,value", [
+        ("cell", "gru"), ("hidden", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("epochs", -1), ("clip_norm", 0.0), ("batch_mode", "minibatch"),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RnnSettings(**{field: value})
+
+
 class TestTrain:
     def _toy(self, n=4, t_len=3, seed=5):
         rng = Rng(seed)
@@ -368,7 +383,7 @@ class TestTrain:
     def test_zero_epochs(self):
         x, targets = self._toy()
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        out, curve = train(p, (x, targets), None, TrainConfig(0.1, 0))
+        out, curve = train(p, (x, targets), None, RnnSettings(learning_rate=0.1, epochs=0))
         assert len(curve) == 0
         for k, v in out.tensors().items():
             assert v.tobytes() == p.tensors()[k].tobytes()
@@ -376,12 +391,13 @@ class TestTrain:
     def test_descends_on_toy_problem(self):
         x, targets = self._toy()
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x, targets), None, TrainConfig(0.05, 200, clip_norm=1.0))
+        _, curve = train(p, (x, targets), None,
+                         RnnSettings(learning_rate=0.05, epochs=200, clip_norm=1.0))
         assert curve.records[-1].train_loss < curve.records[0].train_loss
 
     def test_curve_is_deterministic(self):
         x, targets = self._toy()
-        cfg = TrainConfig(0.05, 50, clip_norm=1.0)
+        cfg = RnnSettings(learning_rate=0.05, epochs=50, clip_norm=1.0)
         curves = []
         for _ in range(2):
             p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
@@ -393,7 +409,7 @@ class TestTrain:
         x, targets = self._toy(n=6)
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
         _, curve = train(p, (x[:4], targets[:4]), (x[4:], targets[4:]),
-                         TrainConfig(0.05, 10, clip_norm=1.0))
+                         RnnSettings(learning_rate=0.05, epochs=10, clip_norm=1.0))
         assert all(r.val_loss is not None for r in curve.records)
 
     def test_divergence_carries_epoch(self):
@@ -401,14 +417,16 @@ class TestTrain:
         p = rnn_init("relu_identity", 2, 3, 1, seed=1)
         p.w_hh[:] = np.eye(3) * 40.0  # explosive recurrence
         with pytest.raises(DivergenceError) as exc:
-            train(p, (x * 1e3, targets), None, TrainConfig(1e6, 50))
+            train(p, (x * 1e3, targets), None,
+                  RnnSettings(learning_rate=1e6, epochs=50, clip_norm=None))
         assert exc.value.epoch is not None
 
     def test_per_sample_mode_descends(self):
         x, targets = self._toy(n=6)
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
         _, curve = train(p, (x, targets), None,
-                         TrainConfig(0.02, 100, clip_norm=1.0, batch_mode="per_sample"))
+                         RnnSettings(learning_rate=0.02, epochs=100, clip_norm=1.0,
+                                     batch_mode="per_sample"))
         assert curve.records[-1].train_loss < curve.records[0].train_loss
 
 
@@ -500,7 +518,8 @@ class TestTrainingCurveCsv:
         x = Rng(5).uniform((4, 3, 2), -1, 1)
         targets = Rng(6).uniform((4, 1))
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x, targets), (x, targets), TrainConfig(0.05, 3, clip_norm=1.0))
+        _, curve = train(p, (x, targets), (x, targets),
+                         RnnSettings(learning_rate=0.05, epochs=3, clip_norm=1.0))
         path = tmp_path / "curve.csv"
         curve.to_csv(path)
         lines = path.read_text().strip().splitlines()
