@@ -124,7 +124,7 @@ def cmd_train(args, values: dict) -> int:
     phenos = parse_phenotype_csv(pheno_path)
 
     split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
-    batch = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
+    batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
     trained, result = pipeline.train_trait(batch, split, cfg, trait)
 
     rnn.save_checkpoint(trained, out / "checkpoint.json")
@@ -150,11 +150,11 @@ def cmd_predict(args, values: dict) -> int:
     pheno_path = values.get("pheno")
     if pheno_path is not None:
         phenos = parse_phenotype_csv(_require_file(pheno_path, "phenotype"))
-        batch = build_sequences(geno, phenos, trait, params.n_in, cfg.normalization)
+        batch = build_sequences(geno, phenos, trait, params.n_in)
         preds = rnn.predict(params, batch.inputs)
         sample_ids = batch.sample_indices
     else:
-        inputs = genotype_sequences(geno, params.n_in, cfg.normalization)
+        inputs = genotype_sequences(geno, params.n_in)
         preds = rnn.predict(params, inputs)
         sample_ids = np.arange(geno.samples)
 
@@ -164,7 +164,7 @@ def cmd_predict(args, values: dict) -> int:
             fh.write(f"{int(idx)},{float(p)!r}\n")
 
     if pheno_path is not None:
-        corr = rnn.pearson_correlation(preds, batch.targets)
+        corr = rnn.pearson_correlation(preds, batch.targets) if len(batch) >= 2 else None
         metrics = {"correlation": corr, "mse": rnn.loss_mse(preds, batch.targets),
                    "n": len(batch)}
         write_json(metrics, out / "predict_metrics.json")
@@ -175,9 +175,12 @@ def cmd_predict(args, values: dict) -> int:
 
 
 def cmd_benchmark(args, values: dict) -> int:
+    if "rnn.cell" in values:
+        raise ConfigError("benchmark compares the cells named by --cells; remove rnn.cell")
     # the cell comparison trains at a higher default learning rate than train
     cfg = pipeline.resolve_config(
         values, pipeline.PipelineConfig(rnn=pipeline.RnnSettings(learning_rate=0.1)))
+    settings = {k: v for k, v in asdict(cfg.rnn).items() if k != "cell"}
     out = _out_dir(values)
     cells = args.cells if args.cells else list(rnn.CELLS)
     batch = tasks.make_task(args.task, args.sequences, args.length,
@@ -186,7 +189,7 @@ def cmd_benchmark(args, values: dict) -> int:
     for cell in cells:
         comparison.curves[cell].to_csv(out / f"{cell}_curve.csv")
     write_json({"task": args.task, "length": args.length, "sequences": args.sequences,
-                 "seed": cfg.seed, "settings": asdict(cfg.rnn), **comparison.to_json_dict()},
+                 "seed": cfg.seed, "settings": settings, **comparison.to_json_dict()},
                 out / "benchmark.json")
     order = " < ".join(comparison.ordering)
     print(f"benchmark {args.task}(length={args.length}): final-loss order {order}; "
@@ -266,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", dest="rnn.learning_rate", type=float, help="learning rate")
     p.add_argument("--epochs", dest="rnn.epochs", type=int, help="training epochs")
     p.add_argument("--chunk-width", dest="data.chunk_width", type=int, help="SNPs per timestep")
-    p.add_argument("--normalization", dest="data.normalization", choices=("scaled", "raw"))
     p.add_argument("--success-tolerance", dest="success_tolerance", type=float)
     p.set_defaults(func=cmd_train)
 
@@ -276,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geno", help="fully observed genotype CSV")
     p.add_argument("--pheno", help="phenotype CSV for metrics (optional)")
     trait(p)
-    p.add_argument("--normalization", dest="data.normalization", choices=("scaled", "raw"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="compare cells on a synthetic memory task")

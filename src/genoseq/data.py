@@ -25,8 +25,6 @@ MISSING_SENTINEL = 5
 _CALL_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": MISSING_SENTINEL,
                "0": 0, "1": 1, "2": 2, str(MISSING_SENTINEL): MISSING_SENTINEL}
 
-NORMALIZATIONS = ("scaled", "raw")
-
 
 @dataclass
 class GenotypeMatrix:
@@ -411,16 +409,15 @@ def check_traits(traits, phenos: PhenotypeTable) -> None:
 
 
 def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
-                    chunk_width: int, normalization: str = "scaled") -> SequenceBatch:
+                    chunk_width: int) -> SequenceBatch:
     """Cut each sample's SNP row into fixed-width timestep chunks.
 
     The genotype matrix must be fully observed (impute first). Rows are
     split into ceil(snps / chunk_width) consecutive chunks, the last one
-    zero-padded. Samples whose trait value is missing are excluded and
-    reported via ``excluded``. Normalization "scaled" maps codes {0,1,2}
-    to {0, 0.5, 1}; "raw" keeps the codes.
+    zero-padded, and codes {0,1,2} become {0, 0.5, 1}. Samples whose trait
+    value is missing are excluded and reported via ``excluded``.
     """
-    x = genotype_sequences(g, chunk_width, normalization)
+    x = genotype_sequences(g, chunk_width)
     if g.samples != phenos.samples:
         raise DataError(f"genotype has {g.samples} samples but phenotypes have {phenos.samples}")
     check_traits([trait], phenos)
@@ -433,20 +430,16 @@ def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
                          np.nonzero(keep)[0], excluded)
 
 
-def genotype_sequences(g: GenotypeMatrix, chunk_width: int,
-                       normalization: str = "scaled") -> np.ndarray:
-    """Chunk a fully observed genotype matrix into (samples, timesteps, width)."""
+def genotype_sequences(g: GenotypeMatrix, chunk_width: int) -> np.ndarray:
+    """Chunk a fully observed genotype matrix into (samples, timesteps, width), codes halved."""
     if not g.fully_observed():
         raise StateError("genotype matrix has unobserved cells; impute before building sequences")
     if chunk_width < 1:
         raise ConfigError(f"chunk_width must be >= 1, got {chunk_width}")
-    if normalization not in NORMALIZATIONS:
-        raise ConfigError(f"unknown normalization {normalization!r}")
     u, v = g.samples, g.snps
     t_seq = math.ceil(v / chunk_width)
     x = np.zeros((u, t_seq * chunk_width))
     x[:, :v] = g.codes.astype(np.float64)
-    if normalization == "scaled":
-        x *= 0.5
+    x *= 0.5
     return x.reshape(u, t_seq, chunk_width)
 

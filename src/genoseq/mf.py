@@ -39,7 +39,6 @@ class MfConfig:
     epochs: int = 5000
     init_range: tuple[float, float] = (0.0, 1.0)
     seed: int = 0
-    cost_tolerance: float | None = None
     mode: str = "full_batch"
 
     def __post_init__(self):
@@ -186,11 +185,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0):
 
 
 def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
-    """Run cfg.epochs epochs from a fresh init; returns (factors, cost curve).
-
-    Stops early once the objective drops below cfg.cost_tolerance, when one
-    is set. The curve records every executed epoch.
-    """
+    """Run cfg.epochs epochs from a fresh init; returns (factors, cost curve)."""
     n_obs = int(g.observed.sum())
     if n_obs == 0:
         raise DataError("genotype matrix has no observed entries to fit")
@@ -199,8 +194,6 @@ def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
     for epoch in range(cfg.epochs):
         fp, record = mf_epoch(g, fp, cfg, epoch)
         curve.records.append(record)
-        if cfg.cost_tolerance is not None and record.objective < cfg.cost_tolerance:
-            break
     return fp, curve
 
 

@@ -23,17 +23,15 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hi
 import numpy as np
 
 from . import mf, rnn
-from .data import (GenotypeMatrix, PhenotypeTable, SequenceBatch, SplitIndices,
-                   build_sequences, check_traits, parse_genotype_csv, parse_phenotype_csv,
-                   split_dataset, write_json)
+from .data import (SequenceBatch, SplitIndices, build_sequences, check_traits,
+                   parse_genotype_csv, parse_phenotype_csv, split_dataset, write_json)
 from .errors import ConfigError, DataError, DivergenceError
 from .linalg import derive_seed
 from .rnn import RnnSettings
 
 log = logging.getLogger("genoseq.pipeline")
 
-REPORT_VERSION = "genoseq-report-v1"
-GENOTYPE_MODES = ("imputed", "observed")
+REPORT_VERSION = "genoseq-report-v2"
 FILE_KEYS = ("out", "geno", "pheno", "truth")  # config-file paths, not run settings
 _DATA = {"section": "data"}  # PipelineConfig fields kept in the config file's "data" section
 
@@ -43,12 +41,10 @@ class PipelineConfig:
     mf: mf.MfConfig = field(default_factory=mf.MfConfig)
     rnn: RnnSettings = field(default_factory=RnnSettings)
     chunk_width: int = field(default=20, metadata=_DATA)
-    normalization: str = field(default="scaled", metadata=_DATA)
     ratios: tuple[float, float, float] = field(default=(0.8, 0.1, 0.1), metadata=_DATA)
     seed: int = 0
     traits: tuple[int, ...] = (0,)
     success_tolerance: float = 0.1
-    genotype_mode: str = "imputed"
 
     def __post_init__(self):
         if self.chunk_width < 1:
@@ -57,8 +53,6 @@ class PipelineConfig:
             raise ConfigError("at least one trait index is required")
         if self.success_tolerance < 0:
             raise ConfigError(f"success_tolerance must be >= 0, got {self.success_tolerance}")
-        if self.genotype_mode not in GENOTYPE_MODES:
-            raise ConfigError(f"genotype_mode must be one of {GENOTYPE_MODES}")
 
     def to_dict(self) -> dict:
         """The config as JSON data, its tuples as lists."""
@@ -180,16 +174,12 @@ class RunReport:
     mf_accuracy: tuple | None = None
     trait_results: list[TraitResult] = field(default_factory=list)
     split_sizes: dict = field(default_factory=dict)
-    excluded_samples: list[int] = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = {"version": REPORT_VERSION, "config": self.config, "seeds": self.seeds,
                "split_sizes": self.split_sizes,
-               "excluded_samples": list(self.excluded_samples)}
-        if self.mf_curve is not None:
-            doc["mf"] = mf.fit_report(None, self.mf_curve, self.mf_accuracy)
-        doc["traits"] = []
+               "mf": mf.fit_report(None, self.mf_curve, self.mf_accuracy), "traits": []}
         for tr in self.trait_results:
             entry = {"trait": tr.trait, "cell": tr.cell, "status": tr.status,
                      "n_samples": tr.n_samples}
@@ -221,8 +211,8 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     if target_range is None:
         target_range = float(actual.max() - actual.min())
     band = success_tolerance * target_range
-    per_sample = np.max(np.abs(preds - actual), axis=1)
-    success_pct = 100.0 * float(np.mean(per_sample <= band))
+    worst = np.max(np.abs(preds - actual), axis=1)
+    success_pct = 100.0 * float(np.mean(worst <= band))
     return SplitMetrics(corr, mse, success_pct)
 
 
@@ -274,17 +264,8 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
         raise DataError(f"genotype has {geno.samples} samples, phenotypes {phenos.samples}")
     check_traits(cfg.traits, phenos)
 
-    # imputation, or in observed mode the fully observed samples only
     t0 = time.perf_counter()
-    if cfg.genotype_mode == "imputed":
-        geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
-    else:
-        keep = geno.observed.all(axis=1)
-        if not keep.any():
-            raise DataError("observed mode: no sample is fully observed")
-        geno = GenotypeMatrix(geno.codes[keep], geno.observed[keep], geno.snp_ids)
-        phenos = PhenotypeTable(phenos.values[keep], phenos.observed[keep], phenos.trait_names)
-        report.excluded_samples = np.nonzero(~keep)[0].tolist()
+    geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
     report.stage_seconds["impute"] = time.perf_counter() - t0
 
     split_seed = derive_seed(cfg.seed, "split")
@@ -298,7 +279,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     t0 = time.perf_counter()
     for trait in cfg.traits:
         report.seeds[f"rnn/trait{trait}"] = derive_seed(cfg.seed, f"rnn/trait{trait}")
-        batch = build_sequences(geno, phenos, trait, cfg.chunk_width, cfg.normalization)
+        batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
         try:
             _, result = train_trait(batch, split, cfg, trait)
         except (DataError, DivergenceError) as e:
@@ -392,10 +373,9 @@ def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
         write_json(report.to_json_dict(), path)
         written.append(path)
     if "csv" in formats:
-        if report.mf_curve is not None:
-            path = out / "mf_cost.csv"
-            report.mf_curve.to_csv(path)
-            written.append(path)
+        path = out / "mf_cost.csv"
+        report.mf_curve.to_csv(path)
+        written.append(path)
         for tr in report.trait_results:
             if tr.curve is not None:
                 path = out / f"trait{tr.trait}_curve.csv"

@@ -94,7 +94,6 @@ class RnnSettings:
     learning_rate: float = 0.05
     epochs: int = 100
     clip_norm: float | None | Literal["default"] = "default"
-    batch_mode: str = "full_batch"  # or "per_sample"
 
     def __post_init__(self):
         if self.cell not in CELLS:
@@ -107,8 +106,6 @@ class RnnSettings:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.clip_norm not in (None, "default") and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
-        if self.batch_mode not in ("full_batch", "per_sample"):
-            raise ConfigError(f"unknown batch_mode {self.batch_mode!r}")
 
 
 @dataclass
@@ -233,6 +230,8 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> Forw
     b, t_len, n_in = x.shape
     if t_len == 0:
         raise InputError("empty sequence")
+    if b == 0:
+        raise InputError("empty batch: no sequences to run")
     if n_in != params.n_in:
         raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
@@ -321,9 +320,6 @@ def bptt_gradients(params: RnnParams, batch) -> dict[str, np.ndarray]:
     pass and reuses its buffers as scratch.
     """
     x, targets = _batch_arrays(batch)
-    x = _as_batch(x)
-    if x.shape[0] == 0:
-        raise InputError("empty batch")
     fwd = rnn_forward(params, x)
     return _backward(params, fwd, targets)
 
@@ -440,28 +436,19 @@ def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: flo
 def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
     """Gradient-descent training loop; returns (trained params, curve).
 
-    full_batch mode takes one step per epoch on the whole batch;
-    per_sample mode steps after each sequence, visiting them in index
-    order. Each epoch ends with a fresh loss evaluation (and a validation
-    loss when a validation batch is given). Deterministic for a fixed
-    (params, data, settings); the model comes from ``params``, not ``settings``.
+    Each epoch takes one step on the whole batch and ends with a fresh loss
+    evaluation (and a validation loss when a validation batch is given).
+    Deterministic for a fixed (params, data, settings); the model comes
+    from ``params``, not ``settings``.
     """
     clip_norm = settings.clip_norm
     if clip_norm == "default":
         clip_norm = None if params.cell == "lstm" else 1.0
     x_train, t_train = _batch_arrays(train_batch)
-    if x_train.shape[0] == 0:
-        raise InputError("empty training batch")
     if val_batch is not None:
         x_val, t_val = _batch_arrays(val_batch)
         if x_val.shape[0] == 0:
             val_batch = None
-
-    def one_step(inputs, targets):
-        grads = bptt_gradients(params, (inputs, targets))
-        if clip_norm is not None:
-            grads = clip_gradients(grads, clip_norm)
-        return sgd_step(params, grads, settings.learning_rate)
 
     curve = TrainingCurve()
     for epoch in range(settings.epochs):
@@ -469,11 +456,10 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
         # intermediate warnings carry no information
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if settings.batch_mode == "full_batch":
-                    params = one_step(x_train, t_train)
-                else:
-                    for i in range(x_train.shape[0]):
-                        params = one_step(x_train[i:i + 1], t_train[i:i + 1])
+                grads = bptt_gradients(params, (x_train, t_train))
+                if clip_norm is not None:
+                    grads = clip_gradients(grads, clip_norm)
+                params = sgd_step(params, grads, settings.learning_rate)
                 train_loss = loss_mse(rnn_forward(params, x_train).outputs, t_train)
             if not np.isfinite(train_loss):
                 raise DivergenceError("training loss became non-finite")

@@ -213,6 +213,15 @@ class TestTrain:
         assert rc == 1
 
 
+def _pheno_labelled(data, tmp_path, labelled):
+    """The phenotype file with trait 0 observed on its first ``labelled`` samples only."""
+    header, *rows = (data / "pheno.csv").read_text().splitlines()
+    rows = [row if i < labelled else "NA," + row.split(",", 1)[1] for i, row in enumerate(rows)]
+    path = tmp_path / f"pheno_{labelled}.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
 def _with_nan_w_ho(doc):
     doc["tensors"]["w_ho"]["data"][0] = "nan"
     return json.dumps(doc)
@@ -295,6 +304,34 @@ class TestPredict:
                   "--trait", "9", "--out", str(tmp_path / "preds"))
         assert rc == 1
 
+    def test_no_labelled_sample_exits_1_with_one_line(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        capsys.readouterr()
+        rc = _run("predict", "--checkpoint", str(model_dir / "checkpoint.json"),
+                  "--geno", str(imputed), "--pheno", str(_pheno_labelled(data, tmp_path, 0)),
+                  "--out", str(tmp_path / "preds"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "empty batch" in err[0]
+
+    def test_one_labelled_sample_reports_null_correlation(self, tmp_path):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        out = tmp_path / "preds"
+        rc = _run("predict", "--checkpoint", str(model_dir / "checkpoint.json"),
+                  "--geno", str(imputed), "--pheno", str(_pheno_labelled(data, tmp_path, 1)),
+                  "--out", str(out))
+        assert rc == 0
+        assert len((out / "predictions.csv").read_text().splitlines()) == 2
+        metrics = json.loads((out / "predict_metrics.json").read_text())
+        assert metrics["correlation"] is None and metrics["n"] == 1
+        assert np.isfinite(metrics["mse"])
+
     def test_predict_without_targets(self, tmp_path):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -321,6 +358,7 @@ class TestBenchmark:
         doc = json.loads((out / "benchmark.json").read_text())
         assert set(doc["final_losses"]) == {"simple_tanh", "lstm", "relu_identity"}
         assert len(doc["ordering"]) == 3
+        assert "cell" not in doc["settings"]
 
     def test_seeded_rerun_identical(self, tmp_path):
         hashes = []
@@ -353,6 +391,17 @@ class TestBenchmark:
         rc = _run("benchmark", "--cells", "gru", "--epochs", "2",
                   "--out", str(tmp_path / "x"))
         assert rc == 1
+
+    def test_rnn_cell_in_config_exits_1_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rnn": {"cell": "lstm"}}))
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        rc = _run("benchmark", "--config", str(config), "--epochs", "2", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "--cells" in err[0]
+        assert not out.exists()
 
     def test_relu_beats_tanh_on_deep_memory_task(self, tmp_path):
         # frozen ordering from a pinned run: 5.09 vs 8.10 final loss
@@ -398,6 +447,12 @@ class TestSharedBehavior:
     def test_invalid_flag_exits_1(self):
         assert _run("synth", "--bogus") == 1
 
+    @pytest.mark.parametrize("cmd", [("train",), ("predict", "--checkpoint", "model.json")])
+    def test_normalization_flag_is_unrecognized(self, cmd, capsys):
+        assert _run(*cmd, "--normalization", "scaled") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unrecognized arguments: --normalization" in err[0]
+
     def test_no_command_exits_1(self):
         assert _run() == 1
 
@@ -424,8 +479,11 @@ class TestSharedBehavior:
         {"mf": {"features": "8"}}, {"rnn": {"hidden": "16"}}, {"data": {"ratios": 5}},
         {"mf": {"init_range": 3}}, {"traits": 7}, {"mf": {"epochs": True}},
         {"rnn": {"clip_norm": "off"}}, {"threads": 2}, {"mf": {"seed": 3}},
+        {"data": {"normalization": "scaled"}}, {"genotype_mode": "imputed"},
+        {"rnn": {"batch_mode": "full_batch"}}, {"mf": {"cost_tolerance": 0.5}},
     ], ids=["features_str", "hidden_str", "ratios_int", "init_range_int", "traits_int",
-            "epochs_bool", "clip_norm_str", "threads", "mf_seed"])
+            "epochs_bool", "clip_norm_str", "threads", "mf_seed", "normalization",
+            "genotype_mode", "batch_mode", "cost_tolerance"])
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, doc):
         data, imputed = _imputed(tmp_path)
         cfg = tmp_path / "cfg.json"

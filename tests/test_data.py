@@ -225,12 +225,10 @@ class TestSynthPhenotypes:
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def dechunk(batch: SequenceBatch, snps: int, normalization: str = "scaled") -> np.ndarray:
+def dechunk(batch: SequenceBatch, snps: int) -> np.ndarray:
     """Invert build_sequences: recover the (rows, snps) genotype codes."""
     flat = batch.inputs.reshape(len(batch), -1)[:, :snps]
-    if normalization == "scaled":
-        flat = flat * 2.0
-    return np.rint(flat).astype(np.int16)
+    return np.rint(flat * 2.0).astype(np.int16)
 
 
 def _small_dataset(u=6, v=7, missing_trait_rows=()):
@@ -256,10 +254,10 @@ class TestBuildSequences:
 
     def test_padding_rule(self):
         g, p = _small_dataset(u=3, v=5)
-        batch = build_sequences(g, p, trait=0, chunk_width=3, normalization="raw")
+        batch = build_sequences(g, p, trait=0, chunk_width=3)
         assert batch.timesteps == 2
         np.testing.assert_array_equal(batch.inputs[:, 1, 2], np.zeros(3))
-        np.testing.assert_array_equal(batch.inputs[0, 1, :2], g.codes[0, 3:5].astype(float))
+        np.testing.assert_array_equal(batch.inputs[0, 1, :2], g.codes[0, 3:5] * 0.5)
 
     def test_scaled_normalization(self):
         g, p = _small_dataset(u=3, v=4)

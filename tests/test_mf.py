@@ -208,13 +208,6 @@ class TestMfFit:
         with pytest.raises(DataError):
             mf_fit(g, MfConfig(features=1, seed=0))
 
-    def test_early_stop_on_tolerance(self):
-        cfg = MfConfig(features=1, alpha=0.02, beta=0.0, epochs=5000, seed=4,
-                       cost_tolerance=0.5)
-        _, curve = mf_fit(_rank_one_codes(), cfg)
-        assert len(curve) < 5000
-        assert curve.records[-1].objective < 0.5
-
     def test_monotone_descent_with_small_enough_alpha(self):
         holed, _ = synth_lowrank_genotypes(9, 11, rank=2, missing_frac=0.2, seed=14)
         alpha = 1e-3

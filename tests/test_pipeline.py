@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from genoseq.data import (genotype_to_csv, phenotype_to_csv, synth_lowrank_genot
 from genoseq.errors import ConfigError, DataError
 from genoseq.mf import MfConfig
 from genoseq.pipeline import (PipelineConfig, RnnSettings, compare_on_batch,
-                              evaluate_split, export_report, run_pipeline)
+                              evaluate_split, export_report, flatten_config, resolve_config,
+                              run_pipeline)
 from genoseq.rnn import RnnParams
 from genoseq.tasks import deep_recall_task
 
@@ -121,22 +124,10 @@ class TestRunPipeline:
         factors, _ = mf_fit(g, replace(cfg.mf, seed=derive_seed(cfg.seed, "mf")))
         filled = impute(g, factors)
         split = split_dataset(filled.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
-        batch = build_sequences(filled, p, 0, cfg.chunk_width, cfg.normalization)
+        batch = build_sequences(filled, p, 0, cfg.chunk_width)
         train_batch = batch.subset_by_samples(split.train)
         test_set = set(split.test.tolist())
         assert not (set(train_batch.sample_indices.tolist()) & test_set)
-
-    def test_observed_mode_skips_imputation(self, tmp_path):
-        geno, pheno, _ = _write_dataset(tmp_path)
-        cfg = PipelineConfig(mf=MfConfig(features=4, epochs=50),
-                             rnn=RnnSettings(epochs=10),
-                             chunk_width=8, seed=3, traits=(0,),
-                             genotype_mode="observed")
-        report = run_pipeline(geno, pheno, cfg)
-        assert report.mf_curve is None
-        assert len(report.excluded_samples) > 0  # holed rows dropped
-        (result,) = report.trait_results
-        assert result.status == "ok"
 
     def test_sample_count_mismatch_rejected(self, tmp_path):
         geno, _, _ = _write_dataset(tmp_path)
@@ -171,15 +162,17 @@ class TestRunPipeline:
         assert wins >= 8
 
     def test_train_command_matches_observed_pipeline(self, tmp_path):
-        # one training path: the CLI and the pipeline must not fork again
+        # one training path: the CLI and the pipeline must not fork again. On a
+        # hole-free file imputation keeps every code, so both train on the same rows
         _, pheno, truth = _write_dataset(tmp_path, trait_missing=3)
         rc = main(["train", "--geno", str(truth), "--pheno", str(pheno), "--trait", "1",
                    "--cell", "lstm", "--hidden", "6", "--epochs", "15", "--chunk-width", "8",
                    "--seed", "5", "--out", str(tmp_path / "model")])
         assert rc == 0
         cli_metrics = json.loads((tmp_path / "model" / "train_report.json").read_text())["metrics"]
-        cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, epochs=15), chunk_width=8,
-                             seed=5, traits=(1,), genotype_mode="observed")
+        cfg = PipelineConfig(mf=MfConfig(features=2, epochs=3),
+                             rnn=RnnSettings(cell="lstm", hidden=6, epochs=15), chunk_width=8,
+                             seed=5, traits=(1,))
         (result,) = run_pipeline(truth, pheno, cfg).trait_results
         assert set(cli_metrics) == set(result.metrics) == {"train", "validation", "test"}
         for split, m in result.metrics.items():
@@ -222,8 +215,9 @@ class TestExportReport:
         manifest = export_report(report, out, formats=("json",))
         assert [f["name"] for f in manifest["files"]] == ["report.json"]
         doc = json.loads((out / "report.json").read_text())
-        assert doc["version"] == "genoseq-report-v1"
+        assert doc["version"] == "genoseq-report-v2"
         assert "mf" in doc and "traits" in doc
+        assert "excluded_samples" not in doc
 
     def test_csv_files_written(self, tmp_path):
         report = self._report(tmp_path)
@@ -259,8 +253,6 @@ class TestPipelineConfig:
             PipelineConfig(traits=())
         with pytest.raises(ConfigError):
             PipelineConfig(success_tolerance=-1.0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(genotype_mode="hybrid")
 
     def test_to_dict_round_trips_key_fields(self):
         cfg = _small_config()
@@ -268,3 +260,10 @@ class TestPipelineConfig:
         assert doc["mf"]["features"] == 6
         assert doc["rnn"]["cell"] == "relu_identity"
         assert doc["traits"] == [0]
+
+    def test_readme_config_block_resolves(self):
+        # every key the README documents must still be a config key of its type
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        cfg = resolve_config(flatten_config(json.loads(block)))
+        assert cfg.seed == 42 and cfg.traits == (0, 1) and cfg.mf.features == 8

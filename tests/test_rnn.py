@@ -366,7 +366,7 @@ class TestSgdStep:
 class TestRnnSettings:
     @pytest.mark.parametrize("field,value", [
         ("cell", "gru"), ("hidden", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
-        ("epochs", -1), ("clip_norm", 0.0), ("batch_mode", "minibatch"),
+        ("epochs", -1), ("clip_norm", 0.0),
     ])
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -421,14 +421,6 @@ class TestTrain:
                   RnnSettings(learning_rate=1e6, epochs=50, clip_norm=None))
         assert exc.value.epoch is not None
 
-    def test_per_sample_mode_descends(self):
-        x, targets = self._toy(n=6)
-        p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x, targets), None,
-                         RnnSettings(learning_rate=0.02, epochs=100, clip_norm=1.0,
-                                     batch_mode="per_sample"))
-        assert curve.records[-1].train_loss < curve.records[0].train_loss
-
 
 class TestPredict:
     def test_constant_network(self):
@@ -448,6 +440,11 @@ class TestPredict:
         fwd = rnn_forward(_tiny_tanh(), np.array([[1.0], [0.0]]))
         preds = predict(_tiny_tanh(), np.array([[[1.0], [0.0]]]))
         assert preds[0, 0] == fwd.outputs[0, 0]
+
+    def test_empty_batch_rejected(self):
+        p = rnn_init("lstm", 2, 3, 1, seed=1)
+        with pytest.raises(InputError, match="empty batch"):
+            predict(p, np.zeros((0, 4, 2)))
 
 
 class TestPearsonCorrelation:
