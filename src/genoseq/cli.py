@@ -30,7 +30,7 @@ from . import gradcheck, mf, pipeline, rnn, tasks
 from .data import (build_sequences, genotype_sequences, genotype_to_csv,
                    parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                    split_dataset, synth_lowrank_genotypes, synth_phenotypes,
-                   synth_population_genotypes, write_json)
+                   synth_population_genotypes, write_csv, write_json)
 from .errors import ConfigError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 
@@ -64,10 +64,8 @@ def _setup_logging():
 def load_cli_config(path) -> dict:
     """Load a config JSON as {config key: value}; unknown keys are rejected."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+        doc = json.loads(_require_file(path, "config").read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     return pipeline.flatten_config(doc)
 
@@ -145,6 +143,8 @@ def cmd_predict(args, values: dict) -> int:
     out = _out_dir(values)
 
     params = rnn.load_checkpoint(ckpt_path)
+    if params.n_out != 1:
+        raise ConfigError(f"predict needs a one-output model; the checkpoint has {params.n_out}")
     geno = parse_genotype_csv(geno_path)
 
     pheno_path = values.get("pheno")
@@ -158,10 +158,8 @@ def cmd_predict(args, values: dict) -> int:
         preds = rnn.predict(params, inputs)
         sample_ids = np.arange(geno.samples)
 
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("sample,prediction\n")
-        for idx, p in zip(sample_ids, preds[:, 0]):
-            fh.write(f"{int(idx)},{float(p)!r}\n")
+    write_csv(out / "predictions.csv", ("sample", "prediction"),
+              ((str(int(idx)), repr(float(p))) for idx, p in zip(sample_ids, preds[:, 0])))
 
     if pheno_path is not None:
         corr = rnn.pearson_correlation(preds, batch.targets) if len(batch) >= 2 else None
@@ -181,11 +179,11 @@ def cmd_benchmark(args, values: dict) -> int:
     cfg = pipeline.resolve_config(
         values, pipeline.PipelineConfig(rnn=pipeline.RnnSettings(learning_rate=0.1)))
     settings = {k: v for k, v in asdict(cfg.rnn).items() if k != "cell"}
-    out = _out_dir(values)
     cells = args.cells if args.cells else list(rnn.CELLS)
     batch = tasks.make_task(args.task, args.sequences, args.length,
                             derive_seed(cfg.seed, f"benchmark/{args.task}"))
     comparison = pipeline.compare_on_batch(batch, cells, cfg.rnn.hidden, cfg.rnn, cfg.seed)
+    out = _out_dir(values)
     for cell in cells:
         comparison.curves[cell].to_csv(out / f"{cell}_curve.csv")
     write_json({"task": args.task, "length": args.length, "sequences": args.sequences,

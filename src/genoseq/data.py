@@ -90,7 +90,6 @@ class SplitIndices:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 @dataclass
@@ -99,16 +98,12 @@ class SequenceBatch:
 
     ``inputs`` is (n_samples, timesteps, chunk_width); ``targets`` is
     (n_samples, n_out). ``sample_indices`` maps each row back to its
-    original sample; ``excluded`` lists samples dropped because the
-    requested trait was missing.
+    original sample.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    timesteps: int
-    chunk_width: int
     sample_indices: np.ndarray = field(default=None)
-    excluded: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -123,9 +118,7 @@ class SequenceBatch:
     def subset_by_samples(self, sample_ids) -> "SequenceBatch":
         """Rows whose original sample index is in ``sample_ids`` (batch order kept)."""
         wanted = np.isin(self.sample_indices, np.asarray(sample_ids))
-        return SequenceBatch(self.inputs[wanted], self.targets[wanted],
-                             self.timesteps, self.chunk_width,
-                             self.sample_indices[wanted], list(self.excluded))
+        return SequenceBatch(self.inputs[wanted], self.targets[wanted], self.sample_indices[wanted])
 
 
 def encode_calls(tokens) -> list[int]:
@@ -147,16 +140,12 @@ def encode_calls(tokens) -> list[int]:
 
 @contextmanager
 def _text_source(source):
-    """A text handle on ``source``: a path is opened here and closed on exit, others read as is."""
-    if isinstance(source, (str, Path)):
+    """A text handle on ``source``: a path, opened here and closed on exit, or CSV bytes."""
+    if isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    else:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield fh
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        yield io.TextIOWrapper(source, encoding="utf-8", newline="")
 
 
 def write_json(doc, path) -> None:
@@ -164,14 +153,11 @@ def write_json(doc, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-@contextmanager
-def text_sink(dest):
-    """A text handle on ``dest``: a path is opened here and closed on exit, a handle is used as is."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield dest
+def write_csv(path, header, rows) -> None:
+    """Write a CSV export: the header, then one line per row of already-formatted cells."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def parse_genotype_csv(source) -> GenotypeMatrix:
@@ -203,14 +189,11 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
     return GenotypeMatrix(codes, observed, snp_ids)
 
 
-def genotype_to_csv(g: GenotypeMatrix, dest) -> None:
+def genotype_to_csv(g: GenotypeMatrix, path) -> None:
     """Write a GenotypeMatrix back to CSV, unobserved cells as the sentinel."""
-    with text_sink(dest) as fh:
-        ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
-        fh.write(",".join(ids) + "\n")
-        body = np.where(g.observed, g.codes, MISSING_SENTINEL)
-        for row in body:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")
+    ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
+    body = np.where(g.observed, g.codes, MISSING_SENTINEL)
+    write_csv(path, ids, (map(str, row) for row in body.tolist()))
 
 
 def parse_phenotype_csv(source) -> PhenotypeTable:
@@ -253,14 +236,11 @@ def parse_phenotype_csv(source) -> PhenotypeTable:
     return PhenotypeTable(vals, mask, names)
 
 
-def phenotype_to_csv(p: PhenotypeTable, dest) -> None:
+def phenotype_to_csv(p: PhenotypeTable, path) -> None:
     """Write a PhenotypeTable to CSV, missing cells as NA."""
-    with text_sink(dest) as fh:
-        names = p.trait_names if p.trait_names is not None else [f"trait{j}" for j in range(p.traits)]
-        fh.write(",".join(names) + "\n")
-        for u in range(p.samples):
-            cells = [repr(float(p.values[u, t])) if p.observed[u, t] else "NA" for t in range(p.traits)]
-            fh.write(",".join(cells) + "\n")
+    names = p.trait_names if p.trait_names is not None else [f"trait{j}" for j in range(p.traits)]
+    write_csv(path, names, ([repr(v) if seen else "NA" for v, seen in zip(values, observed)]
+                            for values, observed in zip(p.values.tolist(), p.observed.tolist())))
 
 
 def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:
@@ -280,8 +260,7 @@ def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:
     n_train = n_samples - n_val - n_test
     return SplitIndices(train=perm[:n_train],
                         validation=perm[n_train:n_train + n_val],
-                        test=perm[n_train + n_val:],
-                        seed=seed)
+                        test=perm[n_train + n_val:])
 
 
 def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: float,
@@ -415,19 +394,15 @@ def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
     The genotype matrix must be fully observed (impute first). Rows are
     split into ceil(snps / chunk_width) consecutive chunks, the last one
     zero-padded, and codes {0,1,2} become {0, 0.5, 1}. Samples whose trait
-    value is missing are excluded and reported via ``excluded``.
+    value is missing are left out.
     """
     x = genotype_sequences(g, chunk_width)
     if g.samples != phenos.samples:
         raise DataError(f"genotype has {g.samples} samples but phenotypes have {phenos.samples}")
     check_traits([trait], phenos)
-    t_seq = x.shape[1]
-
     keep = phenos.observed[:, trait]
-    excluded = np.nonzero(~keep)[0].tolist()
     targets = phenos.values[keep, trait][:, None]
-    return SequenceBatch(x[keep], targets, t_seq, chunk_width,
-                         np.nonzero(keep)[0], excluded)
+    return SequenceBatch(x[keep], targets, np.nonzero(keep)[0])
 
 
 def genotype_sequences(g: GenotypeMatrix, chunk_width: int) -> np.ndarray:

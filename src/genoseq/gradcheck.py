@@ -12,6 +12,8 @@ finite difference straddling it is meaningless.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import mf, rnn
@@ -105,7 +107,7 @@ def _unpack(params: rnn.RnnParams, theta: np.ndarray) -> rnn.RnnParams:
     for name, value in params.tensors().items():
         tensors[name] = theta[offset:offset + value.size].reshape(value.shape)
         offset += value.size
-    return params.replace_tensors(tensors)
+    return replace(params, **tensors)
 
 
 def _random_instance(cell: str, rng: Rng):
@@ -119,7 +121,7 @@ def _random_instance(cell: str, rng: Rng):
     # (identity recurrence, saturated forget bias) produce near-zero
     # gradient components that central differences cannot resolve
     tensors = {k: rng.gaussian(v.shape, 0.0, 0.4) for k, v in params.tensors().items()}
-    params = params.replace_tensors(tensors)
+    params = replace(params, **tensors)
     x = rng.uniform((batch, t_len, n_in), -1.0, 1.0)
     targets = rng.uniform((batch, n_out), -1.0, 1.0)
     return params, x, targets

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import GenotypeMatrix, text_sink
+from .data import GenotypeMatrix, write_csv
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .linalg import Rng, frobenius_sq
 
@@ -70,13 +70,6 @@ class FactorPair:
         if self.p.ndim != 2 or self.q.ndim != 2 or self.p.shape[1] != self.q.shape[1]:
             raise ShapeError(f"factor shapes incompatible: p {self.p.shape}, q {self.q.shape}")
 
-    @property
-    def features(self) -> int:
-        return self.p.shape[1]
-
-    def copy(self) -> "FactorPair":
-        return FactorPair(self.p.copy(), self.q.copy())
-
 
 @dataclass
 class CostRecord:
@@ -98,11 +91,10 @@ class CostCurve:
     def final_sse(self) -> float:
         return self.records[-1].mse * self.n_observed if self.records else float("nan")
 
-    def to_csv(self, dest) -> None:
-        with text_sink(dest) as fh:
-            fh.write("epoch,sse,objective\n")
-            for r in self.records:
-                fh.write(f"{r.epoch},{float(r.mse * self.n_observed)!r},{float(r.objective)!r}\n")
+    def to_csv(self, path) -> None:
+        write_csv(path, ("epoch", "sse", "objective"),
+                  ((str(r.epoch), repr(float(r.mse * self.n_observed)), repr(float(r.objective)))
+                   for r in self.records))
 
     def to_rows(self) -> list[dict]:
         return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
@@ -213,7 +205,10 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = 
 
     Returns (imputed matrix, cost curve, accuracy); accuracy is None without a
     truth, else (missing_pct of the imputation, full_pct of the rounded reconstruction).
+    A truth of another shape than ``g``, or with holes, is rejected before the fit.
     """
+    if truth is not None and (truth.codes.shape != g.codes.shape or not truth.fully_observed()):
+        raise DataError(f"truth must be a fully observed {g.samples}x{g.snps} genotype matrix")
     factors, curve = mf_fit(g, cfg)
     imputed = impute(g, factors)
     accuracy = None

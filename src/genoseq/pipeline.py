@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mf, rnn
 from .data import (SequenceBatch, SplitIndices, build_sequences, check_traits,
-                   parse_genotype_csv, parse_phenotype_csv, split_dataset, write_json)
+                   parse_genotype_csv, parse_phenotype_csv, split_dataset, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError
 from .linalg import derive_seed
 from .rnn import RnnSettings
@@ -323,11 +323,13 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
     """
     if len(cells) < 2:
         raise ConfigError("cell comparison needs at least two cells")
+    if len(set(cells)) != len(cells):
+        raise ConfigError(f"cell comparison names a cell more than once: {list(cells)}")
     init_seed = derive_seed(seed, "compare/init")
 
     curves, finals, diverged = {}, {}, {}
     for cell in cells:
-        params = rnn.rnn_init(cell, batch.chunk_width, hidden, batch.targets.shape[1],
+        params = rnn.rnn_init(cell, batch.inputs.shape[2], hidden, batch.targets.shape[1],
                               init_seed)
         # start every cell at the mean-prediction plateau: with a zero
         # output bias the first epochs chase the target mean, and that
@@ -382,13 +384,11 @@ def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
                 tr.curve.to_csv(path)
                 written.append(path)
         path = out / "metrics.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("trait,split,correlation,mse,success_pct\n")
-            for tr in report.trait_results:
-                for split_name, m in tr.metrics.items():
-                    corr = repr(float(m.correlation)) if m.correlation is not None else "NA"
-                    fh.write(f"{tr.trait},{split_name},{corr},{float(m.mse)!r},"
-                             f"{float(m.success_pct)!r}\n")
+        write_csv(path, ("trait", "split", "correlation", "mse", "success_pct"),
+                  ((str(tr.trait), split_name,
+                    repr(float(m.correlation)) if m.correlation is not None else "NA",
+                    repr(float(m.mse)), repr(float(m.success_pct)))
+                   for tr in report.trait_results for split_name, m in tr.metrics.items()))
         written.append(path)
 
     manifest = {"files": [{"name": p.name, "sha256": _sha256(p)}

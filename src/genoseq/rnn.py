@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import SequenceBatch, text_sink, write_json
+from .data import SequenceBatch, write_csv, write_json
 from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeError
 from .linalg import Rng, sigmoid
 
@@ -63,6 +63,9 @@ class RnnParams:
     def __post_init__(self):
         if self.cell not in CELLS:
             raise ConfigError(f"unknown cell {self.cell!r}")
+        if min(self.n_in, self.n_hidden, self.n_out) < 1:
+            raise ConfigError(f"dims must be >= 1, got in={self.n_in} hidden={self.n_hidden} "
+                              f"out={self.n_out}")
         rows = 4 * self.n_hidden if self.cell == "lstm" else self.n_hidden
         expect = {"w_ih": (rows, self.n_in), "w_hh": (rows, self.n_hidden),
                   "w_ho": (self.n_out, self.n_hidden), "b_h": (rows,), "b_o": (self.n_out,)}
@@ -75,9 +78,6 @@ class RnnParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w_ih": self.w_ih, "w_hh": self.w_hh, "w_ho": self.w_ho,
                 "b_h": self.b_h, "b_o": self.b_o}
-
-    def replace_tensors(self, tensors: dict[str, np.ndarray]) -> "RnnParams":
-        return replace(self, **tensors)
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,11 @@ class TrainingCurve:
     def final_train_loss(self) -> float:
         return self.records[-1].train_loss if self.records else float("nan")
 
-    def to_csv(self, dest) -> None:
-        with text_sink(dest) as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for r in self.records:
-                val = repr(float(r.val_loss)) if r.val_loss is not None else ""
-                fh.write(f"{r.epoch},{float(r.train_loss)!r},{val}\n")
+    def to_csv(self, path) -> None:
+        write_csv(path, ("epoch", "train_loss", "val_loss"),
+                  ((str(r.epoch), repr(float(r.train_loss)),
+                    repr(float(r.val_loss)) if r.val_loss is not None else "")
+                   for r in self.records))
 
     def to_rows(self) -> list[dict]:
         return [{"epoch": r.epoch, "train_loss": r.train_loss, "val_loss": r.val_loss}
@@ -148,8 +147,6 @@ def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnP
     zero biases except the forget gate, which starts at LSTM_FORGET_BIAS.
     Tensors are drawn in the order w_ih, w_hh, w_ho from a single stream.
     """
-    if min(n_in, n_hidden, n_out) < 1:
-        raise ConfigError(f"dims must be >= 1, got in={n_in} hidden={n_hidden} out={n_out}")
     weight_scale = 0.1 if cell == "lstm" else 0.01
     rng = Rng(seed)
     rows = 4 * n_hidden if cell == "lstm" else n_hidden
@@ -430,7 +427,7 @@ def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: flo
         if not np.all(np.isfinite(stepped)):
             raise DivergenceError(f"parameter {name} became non-finite")
         tensors[name] = stepped
-    return params.replace_tensors(tensors)
+    return replace(params, **tensors)
 
 
 def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
@@ -447,8 +444,6 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
     x_train, t_train = _batch_arrays(train_batch)
     if val_batch is not None:
         x_val, t_val = _batch_arrays(val_batch)
-        if x_val.shape[0] == 0:
-            val_batch = None
 
     curve = TrainingCurve()
     for epoch in range(settings.epochs):

@@ -29,7 +29,7 @@ def lag_memory_task(n_sequences: int, lag: int, seed: int,
     values = rng.uniform(n_sequences, lo, hi)
     inputs = np.zeros((n_sequences, lag, 1))
     inputs[:, 0, 0] = values
-    return SequenceBatch(inputs, values[:, None], lag, 1)
+    return SequenceBatch(inputs, values[:, None])
 
 
 def deep_recall_task(n_sequences: int, length: int, seed: int,
@@ -55,7 +55,7 @@ def deep_recall_task(n_sequences: int, length: int, seed: int,
     x = np.zeros((n_sequences, length, 1))
     x[:, idx, 0] = values
     targets = values.sum(axis=1)[:, None]
-    return SequenceBatch(x, targets, length, 1)
+    return SequenceBatch(x, targets)
 
 
 def adding_task(n_sequences: int, length: int, seed: int) -> SequenceBatch:
@@ -78,7 +78,7 @@ def adding_task(n_sequences: int, length: int, seed: int) -> SequenceBatch:
     inputs[rows, first, 1] = 1.0
     inputs[rows, second, 1] = 1.0
     targets = 0.5 * (values[rows, first] + values[rows, second])
-    return SequenceBatch(inputs, targets[:, None], length, 2)
+    return SequenceBatch(inputs, targets[:, None])
 
 
 TASKS = {"lag": lag_memory_task, "deep": deep_recall_task, "adding": adding_task}

@@ -119,6 +119,26 @@ class TestImpute:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: divergence: ")
 
+    @pytest.mark.parametrize("truth", ["other_shape", "holed"])
+    def test_bad_truth_exits_1_before_the_fit(self, tmp_path, capsys, monkeypatch, truth):
+        data = _synth(tmp_path)
+        truth_path = data / "geno_holed.csv"
+        if truth == "other_shape":
+            truth_path = _synth(tmp_path / "other", snps="41") / "geno_truth.csv"
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("the fit ran before the truth was checked")
+
+        monkeypatch.setattr("genoseq.mf.mf_epoch", no_epoch)
+        capsys.readouterr()
+        out = tmp_path / "imp"
+        rc = _run("impute", "--geno", str(data / "geno_holed.csv"), "--truth", str(truth_path),
+                  "--features", "4", "--epochs", "5", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
+        assert not any(out.iterdir())
+
     def test_seeded_rerun_identical(self, tmp_path):
         data = _synth(tmp_path)
         outs = []
@@ -227,6 +247,17 @@ def _with_nan_w_ho(doc):
     return json.dumps(doc)
 
 
+def _with_outputs(n_out):
+    """A mangler that gives the readout n_out rows, each a copy of the trained one."""
+    def mangle(doc):
+        w_ho, b_o = doc["tensors"]["w_ho"], doc["tensors"]["b_o"]
+        doc["n_out"] = n_out
+        w_ho["shape"][0], w_ho["data"] = n_out, w_ho["data"] * n_out
+        b_o["shape"][0], b_o["data"] = n_out, b_o["data"] * n_out
+        return json.dumps(doc)
+    return mangle
+
+
 class TestPredict:
     def test_round_trip_predictions_bit_match(self, tmp_path):
         data, imputed = _imputed(tmp_path)
@@ -264,7 +295,9 @@ class TestPredict:
         lambda doc: json.dumps({**doc, "tensors": {k: v for k, v in doc["tensors"].items()
                                                    if k != "w_hh"}}),
         _with_nan_w_ho,
-    ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho"])
+        _with_outputs(0),
+        _with_outputs(2),
+    ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho", "zero_outputs", "two_outputs"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -278,6 +311,7 @@ class TestPredict:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
+        assert not (tmp_path / "preds" / "predictions.csv").exists()
 
     def test_more_than_one_trait_exits_1(self, tmp_path, capsys):
         data, imputed = _imputed(tmp_path)
@@ -391,6 +425,16 @@ class TestBenchmark:
         rc = _run("benchmark", "--cells", "gru", "--epochs", "2",
                   "--out", str(tmp_path / "x"))
         assert rc == 1
+
+    @pytest.mark.parametrize("cells", [["lstm", "lstm"], ["lstm"]], ids=["repeated", "single"])
+    def test_bad_cell_list_exits_1_without_outputs(self, tmp_path, capsys, cells):
+        out = tmp_path / "bench"
+        rc = _run("benchmark", "--task", "lag", "--length", "10", "--sequences", "4",
+                  "--epochs", "2", "--cells", *cells, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
+        assert not out.exists()
 
     def test_rnn_cell_in_config_exits_1_with_one_line(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -513,6 +557,18 @@ class TestSharedBehavior:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{не json")
         assert _run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("config", ["not_utf8", "directory"])
+    def test_unreadable_config_exits_1_with_one_line(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        if config == "not_utf8":
+            path.write_bytes(b'{"seed": "\xff"}')
+        else:
+            path.mkdir()
+        rc = _run("synth", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ")
 
     def test_output_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "not_a_dir"

