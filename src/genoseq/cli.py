@@ -88,7 +88,6 @@ def _out_dir(values: dict) -> Path:
 def cmd_impute(args, values: dict) -> int:
     cfg = pipeline.resolve_config(values)
     geno_path = _require_file(values.get("geno"), "genotype")
-    out = _out_dir(values)
 
     geno = parse_genotype_csv(geno_path)
     truth = values.get("truth")
@@ -96,6 +95,7 @@ def cmd_impute(args, values: dict) -> int:
     mf_cfg = cfg.seeded_mf()
     imputed, curve, accuracy = mf.fit_impute(geno, mf_cfg, truth)
 
+    out = _out_dir(values)
     genotype_to_csv(imputed, out / "imputed.csv")
     curve.to_csv(out / "mf_cost.csv")
     write_json(mf.fit_report(mf_cfg, curve, accuracy), out / "fit_report.json")
@@ -116,7 +116,6 @@ def cmd_train(args, values: dict) -> int:
     trait = _single_trait(cfg)
     geno_path = _require_file(values.get("geno"), "genotype")
     pheno_path = _require_file(values.get("pheno"), "phenotype")
-    out = _out_dir(values)
 
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
@@ -125,6 +124,7 @@ def cmd_train(args, values: dict) -> int:
     batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
     trained, result = pipeline.train_trait(batch, split, cfg, trait)
 
+    out = _out_dir(values)
     rnn.save_checkpoint(trained, out / "checkpoint.json")
     result.curve.to_csv(out / "train_curve.csv")
     metrics = {name: {**m._asdict(), "n": result.n_samples[name]}
@@ -140,7 +140,6 @@ def cmd_predict(args, values: dict) -> int:
     trait = _single_trait(cfg)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     geno_path = _require_file(values.get("geno"), "genotype")
-    out = _out_dir(values)
 
     params = rnn.load_checkpoint(ckpt_path)
     if params.n_out != 1:
@@ -158,6 +157,7 @@ def cmd_predict(args, values: dict) -> int:
         preds = rnn.predict(params, inputs)
         sample_ids = np.arange(geno.samples)
 
+    out = _out_dir(values)
     write_csv(out / "predictions.csv", ("sample", "prediction"),
               ((str(int(idx)), repr(float(p))) for idx, p in zip(sample_ids, preds[:, 0])))
 
@@ -197,7 +197,6 @@ def cmd_benchmark(args, values: dict) -> int:
 
 def cmd_synth(args, values: dict) -> int:
     seed = pipeline.resolve_config(values).seed
-    out = _out_dir(values)
     gen_seed = derive_seed(seed, "synth/geno")
     generate = (synth_lowrank_genotypes if args.generator == "lowrank"
                 else synth_population_genotypes)
@@ -205,6 +204,7 @@ def cmd_synth(args, values: dict) -> int:
                             args.missing_mode)
     phenos = synth_phenotypes(truth, traits=args.n_traits, seed=derive_seed(seed, "synth/pheno"),
                               missing_per_trait=args.trait_missing)
+    out = _out_dir(values)
     genotype_to_csv(holed, out / "geno_holed.csv")
     genotype_to_csv(truth, out / "geno_truth.csv")
     phenotype_to_csv(phenos, out / "pheno.csv")

@@ -101,10 +101,21 @@ class CostCurve:
 
 
 def _masked_residual(g: GenotypeMatrix, fp: FactorPair) -> np.ndarray:
-    """G - p@q.T with zeros at unobserved cells (the sentinel never leaks)."""
-    recon = fp.p @ fp.q.T
-    diff = g.codes.astype(np.float64) - recon
-    return np.where(g.observed, diff, 0.0)
+    """G - p@q.T with zeros at unobserved cells (the sentinel never leaks), built in place."""
+    d = fp.p @ fp.q.T
+    np.subtract(g.codes, d, out=d)
+    np.copyto(d, 0.0, where=~g.observed)
+    return d
+
+
+def _diagonals(g: GenotypeMatrix) -> list:
+    """Observed cells as (rows, cols, float codes), one triple per anti-diagonal u+v, in order."""
+    us, vs = np.nonzero(g.observed)
+    order = np.argsort(us + vs, kind="stable")  # row-major within each diagonal
+    us, vs = us[order], vs[order]
+    cuts = np.flatnonzero(np.diff(us + vs)) + 1
+    return list(zip(np.split(us, cuts), np.split(vs, cuts),
+                    np.split(g.codes[us, vs].astype(np.float64), cuts)))
 
 
 def mf_init(samples: int, snps: int, cfg: MfConfig) -> FactorPair:
@@ -143,13 +154,16 @@ def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[np.nda
     return dp, dq
 
 
-def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0):
+def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, diagonals=None):
     """One optimization epoch; returns (updated factors, cost record).
 
     full_batch mode takes a single step along the full gradient. per_entry
-    mode sweeps observed cells in row-major order, updating the touched
-    factor rows after each cell (p's row first, then q's row using the
-    fresh p values).
+    mode makes the row-major cell-by-cell updates (p's row, then q's row
+    from the fresh p row) bit for bit, one vectorized step per anti-diagonal
+    u+v: a diagonal's cells share no factor row, and each cell's row and
+    column predecessors lie on earlier diagonals. Dots use np.matmul, as
+    ``p[u] @ q[v]`` does. ``diagonals`` is ``_diagonals(g)``, which mf_fit
+    builds once per fit; without it the epoch builds its own.
     """
     # overflow to inf is detected below and reported as divergence, so the
     # intermediate warnings carry no information
@@ -158,15 +172,14 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0):
             dp, dq = mf_gradients(g, fp, cfg.beta)
             new = FactorPair(fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq)
         else:
-            p = fp.p.copy()
-            q = fp.q.copy()
-            codes = g.codes.astype(np.float64)
-            for u in range(g.samples):
-                for v in np.nonzero(g.observed[u])[0]:
-                    err = codes[u, v] - p[u] @ q[v]
-                    p_u = p[u] + cfg.alpha * (2.0 * err * q[v] - cfg.beta * p[u])
-                    q[v] = q[v] + cfg.alpha * (2.0 * err * p_u - cfg.beta * q[v])
-                    p[u] = p_u
+            p, q = fp.p.copy(), fp.q.copy()
+            for us, vs, codes in _diagonals(g) if diagonals is None else diagonals:
+                pu, qv = p[us], q[vs]
+                err = codes - np.matmul(pu[:, None, :], qv[:, :, None])[:, 0, 0]
+                err2 = (2.0 * err)[:, None]
+                p_u = pu + cfg.alpha * (err2 * qv - cfg.beta * pu)
+                q[vs] = qv + cfg.alpha * (err2 * p_u - cfg.beta * qv)
+                p[us] = p_u
             new = FactorPair(p, q)
         sse, objective = mf_cost(g, new, cfg.beta)
     if not np.isfinite(objective):
@@ -183,8 +196,9 @@ def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
         raise DataError("genotype matrix has no observed entries to fit")
     fp = mf_init(g.samples, g.snps, cfg)
     curve = CostCurve(n_observed=n_obs)
+    diagonals = _diagonals(g) if cfg.mode == "per_entry" else None
     for epoch in range(cfg.epochs):
-        fp, record = mf_epoch(g, fp, cfg, epoch)
+        fp, record = mf_epoch(g, fp, cfg, epoch, diagonals)
         curve.records.append(record)
     return fp, curve
 
@@ -196,7 +210,11 @@ def impute(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
     integer (ties to even) clamped into {0, 1, 2}; the result is fully
     observed.
     """
-    recon = rounded_reconstruction(g, fp)
+    return _filled(g, rounded_reconstruction(g, fp))
+
+
+def _filled(g: GenotypeMatrix, recon: GenotypeMatrix) -> GenotypeMatrix:
+    """``g`` with its holes taken from the rounded reconstruction ``recon``."""
     return GenotypeMatrix(np.where(g.observed, g.codes, recon.codes), recon.observed, recon.snp_ids)
 
 
@@ -210,12 +228,13 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = 
     if truth is not None and (truth.codes.shape != g.codes.shape or not truth.fully_observed()):
         raise DataError(f"truth must be a fully observed {g.samples}x{g.snps} genotype matrix")
     factors, curve = mf_fit(g, cfg)
-    imputed = impute(g, factors)
+    recon = rounded_reconstruction(g, factors)
+    imputed = _filled(g, recon)
     accuracy = None
     if truth is not None:
         holes = ~g.observed
         accuracy = (imputation_accuracy(truth, imputed, holes)[0],
-                    imputation_accuracy(truth, rounded_reconstruction(g, factors), holes)[1])
+                    imputation_accuracy(truth, recon, holes)[1])
     return imputed, curve, accuracy
 
 

@@ -68,7 +68,7 @@ class TestSynth:
         assert _run("synth", *flags, "--out", str(out)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ") and named in err[0]
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestImpute:
@@ -137,7 +137,7 @@ class TestImpute:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_seeded_rerun_identical(self, tmp_path):
         data = _synth(tmp_path)
@@ -226,6 +226,21 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("genoseq: ") and "traits" in err[0]
         assert not out.exists()
 
+    def test_ragged_genotype_exits_1_without_creating_out(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        ragged = tmp_path / "ragged.csv"
+        lines = imputed.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        ragged.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--geno", str(ragged), "--pheno", str(data / "pheno.csv"),
+                  "--epochs", "2", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "ragged" in err[0]
+        assert not out.exists()
+
     def test_holed_genotype_rejected(self, tmp_path):
         data = _synth(tmp_path)
         rc = _run("train", "--geno", str(data / "geno_holed.csv"),
@@ -311,7 +326,7 @@ class TestPredict:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
-        assert not (tmp_path / "preds" / "predictions.csv").exists()
+        assert not (tmp_path / "preds").exists()
 
     def test_more_than_one_trait_exits_1(self, tmp_path, capsys):
         data, imputed = _imputed(tmp_path)

@@ -5,8 +5,9 @@ import genoseq.gradcheck as gc
 from genoseq.data import GenotypeMatrix, synth_lowrank_genotypes, synth_population_genotypes
 from genoseq.errors import ConfigError, DataError, ShapeError
 from genoseq.linalg import Rng
-from genoseq.mf import (CostCurve, FactorPair, MfConfig, fit_report, impute,
-                        imputation_accuracy, mf_cost, mf_epoch, mf_fit,
+import genoseq.mf
+from genoseq.mf import (CostCurve, CostRecord, FactorPair, MfConfig, fit_report,
+                        impute, imputation_accuracy, mf_cost, mf_epoch, mf_fit,
                         mf_gradients, mf_init, mf_reconstruct,
                         rounded_reconstruction)
 
@@ -167,6 +168,94 @@ class TestMfEpoch:
                        mode="per_entry")
         _, curve = mf_fit(holed, cfg)
         assert curve.records[-1].objective < curve.records[0].objective
+
+
+def _per_entry_reference(g, fp, cfg):
+    """One per_entry epoch as the scalar row-major loop over the observed cells."""
+    p = fp.p.copy()
+    q = fp.q.copy()
+    codes = g.codes.astype(np.float64)
+    for u in range(g.samples):
+        for v in np.nonzero(g.observed[u])[0]:
+            err = codes[u, v] - p[u] @ q[v]
+            p_u = p[u] + cfg.alpha * (2.0 * err * q[v] - cfg.beta * p[u])
+            q[v] = q[v] + cfg.alpha * (2.0 * err * p_u - cfg.beta * q[v])
+            p[u] = p_u
+    return FactorPair(p, q)
+
+
+def _masked(samples, snps, mask, seed):
+    """A random genotype matrix with about 30% holes, then the named mask edit."""
+    rng = np.random.default_rng(seed)
+    observed = rng.random((samples, snps)) > 0.3
+    if mask == "masked_row":
+        observed[samples // 2] = False
+    elif mask == "masked_col":
+        observed[:, snps // 2] = False
+    elif mask == "one_cell":
+        observed[:] = False
+        observed[rng.integers(samples), rng.integers(snps)] = True
+    return GenotypeMatrix(rng.integers(0, 3, (samples, snps)), observed)
+
+
+class TestPerEntrySweep:
+    @pytest.mark.parametrize("mask", ["random", "masked_row", "masked_col", "one_cell"])
+    @pytest.mark.parametrize("features", [1, 3, 8])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (13, 9), (37, 23)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_scalar_loop_bitwise(self, shape, features, mask):
+        g = _masked(*shape, mask, seed=features)
+        cfg = MfConfig(features=features, alpha=0.01, beta=0.02, seed=3, mode="per_entry")
+        fp = ref = mf_init(*shape, cfg)
+        for epoch in range(3):
+            fp, _ = mf_epoch(g, fp, cfg, epoch)
+            ref = _per_entry_reference(g, ref, cfg)
+        assert fp.p.tobytes() == ref.p.tobytes()
+        assert fp.q.tobytes() == ref.q.tobytes()
+
+    def test_fit_matches_scalar_loop_bitwise(self):
+        g = _masked(37, 23, "masked_col", seed=11)
+        cfg = MfConfig(features=5, alpha=0.01, beta=0.02, epochs=3, seed=11, mode="per_entry")
+        fp, _ = mf_fit(g, cfg)
+        ref = mf_init(37, 23, cfg)
+        for _ in range(3):
+            ref = _per_entry_reference(g, ref, cfg)
+        assert fp.p.tobytes() == ref.p.tobytes()
+        assert fp.q.tobytes() == ref.q.tobytes()
+
+
+class TestFullBatchFit:
+    def test_full_batch_fit_matches_oracle_loop_bitwise(self):
+        g = _masked(23, 31, "masked_row", seed=4)
+        g.observed[:, 5] = False
+        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=12, seed=9)
+        fp, curve = mf_fit(g, cfg)
+        ref, records = mf_init(23, 31, cfg), []
+        for epoch in range(12):
+            dp, dq = mf_gradients(g, ref, cfg.beta)
+            ref = FactorPair(ref.p - cfg.alpha * dp, ref.q - cfg.alpha * dq)
+            sse, objective = mf_cost(g, ref, cfg.beta)
+            records.append(CostRecord(epoch, sse / int(g.observed.sum()), objective))
+        assert curve.records == records
+        assert fp.p.tobytes() == ref.p.tobytes()
+        assert fp.q.tobytes() == ref.q.tobytes()
+
+    @pytest.mark.parametrize("mode,most", [("full_batch", 24), ("per_entry", 12)])
+    def test_residuals_per_epoch(self, monkeypatch, mode, most):
+        # full_batch: one for the gradient and one for the cost; per_entry: the cost's only
+        calls = []
+        build = genoseq.mf._masked_residual
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr("genoseq.mf._masked_residual", counted)
+        g = _masked(9, 11, "random", seed=2)
+        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, seed=1, mode=mode))
+        assert len(calls) <= most
+        if mode == "per_entry":
+            assert len(calls) == 12
 
 
 def _rank_one_codes():
