@@ -141,11 +141,15 @@ def encode_calls(tokens) -> list[int]:
 @contextmanager
 def _text_source(source):
     """A text handle on ``source``: a path, opened here and closed on exit, or CSV bytes."""
-    if isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+    try:
+        if isinstance(source, bytes):
+            yield io.StringIO(source.decode("utf-8"))
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                yield fh
+    except UnicodeDecodeError as e:
+        where = "input" if isinstance(source, bytes) else str(source)
+        raise ParseError(f"{where} is not UTF-8 text: {e.reason}") from None
 
 
 def write_json(doc, path) -> None:
@@ -174,17 +178,21 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
             raise ParseError("empty genotype file")
         snp_ids = [h.strip() for h in header]
         n_snps = len(snp_ids)
-        rows = []
+        calls, n_rows = bytearray(), 0
         for r, cells in enumerate(reader):
             if not cells:
                 continue
             if len(cells) != n_snps:
                 raise ParseError(f"ragged row: expected {n_snps} cells, got {len(cells)}", row=r + 1)
-            try:
-                rows.append(encode_calls(cells))
-            except ParseError as e:
-                raise ParseError(str(e), row=r + 1, col=e.col) from None
-    codes = np.array(rows, dtype=np.int16).reshape(len(rows), n_snps)
+            try:  # a token not spelled as a key maps to None: extend fails and adds nothing
+                calls.extend(map(_CALL_CODES.get, cells))
+            except TypeError:  # padded, lower-case or unknown: encode_calls decides
+                try:
+                    calls.extend(encode_calls(cells))
+                except ParseError as e:
+                    raise ParseError(str(e), row=r + 1, col=e.col) from None
+            n_rows += 1
+    codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, n_snps)
     observed = codes != MISSING_SENTINEL
     return GenotypeMatrix(codes, observed, snp_ids)
 
@@ -193,7 +201,9 @@ def genotype_to_csv(g: GenotypeMatrix, path) -> None:
     """Write a GenotypeMatrix back to CSV, unobserved cells as the sentinel."""
     ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
     body = np.where(g.observed, g.codes, MISSING_SENTINEL)
-    write_csv(path, ids, (map(str, row) for row in body.tolist()))
+    lo, hi = int(body.min(initial=0)), int(body.max(initial=0))  # str() once per code in lo..hi
+    strings = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    write_csv(path, ids, (strings[np.subtract(row, lo, dtype=np.intp)].tolist() for row in body))
 
 
 def parse_phenotype_csv(source) -> PhenotypeTable:

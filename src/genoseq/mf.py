@@ -104,7 +104,7 @@ def _masked_residual(g: GenotypeMatrix, fp: FactorPair) -> np.ndarray:
     """G - p@q.T with zeros at unobserved cells (the sentinel never leaks), built in place."""
     d = fp.p @ fp.q.T
     np.subtract(g.codes, d, out=d)
-    np.copyto(d, 0.0, where=~g.observed)
+    d.reshape(-1)[np.flatnonzero(~g.observed)] = 0.0
     return d
 
 
@@ -141,7 +141,7 @@ def mf_reconstruct(fp: FactorPair) -> np.ndarray:
 def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[float, float]:
     """(sse, objective): squared error over observed cells, plus regularization."""
     d = _masked_residual(g, fp)
-    sse = float(np.sum(d * d))
+    sse = float(np.sum(np.multiply(d, d, out=d)))
     objective = sse + 0.5 * beta * (frobenius_sq(fp.p) + frobenius_sq(fp.q))
     return sse, objective
 
@@ -149,8 +149,10 @@ def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[float, floa
 def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective with respect to p and q."""
     d = _masked_residual(g, fp)
-    dp = -2.0 * (d @ fp.q) + beta * fp.p
-    dq = -2.0 * (d.T @ fp.p) + beta * fp.q
+    dp, dq = d @ fp.q, d.T @ fp.p
+    for grad, factor in ((dp, fp.p), (dq, fp.q)):  # -2.0 * grad + beta * factor, in place
+        grad *= -2.0
+        grad += beta * factor
     return dp, dq
 
 
@@ -170,7 +172,9 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, d
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == "full_batch":
             dp, dq = mf_gradients(g, fp, cfg.beta)
-            new = FactorPair(fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq)
+            dp *= cfg.alpha  # p - alpha * dp, stepped inside the gradient buffers
+            dq *= cfg.alpha
+            new = FactorPair(np.subtract(fp.p, dp, out=dp), np.subtract(fp.q, dq, out=dq))
         else:
             p, q = fp.p.copy(), fp.q.copy()
             for us, vs, codes in _diagonals(g) if diagonals is None else diagonals:

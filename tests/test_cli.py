@@ -26,6 +26,22 @@ def _hash_dir(path):
             for p in sorted(path.iterdir())}
 
 
+def _non_utf8(path, tmp_path):
+    """A copy of ``path`` whose last row starts with the byte 0xff."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = b"\xff" + lines[-1]
+    bad = tmp_path / f"non_utf8_{path.name}"
+    bad.write_bytes(b"".join(lines))
+    return bad
+
+
+def _one_line_exit_1(rc, capsys, bad, out):
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"genoseq: {bad} is not UTF-8 text: invalid start byte"]
+    assert not out.exists()
+
+
 class TestSynth:
     def test_writes_dataset_with_sidecar(self, tmp_path):
         out = _synth(tmp_path)
@@ -105,6 +121,13 @@ class TestImpute:
     def test_no_genotype_given_exits_1(self, tmp_path, capsys):
         assert _run("impute", "--out", str(tmp_path / "imp")) == 1
         assert capsys.readouterr().err == "genoseq: no genotype file given\n"
+
+    def test_non_utf8_genotype_exits_1_with_one_line(self, tmp_path, capsys):
+        bad = _non_utf8(_synth(tmp_path) / "geno_holed.csv", tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "imp"
+        rc = _run("impute", "--geno", str(bad), "--epochs", "2", "--out", str(out))
+        _one_line_exit_1(rc, capsys, bad, out)
 
     def test_per_entry_divergence_is_one_line(self, tmp_path, capsys):
         # the numpy overflow warnings of the diverging sweep must not leak
@@ -241,6 +264,15 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("genoseq: ") and "ragged" in err[0]
         assert not out.exists()
 
+    def test_non_utf8_phenotype_exits_1_with_one_line(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        bad = _non_utf8(data / "pheno.csv", tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--geno", str(imputed), "--pheno", str(bad), "--epochs", "2",
+                  "--out", str(out))
+        _one_line_exit_1(rc, capsys, bad, out)
+
     def test_holed_genotype_rejected(self, tmp_path):
         data = _synth(tmp_path)
         rc = _run("train", "--geno", str(data / "geno_holed.csv"),
@@ -297,6 +329,18 @@ class TestPredict:
         assert got.tobytes() == expected[:, 0].tobytes()
         metrics = json.loads((out / "predict_metrics.json").read_text())
         assert "correlation" in metrics and "mse" in metrics
+
+    def test_non_utf8_genotype_exits_1_with_one_line(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        bad = _non_utf8(imputed, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "preds"
+        rc = _run("predict", "--checkpoint", str(model_dir / "checkpoint.json"),
+                  "--geno", str(bad), "--out", str(out))
+        _one_line_exit_1(rc, capsys, bad, out)
 
     def test_missing_checkpoint_exits_1(self, tmp_path):
         data, imputed = _imputed(tmp_path)

@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build_sequences,
                           encode_calls, genotype_sequences, genotype_to_csv,
@@ -72,6 +76,97 @@ class TestGenotypeCsv:
         again = parse_genotype_csv(tmp_path / "geno.csv")
         assert again.codes.tobytes() == holed.codes.tobytes()
         assert again.observed.tobytes() == holed.observed.tobytes()
+
+
+def _parse_reference(source: bytes) -> GenotypeMatrix:
+    """The per-token genotype parser: every cell stripped, upper-cased and looked up."""
+    reader = csv.reader(io.StringIO(source.decode("utf-8")))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty genotype file")
+    snp_ids = [h.strip() for h in header]
+    n_snps = len(snp_ids)
+    rows = []
+    for r, cells in enumerate(reader):
+        if not cells:
+            continue
+        if len(cells) != n_snps:
+            raise ParseError(f"ragged row: expected {n_snps} cells, got {len(cells)}", row=r + 1)
+        try:
+            rows.append(encode_calls(cells))
+        except ParseError as e:
+            raise ParseError(str(e), row=r + 1, col=e.col) from None
+    codes = np.array(rows, dtype=np.int16).reshape(len(rows), n_snps)
+    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
+
+
+def _outcome(parse, source):
+    try:
+        g = parse(source)
+    except ParseError as e:
+        return ("error", str(e), e.row, e.col)
+    return ("ok", g.codes.dtype, g.codes.tobytes(), g.codes.shape, g.observed.tobytes(),
+            g.snp_ids)
+
+
+CALL_TOKENS = ["0", "1", "2", "5", "AA", "ab", " BB ", "Null", "nUlL"]
+BAD_TOKENS = ["", "3", " 3 ", "-1", "05", "A A", "AAB", "x", "None", "0.0", "é"]
+
+
+@st.composite
+def _token_grids(draw):
+    """CSV bytes of a token grid; with some chance a few cells are replaced by bad tokens."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.sampled_from(CALL_TOKENS), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            grid[r][c] = draw(st.sampled_from(BAD_TOKENS))
+    lines = [",".join(f"s{j}" for j in range(cols))] + [",".join(row) for row in grid]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestGenotypeCodec:
+    @given(_token_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_per_token_reference(self, source):
+        assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
+
+    @pytest.mark.parametrize("source", [b"a,b\n0,AA\nx,1\n", b"a,b\n0,aa\n1,Y\n",
+                                        b"a,b\n AA,1\n0\n", b"a,b\n0,1\n0,1,2\n",
+                                        b"a,b\nZ,1\n0\n", b"a\n\n\n 1\n"])
+    def test_error_or_result_matches_reference(self, source):
+        assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
+
+    @given(hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
+           st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_matches_str_of_every_cell(self, tmp_path, codes, data):
+        observed = data.draw(hnp.arrays(bool, codes.shape))
+        g = GenotypeMatrix(codes, observed)
+        genotype_to_csv(g, tmp_path / "g.csv")
+        body = np.where(observed, codes, MISSING_SENTINEL).tolist()
+        header = ",".join(f"snp{j}" for j in range(codes.shape[1]))
+        lines = [header] + [",".join(map(str, row)) for row in body]
+        expected = "".join(line + "\n" for line in lines)
+        assert (tmp_path / "g.csv").read_bytes() == expected.encode()
+
+    def test_write_extreme_codes(self, tmp_path):
+        codes = np.array([[-32768, 32767, -1], [0, 10, -200]], dtype=np.int16)
+        genotype_to_csv(GenotypeMatrix(codes, np.ones_like(codes, dtype=bool), ["a", "b", "c"]),
+                        tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_text() == "a,b,c\n-32768,32767,-1\n0,10,-200\n"
+
+    @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])
+    def test_non_utf8_is_a_parse_error(self, tmp_path, parse):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"\xff,1\n")  # past the first read buffer
+        with pytest.raises(ParseError, match="bad.csv is not UTF-8 text"):
+            parse(path)
+        with pytest.raises(ParseError, match="input is not UTF-8 text"):
+            parse(b"a,b\n\xff,1\n")
 
 
 class TestPhenotypeCsv:

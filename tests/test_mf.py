@@ -224,6 +224,56 @@ class TestPerEntrySweep:
         assert fp.q.tobytes() == ref.q.tobytes()
 
 
+def _full_batch_reference(g, fp, cfg):
+    """One full_batch epoch in the plain expressions: (new factors, sse, objective)."""
+    def residual(p, q):
+        d = p @ q.T
+        np.subtract(g.codes, d, out=d)
+        np.copyto(d, 0.0, where=~g.observed)
+        return d
+
+    d = residual(fp.p, fp.q)
+    dp = -2.0 * (d @ fp.q) + cfg.beta * fp.p
+    dq = -2.0 * (d.T @ fp.p) + cfg.beta * fp.q
+    p, q = fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq
+    d = residual(p, q)
+    sse = float(np.sum(d * d))
+    return FactorPair(p, q), sse, sse + 0.5 * cfg.beta * (np.sum(p * p) + np.sum(q * q))
+
+
+class TestFullBatchEpoch:
+    @pytest.mark.parametrize("mask", ["random", "masked_row", "masked_col", "one_cell"])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (13, 9), (37, 23)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_reference_bitwise(self, shape, mask):
+        g = _masked(*shape, mask, seed=shape[0])
+        g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
+        cfg = MfConfig(features=5, alpha=0.005, beta=0.02, seed=7)
+        fp = ref = mf_init(*shape, cfg)
+        n_obs = int(g.observed.sum())
+        for epoch in range(12):
+            fp, record = mf_epoch(g, fp, cfg, epoch)
+            ref, sse, objective = _full_batch_reference(g, ref, cfg)
+            assert record == CostRecord(epoch, sse / n_obs if n_obs else 0.0, objective)
+            assert fp.p.tobytes() == ref.p.tobytes()
+            assert fp.q.tobytes() == ref.q.tobytes()
+            assert mf_cost(g, fp, cfg.beta) == (sse, objective)
+
+    @pytest.mark.parametrize("call", ["full_batch", "per_entry", "gradients", "cost"])
+    def test_inputs_left_unchanged(self, call):
+        g = _masked(11, 13, "masked_row", seed=3)
+        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=call if "_" in call else "full_batch")
+        fp = mf_init(11, 13, cfg)
+        before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
+        if call == "gradients":
+            mf_gradients(g, fp, cfg.beta)
+        elif call == "cost":
+            mf_cost(g, fp, cfg.beta)
+        else:
+            mf_epoch(g, fp, cfg)
+        assert [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)] == before
+
+
 class TestFullBatchFit:
     def test_full_batch_fit_matches_oracle_loop_bitwise(self):
         g = _masked(23, 31, "masked_row", seed=4)
