@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .data import (build_sequences, genotype_sequences, genotype_to_csv,
                    parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                    split_dataset, synth_lowrank_genotypes, synth_phenotypes,
                    synth_population_genotypes, write_csv, write_json)
-from .errors import ConfigError, DivergenceError, GenoseqError
+from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 
 log = logging.getLogger("genoseq.cli")
@@ -125,7 +125,7 @@ def cmd_train(args, values: dict) -> int:
     trained, result = pipeline.train_trait(batch, split, cfg, trait)
 
     out = _out_dir(values)
-    rnn.save_checkpoint(trained, out / "checkpoint.json")
+    rnn.save_checkpoint(replace(trained, snps=geno.snps), out / "checkpoint.json")
     result.curve.to_csv(out / "train_curve.csv")
     metrics = {name: {**m._asdict(), "n": result.n_samples[name]}
                for name, m in result.metrics.items()}
@@ -145,6 +145,8 @@ def cmd_predict(args, values: dict) -> int:
     if params.n_out != 1:
         raise ConfigError(f"predict needs a one-output model; the checkpoint has {params.n_out}")
     geno = parse_genotype_csv(geno_path)
+    if params.snps is not None and params.snps != geno.snps:
+        raise DataError(f"the checkpoint was trained on {params.snps} SNPs, {geno_path} has {geno.snps}")
 
     pheno_path = values.get("pheno")
     if pheno_path is not None:

@@ -141,6 +141,7 @@ def encode_calls(tokens) -> list[int]:
 @contextmanager
 def _text_source(source):
     """A text handle on ``source``: a path, opened here and closed on exit, or CSV bytes."""
+    where = "input" if isinstance(source, bytes) else str(source)
     try:
         if isinstance(source, bytes):
             yield io.StringIO(source.decode("utf-8"))
@@ -148,8 +149,9 @@ def _text_source(source):
             with open(source, "r", encoding="utf-8", newline="") as fh:
                 yield fh
     except UnicodeDecodeError as e:
-        where = "input" if isinstance(source, bytes) else str(source)
         raise ParseError(f"{where} is not UTF-8 text: {e.reason}") from None
+    except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
+        raise ParseError(f"{where} is not readable CSV: {e}") from None
 
 
 def write_json(doc, path) -> None:
@@ -171,6 +173,9 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
     observed mask is False exactly where the sentinel or Null occurred.
     Ragged rows and empty files are rejected.
     """
+    canonical = _parse_canonical(source if isinstance(source, bytes) else Path(source).read_bytes())
+    if canonical is not None:
+        return canonical
     with _text_source(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -195,6 +200,29 @@ def parse_genotype_csv(source) -> GenotypeMatrix:
     codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, n_snps)
     observed = codes != MISSING_SENTINEL
     return GenotypeMatrix(codes, observed, snp_ids)
+
+
+def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
+    """``raw`` parsed in one vectorized pass if it is in the layout genotype_to_csv writes, else None.
+
+    That is an ASCII header line without quotes or CR, then rows of one-byte
+    codes 0/1/2/5 joined by "," and each ended by "\\n".
+    """
+    end = raw.find(b"\n")
+    header = raw[:end]
+    ids = header.split(b",")
+    if (end < 1 or not header.isascii() or b'"' in header or b"\r" in header
+            or max(map(len, ids)) > csv.field_size_limit()):  # a longer id is a csv reader error
+        return None
+    width = 2 * len(ids)  # one code and one separator per cell
+    if (len(raw) - end - 1) % width:
+        return None
+    cells = np.frombuffer(raw, np.uint8, offset=end + 1).reshape(-1, width)
+    codes = cells[:, ::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 5
+    if not (((codes <= 2) | (codes == MISSING_SENTINEL)).all()
+            and (cells[:, 1:-1:2] == ord(",")).all() and (cells[:, -1] == ord("\n")).all()):
+        return None
+    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, [h.decode().strip() for h in ids])
 
 
 def genotype_to_csv(g: GenotypeMatrix, path) -> None:

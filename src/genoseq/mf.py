@@ -15,6 +15,7 @@ differentiable at zero, so that convention is used throughout.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,12 +101,25 @@ class CostCurve:
         return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
 
 
-def _masked_residual(g: GenotypeMatrix, fp: FactorPair) -> np.ndarray:
-    """G - p@q.T with zeros at unobserved cells (the sentinel never leaks), built in place."""
+def _masked_residual(g: GenotypeMatrix, fp: FactorPair, holes=None) -> np.ndarray:
+    """G - p@q.T built in place, zero at the flat index ``holes`` of the unobserved cells."""
     d = fp.p @ fp.q.T
     np.subtract(g.codes, d, out=d)
-    d.reshape(-1)[np.flatnonzero(~g.observed)] = 0.0
+    d.reshape(-1)[np.flatnonzero(~g.observed) if holes is None else holes] = 0.0
     return d
+
+
+class _FitIndex(NamedTuple):
+    """What each epoch of a fit reads from ``g`` beyond its codes; mf_fit builds it once."""
+
+    holes: np.ndarray       # flat indices of the unobserved cells
+    diagonals: list | None  # ``_diagonals(g)`` in per_entry mode, else None
+
+
+def _fit_index(g: GenotypeMatrix, mode: str) -> _FitIndex:
+    holes = np.flatnonzero(~g.observed)  # held through the fit: int32 wherever it fits
+    holes = holes.astype(np.int32) if g.observed.size < 2**31 else holes
+    return _FitIndex(holes, _diagonals(g) if mode == "per_entry" else None)
 
 
 def _diagonals(g: GenotypeMatrix) -> list:
@@ -138,17 +152,18 @@ def mf_reconstruct(fp: FactorPair) -> np.ndarray:
     return fp.p @ fp.q.T
 
 
-def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[float, float]:
+def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, holes=None) -> tuple[float, float]:
     """(sse, objective): squared error over observed cells, plus regularization."""
-    d = _masked_residual(g, fp)
+    d = _masked_residual(g, fp, holes)
     sse = float(np.sum(np.multiply(d, d, out=d)))
     objective = sse + 0.5 * beta * (frobenius_sq(fp.p) + frobenius_sq(fp.q))
     return sse, objective
 
 
-def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float,
+                 holes=None) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective with respect to p and q."""
-    d = _masked_residual(g, fp)
+    d = _masked_residual(g, fp, holes)
     dp, dq = d @ fp.q, d.T @ fp.p
     for grad, factor in ((dp, fp.p), (dq, fp.q)):  # -2.0 * grad + beta * factor, in place
         grad *= -2.0
@@ -156,7 +171,7 @@ def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float) -> tuple[np.nda
     return dp, dq
 
 
-def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, diagonals=None):
+def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, index=None):
     """One optimization epoch; returns (updated factors, cost record).
 
     full_batch mode takes a single step along the full gradient. per_entry
@@ -164,20 +179,22 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, d
     from the fresh p row) bit for bit, one vectorized step per anti-diagonal
     u+v: a diagonal's cells share no factor row, and each cell's row and
     column predecessors lie on earlier diagonals. Dots use np.matmul, as
-    ``p[u] @ q[v]`` does. ``diagonals`` is ``_diagonals(g)``, which mf_fit
-    builds once per fit; without it the epoch builds its own.
+    ``p[u] @ q[v]`` does. ``index`` is ``_fit_index(g, cfg.mode)``, which
+    mf_fit builds once per fit; without it the epoch builds its own.
     """
+    if index is None:
+        index = _fit_index(g, cfg.mode)
     # overflow to inf is detected below and reported as divergence, so the
     # intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == "full_batch":
-            dp, dq = mf_gradients(g, fp, cfg.beta)
+            dp, dq = mf_gradients(g, fp, cfg.beta, index.holes)
             dp *= cfg.alpha  # p - alpha * dp, stepped inside the gradient buffers
             dq *= cfg.alpha
             new = FactorPair(np.subtract(fp.p, dp, out=dp), np.subtract(fp.q, dq, out=dq))
         else:
             p, q = fp.p.copy(), fp.q.copy()
-            for us, vs, codes in _diagonals(g) if diagonals is None else diagonals:
+            for us, vs, codes in index.diagonals:
                 pu, qv = p[us], q[vs]
                 err = codes - np.matmul(pu[:, None, :], qv[:, :, None])[:, 0, 0]
                 err2 = (2.0 * err)[:, None]
@@ -185,10 +202,10 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, d
                 q[vs] = qv + cfg.alpha * (err2 * p_u - cfg.beta * qv)
                 p[us] = p_u
             new = FactorPair(p, q)
-        sse, objective = mf_cost(g, new, cfg.beta)
+        sse, objective = mf_cost(g, new, cfg.beta, index.holes)
     if not np.isfinite(objective):
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)
-    n_obs = int(g.observed.sum())
+    n_obs = g.observed.size - index.holes.size
     mse = sse / n_obs if n_obs else 0.0
     return new, CostRecord(epoch, mse, objective)
 
@@ -200,9 +217,9 @@ def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
         raise DataError("genotype matrix has no observed entries to fit")
     fp = mf_init(g.samples, g.snps, cfg)
     curve = CostCurve(n_observed=n_obs)
-    diagonals = _diagonals(g) if cfg.mode == "per_entry" else None
+    index = _fit_index(g, cfg.mode)
     for epoch in range(cfg.epochs):
-        fp, record = mf_epoch(g, fp, cfg, epoch, diagonals)
+        fp, record = mf_epoch(g, fp, cfg, epoch, index)
         curve.records.append(record)
     return fp, curve
 

@@ -30,7 +30,7 @@ from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeE
 from .linalg import Rng, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
-CHECKPOINT_VERSION = "genoseq-rnn-v1"
+CHECKPOINT_VERSION = "genoseq-rnn-v2"
 
 # Remember-by-default forget gates: with a bias of 1 the cell state decays
 # by sigmoid(1) ~ 0.73 per step, so signals spanning ~100 timesteps (and
@@ -59,6 +59,7 @@ class RnnParams:
     w_ho: np.ndarray
     b_h: np.ndarray
     b_o: np.ndarray
+    snps: int | None = None  # SNPs per genotype row in training, when known
 
     def __post_init__(self):
         if self.cell not in CELLS:
@@ -506,6 +507,7 @@ def save_checkpoint(params: RnnParams, path) -> None:
     """Serialize a model to JSON with exact decimal float strings."""
     doc = {"version": CHECKPOINT_VERSION, "cell": params.cell,
            "n_in": params.n_in, "n_hidden": params.n_hidden, "n_out": params.n_out,
+           "snps": params.snps,
            "tensors": {name: _encode_array(value)
                        for name, value in params.tensors().items()}}
     write_json(doc, path)
@@ -522,19 +524,19 @@ def load_checkpoint(path) -> RnnParams:
         raise ConfigError(f"unsupported checkpoint version {version!r}")
     try:
         cell = doc["cell"]
-        dims = [doc[k] for k in ("n_in", "n_hidden", "n_out")]
+        dims, snps = [doc[k] for k in ("n_in", "n_hidden", "n_out")], doc["snps"]
         tensors = {name: _decode_array(doc["tensors"][name])
                    for name in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")}
     except KeyError as e:
         raise ParseError(f"checkpoint lacks the entry {e}") from None
     except (TypeError, ValueError) as e:
         raise ParseError(f"malformed checkpoint: {e}") from None
-    if not all(type(d) is int for d in dims):
-        raise ParseError(f"checkpoint dimensions must be integers, got {dims}")
+    if not all(type(d) is int for d in dims) or not (snps is None or type(snps) is int and snps > 0):
+        raise ParseError(f"malformed checkpoint dimensions {dims} or snps {snps!r}")
     for name, value in tensors.items():
         if not np.isfinite(value).all():
             raise ParseError(f"checkpoint tensor {name} holds a non-finite value")
-    return RnnParams(cell, *dims, **tensors)
+    return RnnParams(cell, *dims, **tensors, snps=snps)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -1,8 +1,13 @@
+import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoseq.cli import main
 from genoseq.data import parse_genotype_csv, parse_phenotype_csv
@@ -342,6 +347,22 @@ class TestPredict:
                   "--geno", str(bad), "--out", str(out))
         _one_line_exit_1(rc, capsys, bad, out)
 
+    def test_snp_count_mismatch_exits_1_with_one_line(self, tmp_path, capsys):
+        data, imputed = _imputed(tmp_path)  # 40 SNPs
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--epochs", "2", "--chunk-width", "8", "--out", str(model_dir))
+        assert json.loads((model_dir / "checkpoint.json").read_text())["snps"] == 40
+        wide = _synth(tmp_path / "wide", snps="60") / "geno_truth.csv"
+        capsys.readouterr()
+        out = tmp_path / "preds"
+        rc = _run("predict", "--checkpoint", str(model_dir / "checkpoint.json"),
+                  "--geno", str(wide), "--pheno", str(data / "pheno.csv"), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"genoseq: the checkpoint was trained on 40 SNPs, {wide} has 60"]
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_1(self, tmp_path):
         data, imputed = _imputed(tmp_path)
         rc = _run("predict", "--checkpoint", str(tmp_path / "none.json"),
@@ -635,3 +656,39 @@ class TestSharedBehavior:
         rc = _run("synth", "--samples", "5", "--snps", "6", "--rank", "2",
                   "--missing-frac", "0", "--out", str(blocker))
         assert rc == 3
+
+
+GOOD_CELLS = ["0", "1", "2", "5"]
+FUZZ_CELLS = GOOD_CELLS + ["AA", "ab", " BB ", "Null", "", "3", "x", "-1", "0.5", '"1"', "é", "\x00"]
+
+
+@st.composite
+def _genotype_bytes(draw):
+    """Genotype CSV bytes: rows of good and bad cells, ragged rows, odd line ends, raw bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    cols = draw(st.integers(1, 6))
+    row = (st.lists(st.sampled_from(GOOD_CELLS), min_size=cols, max_size=cols)
+           | st.lists(st.sampled_from(FUZZ_CELLS), max_size=7))
+    lines = [",".join(f"s{j}" for j in range(cols))] + draw(st.lists(row.map(",".join), max_size=8))
+    if draw(st.integers(0, 9)) == 0:  # one cell past the csv module's field size limit
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] += draw(st.sampled_from(GOOD_CELLS)) * (csv.field_size_limit() + 1)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    source = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.binary(max_size=4)) + source[at:]
+    return source
+
+
+class TestFuzz:
+    @given(_genotype_bytes())
+    @settings(max_examples=150, deadline=None)
+    def test_impute_on_any_genotype_bytes_exits_with_a_documented_code(self, source):
+        with tempfile.TemporaryDirectory() as tmp:
+            geno = Path(tmp) / "geno.csv"
+            geno.write_bytes(source)
+            rc = main(["impute", "--geno", str(geno), "--out", str(Path(tmp) / "out"),
+                       "--epochs", "1"])
+        assert rc in (0, 1, 2, 3)

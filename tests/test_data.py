@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build_sequences,
-                          encode_calls, genotype_sequences, genotype_to_csv,
+                          _parse_canonical, encode_calls, genotype_sequences, genotype_to_csv,
                           parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                           split_dataset, synth_lowrank_genotypes, synth_phenotypes,
                           synth_population_genotypes)
@@ -80,7 +80,11 @@ class TestGenotypeCsv:
 
 def _parse_reference(source: bytes) -> GenotypeMatrix:
     """The per-token genotype parser: every cell stripped, upper-cased and looked up."""
-    reader = csv.reader(io.StringIO(source.decode("utf-8")))
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8 text: {e.reason}") from None
+    reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise ParseError("empty genotype file")
@@ -127,9 +131,60 @@ def _token_grids(draw):
     return ("\n".join(lines) + "\n").encode()
 
 
+NEAR_CANONICAL_EDITS = ["none", "crlf", "no_final_newline", "trailing_blank_line", "one_aa",
+                        "quoted_header", "empty_header", "header_only", "non_utf8_header",
+                        "utf8_header"]
+
+
+def _near_canonical_bytes(grid, cols, edit, cell=(0, 0)):
+    """A grid of codes in the layout genotype_to_csv writes, then the named edit."""
+    header = b",".join(b"s%d" % j for j in range(cols))
+    rows = [[c.encode() for c in row] for row in grid]
+    if edit == "one_aa" and rows:
+        rows[cell[0]][cell[1]] = b"AA"
+    if edit == "quoted_header":
+        header = b",".join(b'"s%d"' % j for j in range(cols))
+    elif edit == "empty_header":
+        header = b""
+    elif edit == "non_utf8_header":
+        header = b"s\xff" + header
+    elif edit == "utf8_header":
+        header = "é".encode() + header
+    lines = [header] + ([] if edit == "header_only" else [b",".join(row) for row in rows])
+    eol = b"\r\n" if edit == "crlf" else b"\n"
+    source = eol.join(lines) + (b"" if edit == "no_final_newline" else eol)
+    return source + b"\n" if edit == "trailing_blank_line" else source
+
+
+@st.composite
+def _near_canonical(draw):
+    """Canonical genotype CSV bytes, or the same bytes one edit away from that layout."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.sampled_from("0125"), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    cell = (draw(st.integers(0, max(rows - 1, 0))), draw(st.integers(0, cols - 1)))
+    return _near_canonical_bytes(grid, cols, draw(st.sampled_from(NEAR_CANONICAL_EDITS)), cell)
+
+
 class TestGenotypeCodec:
-    @given(_token_grids())
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("edit", NEAR_CANONICAL_EDITS)
+    def test_each_near_canonical_edit_matches_reference(self, edit):
+        source = _near_canonical_bytes([["0", "5", "2"], ["1", "1", "0"]], 3, edit, (1, 2))
+        assert (_parse_canonical(source) is not None) == (edit in ("none", "header_only"))
+        assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
+
+    @pytest.mark.parametrize("edit", NEAR_CANONICAL_EDITS)
+    def test_file_parse_matches_bytes_parse(self, tmp_path, edit):
+        source = _near_canonical_bytes([["0", "5"], ["2", "1"], ["1", "1"]], 2, edit, (2, 0))
+        path = tmp_path / "g.csv"
+        path.write_bytes(source)
+        expected = _outcome(parse_genotype_csv, source)
+        if expected[0] == "error":  # a file's messages name it where bytes say "input"
+            expected = ("error", expected[1].replace("input", str(path)), *expected[2:])
+        assert _outcome(parse_genotype_csv, path) == expected
+
+    @given(_token_grids() | _near_canonical())
+    @settings(max_examples=500, deadline=None)
     def test_parse_matches_per_token_reference(self, source):
         assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
 
@@ -158,6 +213,21 @@ class TestGenotypeCodec:
         genotype_to_csv(GenotypeMatrix(codes, np.ones_like(codes, dtype=bool), ["a", "b", "c"]),
                         tmp_path / "g.csv")
         assert (tmp_path / "g.csv").read_text() == "a,b,c\n-32768,32767,-1\n0,10,-200\n"
+
+    @pytest.mark.parametrize("header", [False, True], ids=["body", "header"])
+    @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])
+    def test_cell_past_the_csv_field_limit_is_a_parse_error(self, tmp_path, parse, header):
+        long = b"1" * (csv.field_size_limit() + 1)
+        path = tmp_path / "long.csv"
+        path.write_bytes(long + b",b\n1,2\n" if header else b"a,b\n1,2\n" + long + b",2\n")
+        with pytest.raises(ParseError, match="long.csv is not readable CSV: field larger"):
+            parse(path)
+
+    def test_header_cell_at_the_csv_field_limit_parses_on_either_path(self):
+        source = b"1" * csv.field_size_limit() + b",b\n1,2\n"
+        assert _parse_canonical(source) is not None
+        for tail in (b"", b"0,AA\n"):  # the canonical path, then the csv path
+            assert _outcome(parse_genotype_csv, source + tail) == _outcome(_parse_reference, source + tail)
 
     @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])
     def test_non_utf8_is_a_parse_error(self, tmp_path, parse):

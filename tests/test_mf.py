@@ -6,7 +6,7 @@ from genoseq.data import GenotypeMatrix, synth_lowrank_genotypes, synth_populati
 from genoseq.errors import ConfigError, DataError, ShapeError
 from genoseq.linalg import Rng
 import genoseq.mf
-from genoseq.mf import (CostCurve, CostRecord, FactorPair, MfConfig, fit_report,
+from genoseq.mf import (MF_MODES, CostCurve, CostRecord, FactorPair, MfConfig, fit_report,
                         impute, imputation_accuracy, mf_cost, mf_epoch, mf_fit,
                         mf_gradients, mf_init, mf_reconstruct,
                         rounded_reconstruction)
@@ -195,6 +195,8 @@ def _masked(samples, snps, mask, seed):
     elif mask == "one_cell":
         observed[:] = False
         observed[rng.integers(samples), rng.integers(snps)] = True
+    elif mask == "no_holes":
+        observed[:] = True
     return GenotypeMatrix(rng.integers(0, 3, (samples, snps)), observed)
 
 
@@ -224,21 +226,27 @@ class TestPerEntrySweep:
         assert fp.q.tobytes() == ref.q.tobytes()
 
 
+def _reference_residual(g, p, q):
+    d = p @ q.T
+    np.subtract(g.codes, d, out=d)
+    np.copyto(d, 0.0, where=~g.observed)
+    return d
+
+
+def _reference_cost(g, fp, beta):
+    """(sse, objective) in the plain expressions."""
+    d = _reference_residual(g, fp.p, fp.q)
+    sse = float(np.sum(d * d))
+    return sse, sse + 0.5 * beta * (np.sum(fp.p * fp.p) + np.sum(fp.q * fp.q))
+
+
 def _full_batch_reference(g, fp, cfg):
     """One full_batch epoch in the plain expressions: (new factors, sse, objective)."""
-    def residual(p, q):
-        d = p @ q.T
-        np.subtract(g.codes, d, out=d)
-        np.copyto(d, 0.0, where=~g.observed)
-        return d
-
-    d = residual(fp.p, fp.q)
+    d = _reference_residual(g, fp.p, fp.q)
     dp = -2.0 * (d @ fp.q) + cfg.beta * fp.p
     dq = -2.0 * (d.T @ fp.p) + cfg.beta * fp.q
-    p, q = fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq
-    d = residual(p, q)
-    sse = float(np.sum(d * d))
-    return FactorPair(p, q), sse, sse + 0.5 * cfg.beta * (np.sum(p * p) + np.sum(q * q))
+    new = FactorPair(fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq)
+    return (new, *_reference_cost(g, new, cfg.beta))
 
 
 class TestFullBatchEpoch:
@@ -289,6 +297,44 @@ class TestFullBatchFit:
         assert curve.records == records
         assert fp.p.tobytes() == ref.p.tobytes()
         assert fp.q.tobytes() == ref.q.tobytes()
+
+    @pytest.mark.parametrize("mask", ["no_holes", "masked_row", "masked_col"])
+    @pytest.mark.parametrize("mode", MF_MODES)
+    def test_fit_matches_references_and_standalone_epochs_bitwise(self, mode, mask):
+        # mf_fit hands each epoch the index it built once; an epoch called alone builds its own
+        g = _masked(13, 9, mask, seed=5)
+        g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
+        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=6, seed=2, mode=mode)
+        fp, curve = mf_fit(g, cfg)
+        ref = alone = mf_init(13, 9, cfg)
+        n_obs = int(g.observed.sum())
+        for epoch, record in enumerate(curve.records):
+            alone, alone_record = mf_epoch(g, alone, cfg, epoch)
+            if mode == "full_batch":
+                ref, sse, objective = _full_batch_reference(g, ref, cfg)
+            else:
+                ref = _per_entry_reference(g, ref, cfg)
+                sse, objective = _reference_cost(g, ref, cfg.beta)
+            assert record == alone_record == CostRecord(epoch, sse / n_obs, objective)
+        assert len(curve) == 6
+        for got in (fp, alone):
+            assert got.p.tobytes() == ref.p.tobytes()
+            assert got.q.tobytes() == ref.q.tobytes()
+
+    @pytest.mark.parametrize("mode", MF_MODES)
+    def test_fit_builds_the_hole_index_once(self, monkeypatch, mode):
+        g = _masked(9, 11, "random", seed=2)
+        holes, builds = ~g.observed, []
+        flatnonzero = np.flatnonzero
+
+        def counted(a):
+            if np.shape(a) == holes.shape and np.array_equal(a, holes):
+                builds.append(1)
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counted)
+        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, seed=1, mode=mode))
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("mode,most", [("full_batch", 24), ("per_entry", 12)])
     def test_residuals_per_epoch(self, monkeypatch, mode, most):

@@ -12,7 +12,7 @@ from genoseq import rnn
 from genoseq.errors import (ConfigError, DivergenceError, InputError, ParseError,
                             ShapeError)
 from genoseq.linalg import Rng
-from genoseq.rnn import (CELLS, LSTM_FORGET_BIAS, RnnParams, RnnSettings,
+from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, LSTM_FORGET_BIAS, RnnParams, RnnSettings,
                          bptt_gradients, clip_gradients, gradient_norm,
                          load_checkpoint, loss_mse, pearson_correlation, predict,
                          rnn_forward, rnn_init, save_checkpoint, sgd_step, train)
@@ -505,9 +505,42 @@ class TestCheckpoint:
         p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
         path = tmp_path / "model.json"
         save_checkpoint(p, path)
-        doc = path.read_text().replace("genoseq-rnn-v1", "genoseq-rnn-v0")
+        doc = path.read_text().replace(CHECKPOINT_VERSION, "genoseq-rnn-v0")
         path.write_text(doc)
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    def test_v1_checkpoint_rejected_by_version(self, tmp_path):
+        p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        doc = json.loads(path.read_text())
+        del doc["snps"]  # a v1 checkpoint did not record the SNP count
+        path.write_text(json.dumps({**doc, "version": "genoseq-rnn-v1"}))
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 'genoseq-rnn-v1'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("snps", [None, 1, 40])
+    def test_snps_round_trip(self, tmp_path, snps):
+        p = replace(rnn_init("simple_tanh", 8, 2, 1, seed=1), snps=snps)
+        save_checkpoint(p, tmp_path / "model.json")
+        assert load_checkpoint(tmp_path / "model.json").snps == snps
+
+    @pytest.mark.parametrize("snps", [0, -3, 4.0, "40", True, [40]])
+    def test_bad_snps_rejected(self, tmp_path, snps):
+        path = tmp_path / "model.json"
+        save_checkpoint(rnn_init("simple_tanh", 1, 2, 1, seed=1), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "snps": snps}))
+        with pytest.raises(ParseError, match="snps"):
+            load_checkpoint(path)
+
+    def test_missing_snps_entry_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(rnn_init("simple_tanh", 1, 2, 1, seed=1), path)
+        doc = json.loads(path.read_text())
+        del doc["snps"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="lacks the entry 'snps'"):
             load_checkpoint(path)
 
 
