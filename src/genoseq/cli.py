@@ -17,7 +17,6 @@ are controlled by the GENOSEQ_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import gradcheck, mf, pipeline, rnn, tasks
 from .data import (build_sequences, genotype_sequences, genotype_to_csv,
-                   parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
+                   parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv, read_json,
                    split_dataset, synth_lowrank_genotypes, synth_phenotypes,
                    synth_population_genotypes, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError, GenoseqError
@@ -63,11 +62,7 @@ def _setup_logging():
 
 def load_cli_config(path) -> dict:
     """Load a config JSON as {config key: value}; unknown keys are rejected."""
-    try:
-        doc = json.loads(_require_file(path, "config").read_text(encoding="utf-8"))
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise ConfigError(f"config file is not valid JSON: {e}") from None
-    return pipeline.flatten_config(doc)
+    return pipeline.flatten_config(read_json(_require_file(path, "config"), "config file"))
 
 
 def _require_file(path, what: str) -> Path:
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trait", dest="traits", metavar="INDEX", type=int, nargs=1,
                        help="trait column index (default 0)")
 
-    p = sub.add_parser("impute", parents=[], help="fit the factorization and fill missing genotypes")
+    p = sub.add_parser("impute", help="fit the factorization and fill missing genotypes")
     shared(p)
     p.add_argument("--geno", help="genotype CSV with missing cells")
     p.add_argument("--truth", help="fully observed genotype CSV for accuracy reporting")

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,37 +120,41 @@ class SequenceBatch:
         return SequenceBatch(self.inputs[wanted], self.targets[wanted], self.sample_indices[wanted])
 
 
-def encode_calls(tokens) -> list[int]:
-    """Encode genotype call tokens to integers: AA=0, AB=1, BB=2, Null=5.
+def _read_source(source) -> tuple[bytes, str]:
+    """The bytes of ``source``, a path or the bytes themselves, and the name its errors give it."""
+    return (source, "input") if isinstance(source, bytes) else (Path(source).read_bytes(), str(source))
 
-    Tokens are matched case-insensitively; already-numeric tokens
-    (0/1/2/5) pass through. Anything else is a parse error carrying the
-    token's position.
+
+def _csv_rows(raw: bytes, where: str, what: str):
+    """Yield (0, header), then (row number from 1, cells) for each non-blank body row.
+
+    Decodes ``raw`` once, with universal line ends. Bytes that are not UTF-8, a csv error (such
+    as a cell past ``csv.field_size_limit()``), an empty file and a ragged row raise ParseError.
     """
-    out = []
-    for i, tok in enumerate(tokens):
-        key = str(tok).strip().upper()
-        code = _CALL_CODES.get(key)
-        if code is None:
-            raise ParseError(f"unrecognized genotype call {tok!r}", col=i)
-        out.append(code)
-    return out
-
-
-@contextmanager
-def _text_source(source):
-    """A text handle on ``source``: a path, opened here and closed on exit, or CSV bytes."""
-    where = "input" if isinstance(source, bytes) else str(source)
     try:
-        if isinstance(source, bytes):
-            yield io.StringIO(source.decode("utf-8"))
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                yield fh
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"empty {what} file")
+        yield 0, header
+        for r, cells in enumerate(reader, 1):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"ragged row: expected {len(header)} cells, got {len(cells)}", row=r)
+            yield r, cells
     except UnicodeDecodeError as e:
         raise ParseError(f"{where} is not UTF-8 text: {e.reason}") from None
-    except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
+    except csv.Error as e:
         raise ParseError(f"{where} is not readable CSV: {e}") from None
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a file not holding UTF-8 JSON is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
+        raise ParseError(f"{what} is not valid JSON: {e}") from None
 
 
 def write_json(doc, path) -> None:
@@ -169,37 +172,26 @@ def write_csv(path, header, rows) -> None:
 def parse_genotype_csv(source) -> GenotypeMatrix:
     """Parse a genotype CSV: header of SNP ids, one row of calls per sample.
 
-    Cells may be numeric codes {0,1,2,5} or tokens {AA,AB,BB,Null}. The
-    observed mask is False exactly where the sentinel or Null occurred.
-    Ragged rows and empty files are rejected.
+    Cells may be numeric codes {0,1,2,5} or tokens {AA,AB,BB,Null}, in any
+    case and padding. The observed mask is False exactly where the sentinel
+    or Null occurred. Ragged rows and empty files are rejected.
     """
-    canonical = _parse_canonical(source if isinstance(source, bytes) else Path(source).read_bytes())
+    raw, where = _read_source(source)
+    canonical = _parse_canonical(raw)
     if canonical is not None:
         return canonical
-    with _text_source(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty genotype file")
-        snp_ids = [h.strip() for h in header]
-        n_snps = len(snp_ids)
-        calls, n_rows = bytearray(), 0
-        for r, cells in enumerate(reader):
-            if not cells:
-                continue
-            if len(cells) != n_snps:
-                raise ParseError(f"ragged row: expected {n_snps} cells, got {len(cells)}", row=r + 1)
-            try:  # a token not spelled as a key maps to None: extend fails and adds nothing
-                calls.extend(map(_CALL_CODES.get, cells))
-            except TypeError:  # padded, lower-case or unknown: encode_calls decides
-                try:
-                    calls.extend(encode_calls(cells))
-                except ParseError as e:
-                    raise ParseError(str(e), row=r + 1, col=e.col) from None
-            n_rows += 1
-    codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, n_snps)
-    observed = codes != MISSING_SENTINEL
-    return GenotypeMatrix(codes, observed, snp_ids)
+    rows = _csv_rows(raw, where, "genotype")
+    snp_ids = [h.strip() for h in next(rows)[1]]
+    calls, n_rows = bytearray(), 0
+    for r, cells in rows:
+        row = list(map(_CALL_CODES.get, map(str.upper, map(str.strip, cells))))
+        if None in row:
+            c = row.index(None)
+            raise ParseError(f"unrecognized genotype call {cells[c]!r}", row=r, col=c)
+        calls.extend(row)
+        n_rows += 1
+    codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, len(snp_ids))
+    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
 
 
 def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
@@ -240,38 +232,26 @@ def parse_phenotype_csv(source) -> PhenotypeTable:
     An empty cell or "NA" (any case) marks a missing measurement; a
     measurement must be a finite number.
     """
-    with _text_source(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty phenotype file")
-        names = [h.strip() for h in header]
-        n_traits = len(names)
-        values, observed = [], []
-        for r, cells in enumerate(reader):
-            if not cells:
-                continue
-            if len(cells) != n_traits:
-                raise ParseError(f"ragged row: expected {n_traits} cells, got {len(cells)}", row=r + 1)
-            vrow, orow = [], []
-            for c, cell in enumerate(cells):
-                cell = cell.strip()
-                if cell == "" or cell.upper() == "NA":
-                    vrow.append(0.0)
-                    orow.append(False)
-                else:
-                    try:
-                        vrow.append(float(cell))
-                    except ValueError:
-                        raise ParseError(f"non-numeric phenotype cell {cell!r}", row=r + 1, col=c) from None
-                    if not math.isfinite(vrow[-1]):
-                        raise ParseError(f"non-finite phenotype cell {cell!r}", row=r + 1, col=c)
-                    orow.append(True)
-            values.append(vrow)
-            observed.append(orow)
-    vals = np.array(values, dtype=np.float64).reshape(len(values), n_traits)
-    mask = np.array(observed, dtype=bool).reshape(len(values), n_traits)
-    return PhenotypeTable(vals, mask, names)
+    rows = _csv_rows(*_read_source(source), "phenotype")
+    names = [h.strip() for h in next(rows)[1]]
+    values = [[_phenotype_value(cell, r, c) for c, cell in enumerate(cells)] for r, cells in rows]
+    values = np.array(values, dtype=np.float64).reshape(len(values), len(names))
+    observed = ~np.isnan(values)
+    return PhenotypeTable(np.where(observed, values, 0.0), observed, names)
+
+
+def _phenotype_value(cell: str, r: int, c: int) -> float:
+    """The measurement in a phenotype cell, NaN where it is missing."""
+    cell = cell.strip()
+    if cell == "" or cell.upper() == "NA":
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"non-numeric phenotype cell {cell!r}", row=r, col=c) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite phenotype cell {cell!r}", row=r, col=c)
+    return value
 
 
 def phenotype_to_csv(p: PhenotypeTable, path) -> None:
@@ -388,11 +368,10 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
 
 
 def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
-                     snps_per_trait: int = 8, noise: float = 0.25,
-                     missing_per_trait: int = 0) -> PhenotypeTable:
+                     noise: float = 0.25, missing_per_trait: int = 0) -> PhenotypeTable:
     """Synthesize traits as noisy linear signals over a few SNP columns.
 
-    Each trait draws its own SNP subset and weights, so the resulting
+    Each trait draws its own subset of 8 SNPs and weights, so the resulting
     phenotypes are learnable from the genotypes. ``missing_per_trait``
     samples per trait are masked out, mimicking partially measured traits.
     """
@@ -403,7 +382,7 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
                           f"got {missing_per_trait}")
     rng = Rng(seed)
     u = truth.samples
-    k = min(snps_per_trait, truth.snps)
+    k = min(8, truth.snps)
     values = np.zeros((u, traits))
     observed = np.ones((u, traits), dtype=bool)
     g = truth.codes.astype(np.float64)

@@ -23,21 +23,21 @@ from .linalg import Rng, derive_seed
 
 DEFAULT_THRESHOLD = 1e-5
 _RELU_KINK_GUARD = 1e-3
+_STEP = 1e-5  # the central-difference step h
 
 
-def central_difference(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def central_difference(f, theta: np.ndarray) -> np.ndarray:
     """Numeric gradient of scalar f at theta, one coordinate at a time."""
     grad = np.empty_like(theta)
     for i in range(theta.size):
         bump = np.zeros_like(theta)
-        bump[i] = h
-        grad[i] = (f(theta + bump) - f(theta - bump)) / (2.0 * h)
+        bump[i] = _STEP
+        grad[i] = (f(theta + bump) - f(theta - bump)) / (2.0 * _STEP)
     return grad
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                       min_magnitude: float = 1e-8, noise_floor: float = 0.0) -> float:
-    """Largest |a - n| / max(|a|, |n|) over components above the magnitude floor.
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, noise_floor: float) -> float:
+    """Largest |a - n| / max(|a|, |n|) over components of magnitude above 1e-8.
 
     ``noise_floor`` is the absolute resolution of the numeric oracle
     itself (roundoff in f(x+h) - f(x-h) divided by 2h). Discrepancies
@@ -48,19 +48,19 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
     n = np.asarray(numeric).reshape(-1)
     diff = np.abs(a - n)
     scale = np.maximum(np.abs(a), np.abs(n))
-    keep = (scale > min_magnitude) & (diff > noise_floor)
+    keep = (scale > 1e-8) & (diff > noise_floor)
     if not keep.any():
         return 0.0
     return float(np.max(diff[keep] / scale[keep]))
 
 
-def fd_noise_floor(f_magnitude: float, h: float) -> float:
+def fd_noise_floor(f_magnitude: float) -> float:
     """Roundoff resolution of a central difference on a float64 function."""
     eps = np.finfo(np.float64).eps
-    return 64.0 * eps * max(abs(f_magnitude), 0.1) / (2.0 * h)
+    return 64.0 * eps * max(abs(f_magnitude), 0.1) / (2.0 * _STEP)
 
 
-def check_mf(trials: int, seed: int, h: float = 1e-5) -> float:
+def check_mf(trials: int, seed: int) -> float:
     """Max relative error of mf_gradients vs central differences.
 
     Each trial draws a small random instance (samples, snps <= 8,
@@ -88,10 +88,10 @@ def check_mf(trials: int, seed: int, h: float = 1e-5) -> float:
             return mf.mf_cost(g, mf.FactorPair(p, q), beta)[1]
 
         theta0 = np.concatenate([p0.reshape(-1), q0.reshape(-1)])
-        numeric = central_difference(objective, theta0, h)
+        numeric = central_difference(objective, theta0)
         dp, dq = mf.mf_gradients(g, mf.FactorPair(p0, q0), beta)
         analytic = np.concatenate([dp.reshape(-1), dq.reshape(-1)])
-        floor = fd_noise_floor(objective(theta0), h)
+        floor = fd_noise_floor(objective(theta0))
         worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
     return worst
 
@@ -127,7 +127,7 @@ def _random_instance(cell: str, rng: Rng):
     return params, x, targets
 
 
-def check_rnn(cell: str, trials: int, seed: int, h: float = 1e-5) -> float:
+def check_rnn(cell: str, trials: int, seed: int) -> float:
     """Max relative error of bptt_gradients vs central differences for one cell."""
     worst = 0.0
     for trial in range(trials):
@@ -147,14 +147,14 @@ def check_rnn(cell: str, trials: int, seed: int, h: float = 1e-5) -> float:
             return rnn.loss_mse(rnn.rnn_forward(candidate, x).outputs, targets)
 
         theta0 = _pack(params.tensors())
-        numeric = central_difference(loss_at, theta0, h)
+        numeric = central_difference(loss_at, theta0)
         analytic = _pack(rnn.bptt_gradients(params, (x, targets)))
-        floor = fd_noise_floor(loss_at(theta0), h)
+        floor = fd_noise_floor(loss_at(theta0))
         worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
     return worst
 
 
-def run_all(trials: int, seed: int, scopes=None, h: float = 1e-5) -> dict[str, float]:
+def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
     """Run every requested oracle; returns {scope: max relative error}.
 
     Scopes are "mf" plus the cell names; None means all of them.
@@ -170,7 +170,7 @@ def run_all(trials: int, seed: int, scopes=None, h: float = 1e-5) -> dict[str, f
     results = {}
     for s in scopes:
         if s == "mf":
-            results[s] = check_mf(trials, seed, h)
+            results[s] = check_mf(trials, seed)
         else:
-            results[s] = check_rnn(s, trials, seed, h)
+            results[s] = check_rnn(s, trials, seed)
     return results

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -105,7 +106,7 @@ def flatten_config(doc) -> dict:
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON or flag value fits a field's type hint."""
+    """Whether a JSON or flag value fits a field's type hint; a float must be finite."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         return any(_fits(h, value) for h in args)
@@ -118,15 +119,18 @@ def _fits(hint, value) -> bool:
         return len(value) == len(elems) and all(map(_fits, elems, value))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # a finite float, or an int that converts to one
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def resolve_config(values: dict, base: PipelineConfig | None = None) -> PipelineConfig:
     """The run config: ``values``, by CONFIG_KEYS name, over ``base`` (default PipelineConfig()).
 
     A value must fit its field's type: an int fits a float, a bool no number,
-    and a list of the right length fits (and becomes) a tuple. File keys are
-    only checked; names that are no config key (other flags) are ignored.
+    NaN and infinity no float, and a list of the right length fits (and
+    becomes) a tuple. File keys are only checked; names that are no config
+    key (other flags) are ignored.
     """
     base = base or PipelineConfig()
     parts = {"": {}, "mf": {}, "rnn": {}}

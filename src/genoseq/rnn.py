@@ -18,14 +18,12 @@ backpropagation through time and optional global-norm gradient clipping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from .data import SequenceBatch, write_csv, write_json
+from .data import SequenceBatch, read_json, write_csv, write_json
 from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeError
 from .linalg import Rng, sigmoid
 
@@ -515,10 +513,7 @@ def save_checkpoint(params: RnnParams, path) -> None:
 
 def load_checkpoint(path) -> RnnParams:
     """Read a model written by save_checkpoint; a malformed file raises ParseError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise ParseError(f"checkpoint is not JSON: {e}") from None
+    doc = read_json(path, "checkpoint")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version!r}")
@@ -529,7 +524,7 @@ def load_checkpoint(path) -> RnnParams:
                    for name in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")}
     except KeyError as e:
         raise ParseError(f"checkpoint lacks the entry {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed checkpoint: {e}") from None
     if not all(type(d) is int for d in dims) or not (snps is None or type(snps) is int and snps > 0):
         raise ParseError(f"malformed checkpoint dimensions {dims} or snps {snps!r}")

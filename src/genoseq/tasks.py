@@ -14,36 +14,33 @@ from .errors import ConfigError
 from .linalg import Rng
 
 
-
-def lag_memory_task(n_sequences: int, lag: int, seed: int,
-                    lo: float = -1.0, hi: float = 1.0) -> SequenceBatch:
+def lag_memory_task(n_sequences: int, lag: int, seed: int) -> SequenceBatch:
     """Recall-after-silence: the value shown at step 1 is the target at step ``lag``.
 
     Inputs are width-1 sequences of ``lag`` steps, zero everywhere except
-    the first step, which holds a uniform draw from [lo, hi). A model must
+    the first step, which holds a uniform draw from [-1, 1). A model must
     carry that single observation across lag - 1 empty steps.
     """
     if n_sequences < 1 or lag < 1:
         raise ConfigError(f"need n_sequences, lag >= 1, got {n_sequences}, {lag}")
     rng = Rng(seed)
-    values = rng.uniform(n_sequences, lo, hi)
+    values = rng.uniform(n_sequences, -1.0, 1.0)
     inputs = np.zeros((n_sequences, lag, 1))
     inputs[:, 0, 0] = values
     return SequenceBatch(inputs, values[:, None])
 
 
-def deep_recall_task(n_sequences: int, length: int, seed: int,
-                     lo: float = -2.0, hi: float = 2.0) -> SequenceBatch:
+def deep_recall_task(n_sequences: int, length: int, seed: int) -> SequenceBatch:
     """Sum of values shown at deep positions only; silence everywhere else.
 
-    Values appear at six depths, the shallowest 8% of the sequence length
-    ago and the deepest at the very first step; every other input is
-    exactly zero and the target is the sum of the shown values. Nothing
-    inside a vanilla cell's few-step reach carries information, so a cell
-    reduces the loss exactly as far back as its memory extends: a
-    short-memory recurrence cannot leave the mean-prediction plateau, a
-    gated cell collects the shallower depths, and an identity-initialized
-    relu cell reaches all of them.
+    Values uniform on [-2, 2) appear at six depths, the shallowest 8% of
+    the sequence length ago and the deepest at the very first step; every
+    other input is exactly zero and the target is the sum of the shown
+    values. Nothing inside a vanilla cell's few-step reach carries
+    information, so a cell reduces the loss exactly as far back as its
+    memory extends: a short-memory recurrence cannot leave the
+    mean-prediction plateau, a gated cell collects the shallower depths,
+    and an identity-initialized relu cell reaches all of them.
     """
     if n_sequences < 1 or length < 5:
         raise ConfigError(f"need n_sequences >= 1 and length >= 5, got {n_sequences}, {length}")
@@ -51,7 +48,7 @@ def deep_recall_task(n_sequences: int, length: int, seed: int,
     fractions = (0.08, 0.25, 0.45, 0.65, 0.85, 1.0)
     lags = sorted({min(length - 1, max(1, round(f * length) - 1)) for f in fractions})
     idx = np.array([length - 1 - l for l in lags])
-    values = rng.uniform((n_sequences, len(idx)), lo, hi)
+    values = rng.uniform((n_sequences, len(idx)), -2.0, 2.0)
     x = np.zeros((n_sequences, length, 1))
     x[:, idx, 0] = values
     targets = values.sum(axis=1)[:, None]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genoseq.cli import main
-from genoseq.data import parse_genotype_csv, parse_phenotype_csv
-from genoseq.rnn import load_checkpoint, predict
+from genoseq.data import (genotype_to_csv, parse_genotype_csv, parse_phenotype_csv,
+                          synth_lowrank_genotypes)
+from genoseq.pipeline import CONFIG_KEYS
+from genoseq.rnn import load_checkpoint, predict, rnn_init, save_checkpoint
 
 
 def _run(*argv):
@@ -299,6 +302,11 @@ def _with_nan_w_ho(doc):
     return json.dumps(doc)
 
 
+def _with_huge_int_w_ho(doc):
+    doc["tensors"]["w_ho"]["data"][0] = 10 ** 400  # past the float range
+    return json.dumps(doc)
+
+
 def _with_outputs(n_out):
     """A mangler that gives the readout n_out rows, each a copy of the trained one."""
     def mangle(doc):
@@ -375,9 +383,11 @@ class TestPredict:
         lambda doc: json.dumps({**doc, "tensors": {k: v for k, v in doc["tensors"].items()
                                                    if k != "w_hh"}}),
         _with_nan_w_ho,
+        _with_huge_int_w_ho,
         _with_outputs(0),
         _with_outputs(2),
-    ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho", "zero_outputs", "two_outputs"])
+    ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho", "huge_int_w_ho", "zero_outputs",
+            "two_outputs"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -650,6 +660,60 @@ class TestSharedBehavior:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
 
+    @pytest.mark.parametrize("command, doc, flags, key", [
+        ("impute", '{"mf": {"beta": NaN}}', (), "mf.beta"),
+        ("impute", '{"mf": {"alpha": Infinity}}', (), "mf.alpha"),
+        ("impute", '{"mf": {"init_range": [0, Infinity]}}', (), "mf.init_range"),
+        ("impute", '{"mf": {"alpha": 1%s}}' % ("0" * 400), (), "mf.alpha"),
+        ("impute", None, ("--beta", "nan"), "mf.beta"),
+        ("impute", None, ("--alpha", "inf"), "mf.alpha"),
+        ("train", '{"success_tolerance": NaN}', (), "success_tolerance"),
+        ("train", '{"rnn": {"clip_norm": Infinity}}', (), "rnn.clip_norm"),
+        ("train", '{"data": {"ratios": [NaN, 0.5, 0.5]}}', (), "data.ratios"),
+        ("train", None, ("--success-tolerance", "nan"), "success_tolerance"),
+        ("train", None, ("--lr", "inf"), "rnn.learning_rate"),
+    ], ids=["beta_nan", "alpha_inf", "init_range_inf", "alpha_int_past_float", "beta_flag_nan",
+            "alpha_flag_inf", "tolerance_nan", "clip_norm_inf", "ratios_nan",
+            "tolerance_flag_nan", "lr_flag_inf"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 command, doc, flags, key):
+        data = _synth(tmp_path)
+        argv = [command, *flags, "--epochs", "2", "--out", str(tmp_path / "out")]
+        if command == "impute":
+            argv += ["--geno", str(data / "geno_holed.csv")]
+        else:
+            argv += ["--geno", str(data / "geno_truth.csv"), "--pheno", str(data / "pheno.csv")]
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(doc)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the config was checked")
+
+        monkeypatch.setattr("genoseq.cli.parse_genotype_csv", no_read)
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"genoseq: config key '{key}' must be ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what", ["config file", "checkpoint"])
+    def test_deeply_nested_json_exits_1_with_one_line(self, tmp_path, capsys, what):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        data = _synth(tmp_path)
+        capsys.readouterr()
+        if what == "config file":
+            rc = _run("synth", "--config", str(deep), "--out", str(tmp_path / "o"))
+        else:
+            rc = _run("predict", "--checkpoint", str(deep), "--geno", str(data / "geno_truth.csv"),
+                      "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"genoseq: {what} is not valid JSON: maximum recursion depth exceeded "
+                       "while decoding a JSON array from a unicode string"]
+        assert not (tmp_path / "o").exists()
+
     def test_output_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file in the way")
@@ -682,6 +746,77 @@ def _genotype_bytes(draw):
     return source
 
 
+# Integers stay small: an int key such as mf.features sizes arrays, so a large one asks
+# for that much memory.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 64) | st.floats()
+                 | st.text(max_size=6) | st.sampled_from(["default", "per_entry", "lstm", "nan"]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+_TOP_NAMES = sorted({key.split(".")[0] for key in CONFIG_KEYS})
+_SECTION_NAMES = sorted({key.split(".", 1)[1] for key in CONFIG_KEYS if "." in key})
+
+
+def _json_text(draw, doc):
+    """``doc`` as JSON text (NaN and Infinity as Python writes them), maybe cut short or nested."""
+    text = json.dumps(doc)
+    shape = draw(st.sampled_from(["whole", "whole", "truncated", "nested"]))
+    if shape == "truncated":
+        return text[:draw(st.integers(0, len(text)))]
+    if shape == "nested":
+        depth = draw(st.integers(1, 3000))
+        return "[" * depth + text + "]" * draw(st.sampled_from([0, depth]))
+    return text
+
+
+@st.composite
+def _config_text(draw):
+    """A config document: known and unknown keys and sections holding values of any JSON type."""
+    name = st.sampled_from(_TOP_NAMES) | st.text(max_size=5)
+    section = st.dictionaries(st.sampled_from(_SECTION_NAMES) | st.text(max_size=5), _JSON_VALUES,
+                              max_size=3)
+    doc = draw(st.dictionaries(name, section | _JSON_VALUES, max_size=4) | _JSON_VALUES)
+    return _json_text(draw, doc)
+
+
+_CHECKPOINT_PATHS = (st.sampled_from(["version", "cell", "n_in", "n_hidden", "n_out", "snps",
+                                      "tensors", "extra"]).map(lambda key: (key,))
+                     | st.tuples(st.sampled_from(["w_ih", "w_hh", "w_ho", "b_h", "b_o"]),
+                                 st.sampled_from([(), ("shape",), ("shape", 0), ("data",),
+                                                  ("data", 0)]))
+                     .map(lambda edit: ("tensors", edit[0], *edit[1])))
+
+
+@st.composite
+def _checkpoint_text(draw, valid):
+    """A valid checkpoint document with up to three entries deleted or replaced by any JSON value."""
+    doc = json.loads(valid)
+    value = _JSON_VALUES | st.integers() | st.sampled_from(["nan", "-inf", "1e400", 10 ** 400])
+    for path, delete, new in draw(st.lists(st.tuples(_CHECKPOINT_PATHS, st.booleans(), value),
+                                           max_size=3)):
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if delete:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = new
+        except (KeyError, IndexError, TypeError):  # an earlier edit removed or replaced the parent
+            pass
+    return _json_text(draw, doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Holed and complete 6x16 genotype files, and the text of a checkpoint made for 16 SNPs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    holed, truth = synth_lowrank_genotypes(6, 16, rank=2, missing_frac=0.1, seed=3)
+    genotype_to_csv(holed, root / "holed.csv")
+    genotype_to_csv(truth, root / "truth.csv")
+    save_checkpoint(replace(rnn_init("simple_tanh", 8, 3, 1, seed=4), snps=16), root / "ckpt.json")
+    return root / "holed.csv", root / "truth.csv", (root / "ckpt.json").read_text()
+
+
 class TestFuzz:
     @given(_genotype_bytes())
     @settings(max_examples=150, deadline=None)
@@ -691,4 +826,25 @@ class TestFuzz:
             geno.write_bytes(source)
             rc = main(["impute", "--geno", str(geno), "--out", str(Path(tmp) / "out"),
                        "--epochs", "1"])
+        assert rc in (0, 1, 2, 3)
+
+    @given(_config_text())
+    @settings(max_examples=120, deadline=None)
+    def test_impute_on_any_config_exits_with_a_documented_code(self, fuzz_inputs, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(text)
+            rc = main(["impute", "--config", str(config), "--geno", str(fuzz_inputs[0]),
+                       "--out", str(Path(tmp) / "out"), "--epochs", "1"])
+        assert rc in (0, 1, 2, 3)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_predict_on_any_checkpoint_exits_with_a_documented_code(self, fuzz_inputs, data):
+        _, geno, valid = fuzz_inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = Path(tmp) / "ckpt.json"
+            checkpoint.write_text(data.draw(_checkpoint_text(valid)))
+            rc = main(["predict", "--checkpoint", str(checkpoint), "--geno", str(geno),
+                       "--out", str(Path(tmp) / "out")])
         assert rc in (0, 1, 2, 3)

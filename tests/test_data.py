@@ -8,31 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build_sequences,
-                          _parse_canonical, encode_calls, genotype_sequences, genotype_to_csv,
+                          _parse_canonical, genotype_sequences, genotype_to_csv,
                           parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                           split_dataset, synth_lowrank_genotypes, synth_phenotypes,
                           synth_population_genotypes)
 from genoseq.errors import ConfigError, ParseError, StateError
 from genoseq.linalg import Rng
-
-
-class TestEncodeCalls:
-    def test_canonical_tokens(self):
-        assert encode_calls(["AA", "AB", "BB", "Null"]) == [0, 1, 2, 5]
-
-    def test_empty(self):
-        assert encode_calls([]) == []
-
-    def test_case_insensitive(self):
-        assert encode_calls(["aa", "bb"]) == [0, 2]
-
-    def test_numeric_passthrough(self):
-        assert encode_calls(["0", "1", "2", "5"]) == [0, 1, 2, 5]
-
-    def test_unknown_token_carries_position(self):
-        with pytest.raises(ParseError) as exc:
-            encode_calls(["AA", "XY"])
-        assert exc.value.col == 1
 
 
 class TestGenotypeCsv:
@@ -42,9 +23,13 @@ class TestGenotypeCsv:
         np.testing.assert_array_equal(g.observed, [[True, False, True], [True, True, True]])
         assert g.snp_ids == ["s1", "s2", "s3"]
 
-    def test_token_body(self):
-        g = parse_genotype_csv(b"a,b\nAA,Null\nBB,AB\n")
+    @pytest.mark.parametrize("source", [b"a,b\nAA,Null\nBB,AB\n", b"a,b\naa,null\nbb,ab\n",
+                                        b"a,b\n0,nULL\nbB,1\n", b"a,b\n AA ,5\r\n2, Ab\r\n"],
+                             ids=["tokens", "lower_case", "numeric_and_tokens", "padded_crlf"])
+    def test_token_body(self, source):
+        g = parse_genotype_csv(source)
         np.testing.assert_array_equal(g.codes, [[0, 5], [2, 1]])
+        np.testing.assert_array_equal(g.observed, [[True, False], [True, True]])
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ParseError):
@@ -54,10 +39,13 @@ class TestGenotypeCsv:
         with pytest.raises(ParseError):
             parse_genotype_csv(b"")
 
-    def test_bad_cell_carries_location(self):
+    @pytest.mark.parametrize("source, row, col", [(b"a,b\n0,XX\n", 1, 1),
+                                                  (b"a,b,c\naa,1,Null\n\nAB,XY,2\n", 3, 1)],
+                             ids=["first_row", "after_blank_line"])
+    def test_bad_cell_carries_location(self, source, row, col):
         with pytest.raises(ParseError) as exc:
-            parse_genotype_csv(b"a,b\n0,XX\n")
-        assert exc.value.row == 1 and exc.value.col == 1
+            parse_genotype_csv(source)
+        assert exc.value.row == row and exc.value.col == col
 
     def test_crlf_accepted(self):
         g = parse_genotype_csv(b"a,b\r\n1,2\r\n")
@@ -78,6 +66,9 @@ class TestGenotypeCsv:
         assert again.observed.tobytes() == holed.observed.tobytes()
 
 
+REFERENCE_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": 5, "0": 0, "1": 1, "2": 2, "5": 5}
+
+
 def _parse_reference(source: bytes) -> GenotypeMatrix:
     """The per-token genotype parser: every cell stripped, upper-cased and looked up."""
     try:
@@ -96,10 +87,12 @@ def _parse_reference(source: bytes) -> GenotypeMatrix:
             continue
         if len(cells) != n_snps:
             raise ParseError(f"ragged row: expected {n_snps} cells, got {len(cells)}", row=r + 1)
-        try:
-            rows.append(encode_calls(cells))
-        except ParseError as e:
-            raise ParseError(str(e), row=r + 1, col=e.col) from None
+        row = []
+        for c, cell in enumerate(cells):
+            if cell.strip().upper() not in REFERENCE_CODES:
+                raise ParseError(f"unrecognized genotype call {cell!r}", row=r + 1, col=c)
+            row.append(REFERENCE_CODES[cell.strip().upper()])
+        rows.append(row)
     codes = np.array(rows, dtype=np.int16).reshape(len(rows), n_snps)
     return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
 
@@ -228,6 +221,13 @@ class TestGenotypeCodec:
         assert _parse_canonical(source) is not None
         for tail in (b"", b"0,AA\n"):  # the canonical path, then the csv path
             assert _outcome(parse_genotype_csv, source + tail) == _outcome(_parse_reference, source + tail)
+
+    def test_lone_cr_line_ends_parse_alike_from_bytes_and_file(self, tmp_path):
+        source = b"a,b\rAA,1\r0,2\r"
+        path = tmp_path / "cr.csv"
+        path.write_bytes(source)
+        assert _outcome(parse_genotype_csv, source) == _outcome(parse_genotype_csv, path)
+        assert parse_genotype_csv(source).codes.tolist() == [[0, 1], [0, 2]]
 
     @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])
     def test_non_utf8_is_a_parse_error(self, tmp_path, parse):

@@ -18,8 +18,9 @@ class TestLagMemoryTask:
         assert a.inputs.tobytes() == b.inputs.tobytes()
 
     def test_value_range(self):
-        batch = lag_memory_task(100, 10, seed=1, lo=-2.0, hi=2.0)
-        assert batch.targets.min() >= -2.0 and batch.targets.max() < 2.0
+        batch = lag_memory_task(100, 10, seed=1)
+        assert batch.targets.min() >= -1.0 and batch.targets.max() < 1.0
+        assert batch.targets.min() < -0.9 and batch.targets.max() > 0.9  # the whole of [-1, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
