@@ -8,10 +8,10 @@ A flag that overrides a config key stores its value under that key's name
 from one --seed, fanned out per stage by name, so a fixed seed makes every
 file output bit-reproducible.
 
-Exit codes: 0 success, 1 usage/config/parse errors, 2 numerical
-divergence, 3 output I/O failures. Diagnostics go to standard error and
-are controlled by the GENOSEQ_LOG environment variable
-(error|warn|info|debug).
+Exit codes: 0 success, 1 usage/config/parse errors (a size too large to
+allocate among them), 2 numerical divergence, 3 output I/O failures.
+Diagnostics go to standard error and are controlled by the GENOSEQ_LOG
+environment variable (error|warn|info|debug).
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"genoseq: divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except GenoseqError as e:
+    except (GenoseqError, MemoryError) as e:  # MemoryError: a size too large to allocate
         print(f"genoseq: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

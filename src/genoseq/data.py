@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, StateError
-from .linalg import Rng
+from .linalg import Rng, check_alloc
 
 MISSING_SENTINEL = 5
 
@@ -430,6 +430,7 @@ def genotype_sequences(g: GenotypeMatrix, chunk_width: int) -> np.ndarray:
         raise ConfigError(f"chunk_width must be >= 1, got {chunk_width}")
     u, v = g.samples, g.snps
     t_seq = math.ceil(v / chunk_width)
+    check_alloc(u * t_seq * chunk_width)
     x = np.zeros((u, t_seq * chunk_width))
     x[:, :v] = g.codes.astype(np.float64)
     x *= 0.5

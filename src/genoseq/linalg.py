@@ -12,6 +12,8 @@ calls with the same seed replay the same stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Matrix = np.ndarray
@@ -21,6 +23,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+
+
+def check_alloc(count: int) -> int:
+    """``count``, or a MemoryError if no numpy array can hold ``count`` 8-byte values."""
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate {count} 8-byte values")
+    return count
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -48,20 +57,20 @@ class Rng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        idx = np.arange(self._counter + 1, self._counter + check_alloc(n) + 1, dtype=np.uint64)
         self._counter += n
         return _mix64(self._seed + idx * _GOLDEN)
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Uniform float64 draws on [lo, hi) using the top 53 bits per output."""
-        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        n = math.prod(map(int, shape)) if not np.isscalar(shape) else int(shape)
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         out = lo + (hi - lo) * u
         return out.reshape(shape) if not np.isscalar(shape) else out
 
     def gaussian(self, shape, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""
-        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        n = math.prod(map(int, shape)) if not np.isscalar(shape) else int(shape)
         pairs = (n + 1) // 2
         raw = self.raw(2 * pairs)
         # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
@@ -98,9 +107,9 @@ def derive_seed(seed: int, label: str) -> int:
     return int(mixed[0])
 
 
-def frobenius_sq(a: Matrix) -> float:
-    """Sum of squared entries (the squared Frobenius norm)."""
-    return float(np.sum(a * a))
+def frobenius_sq(a: Matrix, out: Matrix | None = None) -> float:
+    """Sum of squared entries (the squared Frobenius norm); the squares go to ``out`` when given."""
+    return float(np.sum(np.multiply(a, a, out=out)))
 
 
 def sigmoid(a: Matrix, out: Matrix | None = None) -> Matrix:

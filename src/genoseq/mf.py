@@ -101,25 +101,39 @@ class CostCurve:
         return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
 
 
-def _masked_residual(g: GenotypeMatrix, fp: FactorPair, holes=None) -> np.ndarray:
-    """G - p@q.T built in place, zero at the flat index ``holes`` of the unobserved cells."""
-    d = fp.p @ fp.q.T
+def _masked_residual(g: GenotypeMatrix, fp: FactorPair, index) -> np.ndarray:
+    """G - p@q.T built in place (in ``index.residual`` when set), zero at the unobserved cells."""
+    d = np.matmul(fp.p, fp.q.T, out=index.residual)
     np.subtract(g.codes, d, out=d)
-    d.reshape(-1)[np.flatnonzero(~g.observed) if holes is None else holes] = 0.0
+    d.reshape(-1)[index.holes] = 0.0
     return d
 
 
 class _FitIndex(NamedTuple):
-    """What each epoch of a fit reads from ``g`` beyond its codes; mf_fit builds it once."""
+    """What each epoch of a fit reads from ``g`` beyond its codes, and the workspace it writes
+    (without one, each call allocates its own arrays); mf_fit builds it once."""
 
     holes: np.ndarray       # flat indices of the unobserved cells
     diagonals: list | None  # ``_diagonals(g)`` in per_entry mode, else None
+    residual: np.ndarray | None = None  # samples x snps: each residual, then the temporaries
+    spare: tuple = (None, None)  # full_batch: the (p, q) buffers the new factors are written to
 
 
-def _fit_index(g: GenotypeMatrix, mode: str) -> _FitIndex:
+def _fit_index(g: GenotypeMatrix, mode: str, fp: FactorPair | None = None) -> _FitIndex:
+    """The index of ``g``; given the factors ``fp``, with a workspace for fitting them."""
     holes = np.flatnonzero(~g.observed)  # held through the fit: int32 wherever it fits
     holes = holes.astype(np.int32) if g.observed.size < 2**31 else holes
-    return _FitIndex(holes, _diagonals(g) if mode == "per_entry" else None)
+    index = _FitIndex(holes, _diagonals(g) if mode == "per_entry" else None)
+    if fp is None:
+        return index
+    spare = (np.empty_like(fp.p), np.empty_like(fp.q)) if mode == "full_batch" else (None, None)
+    return index._replace(residual=np.empty(g.codes.shape), spare=spare)
+
+
+def _scratch(index: _FitIndex, like: np.ndarray):
+    """A ``like``-shaped view of the free residual buffer, or None (allocate) if it has no room."""
+    fits = index.residual is not None and index.residual.size >= like.size
+    return index.residual.reshape(-1)[:like.size].reshape(like.shape) if fits else None
 
 
 def _diagonals(g: GenotypeMatrix) -> list:
@@ -152,22 +166,24 @@ def mf_reconstruct(fp: FactorPair) -> np.ndarray:
     return fp.p @ fp.q.T
 
 
-def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, holes=None) -> tuple[float, float]:
+def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, index=None) -> tuple[float, float]:
     """(sse, objective): squared error over observed cells, plus regularization."""
-    d = _masked_residual(g, fp, holes)
+    index = index or _fit_index(g, "full_batch")
+    d = _masked_residual(g, fp, index)
     sse = float(np.sum(np.multiply(d, d, out=d)))
-    objective = sse + 0.5 * beta * (frobenius_sq(fp.p) + frobenius_sq(fp.q))
-    return sse, objective
+    norms = frobenius_sq(fp.p, _scratch(index, fp.p)) + frobenius_sq(fp.q, _scratch(index, fp.q))
+    return sse, sse + 0.5 * beta * norms
 
 
 def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float,
-                 holes=None) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the objective with respect to p and q."""
-    d = _masked_residual(g, fp, holes)
-    dp, dq = d @ fp.q, d.T @ fp.p
+                 index=None) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of the objective with respect to p and q (in ``index.spare`` when set)."""
+    index = index or _fit_index(g, "full_batch")
+    d = _masked_residual(g, fp, index)
+    dp, dq = np.matmul(d, fp.q, out=index.spare[0]), np.matmul(d.T, fp.p, out=index.spare[1])
     for grad, factor in ((dp, fp.p), (dq, fp.q)):  # -2.0 * grad + beta * factor, in place
         grad *= -2.0
-        grad += beta * factor
+        grad += np.multiply(beta, factor, out=_scratch(index, factor))
     return dp, dq
 
 
@@ -179,8 +195,8 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, i
     from the fresh p row) bit for bit, one vectorized step per anti-diagonal
     u+v: a diagonal's cells share no factor row, and each cell's row and
     column predecessors lie on earlier diagonals. Dots use np.matmul, as
-    ``p[u] @ q[v]`` does. ``index`` is ``_fit_index(g, cfg.mode)``, which
-    mf_fit builds once per fit; without it the epoch builds its own.
+    ``p[u] @ q[v]`` does. ``index`` is ``_fit_index(g, cfg.mode, fp)``, built once by
+    mf_fit; alone, the epoch builds one without a workspace. ``fp`` is never changed.
     """
     if index is None:
         index = _fit_index(g, cfg.mode)
@@ -188,7 +204,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, i
     # intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == "full_batch":
-            dp, dq = mf_gradients(g, fp, cfg.beta, index.holes)
+            dp, dq = mf_gradients(g, fp, cfg.beta, index)
             dp *= cfg.alpha  # p - alpha * dp, stepped inside the gradient buffers
             dq *= cfg.alpha
             new = FactorPair(np.subtract(fp.p, dp, out=dp), np.subtract(fp.q, dq, out=dq))
@@ -202,7 +218,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, i
                 q[vs] = qv + cfg.alpha * (err2 * p_u - cfg.beta * qv)
                 p[us] = p_u
             new = FactorPair(p, q)
-        sse, objective = mf_cost(g, new, cfg.beta, index.holes)
+        sse, objective = mf_cost(g, new, cfg.beta, index)
     if not np.isfinite(objective):
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)
     n_obs = g.observed.size - index.holes.size
@@ -217,9 +233,12 @@ def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
         raise DataError("genotype matrix has no observed entries to fit")
     fp = mf_init(g.samples, g.snps, cfg)
     curve = CostCurve(n_observed=n_obs)
-    index = _fit_index(g, cfg.mode)
+    index = _fit_index(g, cfg.mode, fp)
     for epoch in range(cfg.epochs):
-        fp, record = mf_epoch(g, fp, cfg, epoch, index)
+        new, record = mf_epoch(g, fp, cfg, epoch, index)
+        if cfg.mode == "full_batch":  # the old factors take the next epoch's step
+            index = index._replace(spare=(fp.p, fp.q))
+        fp = new
         curve.records.append(record)
     return fp, curve
 
@@ -261,7 +280,8 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = 
 
 def rounded_reconstruction(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
     """The reconstruction rounded to codes everywhere, ignoring observations."""
-    recon = np.clip(np.rint(mf_reconstruct(fp)), 0, 2).astype(g.codes.dtype)
+    recon = mf_reconstruct(fp)  # rounded and clamped in place, then cast
+    recon = np.clip(np.rint(recon, out=recon), 0, 2, out=recon).astype(g.codes.dtype)
     ids = list(g.snp_ids) if g.snp_ids is not None else None
     return GenotypeMatrix(recon, np.ones_like(recon, dtype=bool), ids)
 

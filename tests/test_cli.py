@@ -697,6 +697,28 @@ class TestSharedBehavior:
         assert len(err) == 1 and err[0].startswith(f"genoseq: config key '{key}' must be ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, key", [("impute", "mf.features"), ("train", "rnn.hidden"),
+                                              ("train", "data.chunk_width"),
+                                              ("benchmark", "rnn.hidden")])
+    @pytest.mark.parametrize("size", [np.iinfo(np.intp).max + 1, 10 ** 30],
+                             ids=["intp_max_plus_1", "1e30"])
+    def test_size_too_large_for_any_array_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                command, key, size):
+        # only sizes past what numpy can index, so that nothing is allocated
+        data = _synth(tmp_path)
+        section, name = key.split(".")
+        (tmp_path / "cfg.json").write_text(json.dumps({section: {name: size}}))
+        argv = [command, "--config", str(tmp_path / "cfg.json"), "--epochs", "1",
+                "--out", str(tmp_path / "out")]
+        if command == "impute":
+            argv += ["--geno", str(data / "geno_holed.csv")]
+        elif command == "train":
+            argv += ["--geno", str(data / "geno_truth.csv"), "--pheno", str(data / "pheno.csv")]
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: cannot allocate ")
+
     @pytest.mark.parametrize("what", ["config file", "checkpoint"])
     def test_deeply_nested_json_exits_1_with_one_line(self, tmp_path, capsys, what):
         deep = tmp_path / "deep.json"
@@ -726,6 +748,16 @@ GOOD_CELLS = ["0", "1", "2", "5"]
 FUZZ_CELLS = GOOD_CELLS + ["AA", "ab", " BB ", "Null", "", "3", "x", "-1", "0.5", '"1"', "é", "\x00"]
 
 
+def _csv_bytes(draw, lines):
+    """``lines`` joined by a drawn line end, maybe with up to four raw bytes spliced in."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    source = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.binary(max_size=4)) + source[at:]
+    return source
+
+
 @st.composite
 def _genotype_bytes(draw):
     """Genotype CSV bytes: rows of good and bad cells, ragged rows, odd line ends, raw bytes."""
@@ -738,12 +770,29 @@ def _genotype_bytes(draw):
     if draw(st.integers(0, 9)) == 0:  # one cell past the csv module's field size limit
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] += draw(st.sampled_from(GOOD_CELLS)) * (csv.field_size_limit() + 1)
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    source = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode()
-    if draw(st.booleans()):
-        at = draw(st.integers(0, len(source)))
-        source = source[:at] + draw(st.binary(max_size=4)) + source[at:]
-    return source
+    return _csv_bytes(draw, lines)
+
+
+PHENO_CELLS = ["0.5", "-1.25", "3", "1e-3", "NA", "na", "", " 2.0 "]
+FUZZ_PHENO_CELLS = PHENO_CELLS + ["nan", "inf", "-Infinity", "1e400", "1e-400", "1e308",
+                                  "-1.7e308", "1_0", "0x1", "abc", '"1"', "1,2", "\u22121",
+                                  "\u0661", " ", "\x00", "\u00e9"]
+
+
+@st.composite
+def _phenotype_bytes(draw, samples):
+    """Phenotype CSV bytes: named traits over about ``samples`` rows of numbers, gaps and junk."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    traits = draw(st.integers(1, 3))
+    names = st.sampled_from(["t0", "t1", "", " height ", "t0", "\u00e9", '"a,b"'])
+    header = ",".join(draw(st.lists(names, min_size=traits, max_size=traits)))
+    row = (st.lists(st.sampled_from(PHENO_CELLS), min_size=traits, max_size=traits)
+           | st.lists(st.sampled_from(FUZZ_PHENO_CELLS), min_size=traits, max_size=traits)
+           | st.lists(st.sampled_from(FUZZ_PHENO_CELLS), max_size=4))
+    n_rows = draw(st.sampled_from([samples, samples, samples - 1, samples + 1, 0]))
+    lines = [header] + draw(st.lists(row.map(",".join), min_size=n_rows, max_size=n_rows))
+    return _csv_bytes(draw, lines)
 
 
 # Integers stay small: an int key such as mf.features sizes arrays, so a large one asks
@@ -826,6 +875,16 @@ class TestFuzz:
             geno.write_bytes(source)
             rc = main(["impute", "--geno", str(geno), "--out", str(Path(tmp) / "out"),
                        "--epochs", "1"])
+        assert rc in (0, 1, 2, 3)
+
+    @given(_phenotype_bytes(6))
+    @settings(max_examples=100, deadline=None)
+    def test_train_on_any_phenotype_bytes_exits_with_a_documented_code(self, fuzz_inputs, source):
+        with tempfile.TemporaryDirectory() as tmp:
+            pheno = Path(tmp) / "pheno.csv"
+            pheno.write_bytes(source)
+            rc = main(["train", "--geno", str(fuzz_inputs[1]), "--pheno", str(pheno),
+                       "--out", str(Path(tmp) / "out"), "--epochs", "1"])
         assert rc in (0, 1, 2, 3)
 
     @given(_config_text())

@@ -41,6 +41,14 @@ class TestRng:
         assert abs(g.mean() - 1.0) < 0.02
         assert abs(g.std() - 2.0) < 0.02
 
+    @pytest.mark.parametrize("shape", [2**61, (10**30,), (4, 2**62), (3, 2**62)],
+                             ids=["scalar", "1e30", "product_wraps_to_0", "product_wraps"])
+    def test_draw_past_any_array_size_is_a_memory_error(self, shape):
+        # the element count is an exact integer product, not one that wraps in int64
+        for draw in (Rng(0).uniform, Rng(0).gaussian):
+            with pytest.raises(MemoryError, match="cannot allocate"):
+                draw(shape)
+
     def test_permutation_is_a_permutation(self):
         p = Rng(7).permutation(100)
         assert sorted(p.tolist()) == list(range(100))

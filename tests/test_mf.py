@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,19 +269,39 @@ class TestFullBatchEpoch:
             assert fp.q.tobytes() == ref.q.tobytes()
             assert mf_cost(g, fp, cfg.beta) == (sse, objective)
 
-    @pytest.mark.parametrize("call", ["full_batch", "per_entry", "gradients", "cost"])
+    @pytest.mark.parametrize("call", ["full_batch", "per_entry", "gradients", "cost",
+                                      "rounded_reconstruction", "impute"])
     def test_inputs_left_unchanged(self, call):
         g = _masked(11, 13, "masked_row", seed=3)
-        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=call if "_" in call else "full_batch")
+        mode = call if call in MF_MODES else "full_batch"
+        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=mode)
         fp = mf_init(11, 13, cfg)
         before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
         if call == "gradients":
             mf_gradients(g, fp, cfg.beta)
         elif call == "cost":
             mf_cost(g, fp, cfg.beta)
+        elif call == "rounded_reconstruction":
+            rounded_reconstruction(g, fp)
+        elif call == "impute":
+            impute(g, fp)
         else:
             mf_epoch(g, fp, cfg)
         assert [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)] == before
+
+    @pytest.mark.parametrize("mode", MF_MODES)
+    def test_epoch_with_the_fit_workspace_leaves_its_factors_unchanged(self, mode):
+        # the workspace's spare pair takes the step; the factors handed in stay as they were
+        g = _masked(11, 13, "masked_row", seed=3)
+        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=mode)
+        fp = mf_init(11, 13, cfg)
+        before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
+        index = genoseq.mf._fit_index(g, mode, fp)
+        new, record = mf_epoch(g, fp, cfg, 0, index)
+        assert [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)] == before
+        alone, alone_record = mf_epoch(g, fp, cfg)
+        assert record == alone_record
+        assert new.p.tobytes() == alone.p.tobytes() and new.q.tobytes() == alone.q.tobytes()
 
 
 class TestFullBatchFit:
@@ -418,6 +440,45 @@ class TestMfFit:
             fp_b, _ = mf_epoch(g_b, fp_b, cfg, epoch)
         np.testing.assert_allclose(mf_reconstruct(fp_a)[perm], mf_reconstruct(fp_b),
                                    atol=1e-9)
+
+
+def _traced_peak(call):
+    """Bytes that ``call()`` holds at its traced peak, above what was held on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # 160x500 with F=40: the factor q (500x40) outweighs numpy's buffer for casting the int16
+    # codes to float64 in the residual (np.getbufsize() values), so a q-sized temporary shows
+    SAMPLES, SNPS, FEATURES = 160, 500, 40
+
+    def _geno(self):
+        rng = np.random.default_rng(5)
+        observed = rng.random((self.SAMPLES, self.SNPS)) > 0.01
+        return GenotypeMatrix(rng.integers(0, 3, observed.shape).astype(np.int16), observed)
+
+    def test_full_batch_fit_holds_two_factor_pairs_and_one_residual(self):
+        g = self._geno()
+        cfg = MfConfig(features=self.FEATURES, alpha=1e-4, init_range=(0.0, 0.05), epochs=3,
+                       seed=1)
+        pair = (self.SAMPLES + self.SNPS) * self.FEATURES * 8
+        residual = self.SAMPLES * self.SNPS * 8
+        # slack: the cast buffer, and the hole index as int32 plus its intp copy when indexing
+        slack = 8 * np.getbufsize() + 12 * int((~g.observed).sum()) + 16384
+        assert _traced_peak(lambda: mf_fit(g, cfg)) <= 2 * pair + residual + slack
+
+    def test_rounded_reconstruction_holds_one_product_and_the_codes(self):
+        g = self._geno()
+        fp = mf_init(self.SAMPLES, self.SNPS, MfConfig(features=self.FEATURES, seed=2))
+        cells = self.SAMPLES * self.SNPS
+        assert _traced_peak(lambda: rounded_reconstruction(g, fp)) <= cells * (8 + 2) + 4096
 
 
 class TestImpute:
