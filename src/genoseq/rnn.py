@@ -179,7 +179,8 @@ class ForwardPass:
     ``bptt_gradients`` runs a private pass and consumes it: its backward
     writes the derivative factors and the per-step gradients into that
     pass's ``pre`` (and the lstm's ``tanh_c``). A pass that
-    ``rnn_forward`` returns to a caller is never modified.
+    ``rnn_forward`` returns without a workspace is never modified; one
+    made in a workspace is overwritten by that workspace's next pass.
     """
 
     x: np.ndarray
@@ -214,13 +215,24 @@ def _blocks(w: np.ndarray, m: int) -> np.ndarray:
     return w.reshape(-1, m, w.shape[-1])
 
 
-def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> ForwardPass:
+def _buffer(workspace: dict, name: str, shape: tuple) -> np.ndarray:
+    """``workspace[name]``, replaced by an uninitialized array when missing or not of ``shape``."""
+    if name not in workspace or workspace[name].shape != shape:
+        workspace[name] = np.empty(shape)
+    return workspace[name]
+
+
+def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
+                workspace: dict | None = None) -> ForwardPass:
     """Run the recurrence over one sequence (T, n_in) or a batch (B, T, n_in).
 
     h_0 is zero unless given. The readout is linear and evaluated at the
     final timestep. The input side of every step, x_t W_ih^T + b_h, is one
     matrix product per gate block over all T steps, made before the loop;
     each step then adds only its recurrent term h_{t-1} W_hh^T.
+
+    ``workspace``, a dict of name -> array, lends the pass its buffers and
+    keeps them, so that passes of one shape write into the same memory.
     """
     x = _as_batch(inputs)
     b, t_len, n_in = x.shape
@@ -231,7 +243,8 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> Forw
     if n_in != params.n_in:
         raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
-    states = np.empty((t_len + 1, b, m))
+    workspace = {} if workspace is None else workspace
+    states = _buffer(workspace, "states", (t_len + 1, b, m))
     if h0 is None:
         states[0] = 0.0
     else:
@@ -240,15 +253,16 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None) -> Forw
             raise ShapeError(f"h0 must have shape ({m},) or ({b}, {m}), got {h0.shape}")
         states[0] = h0
 
-    xs = np.ascontiguousarray(x.transpose(1, 0, 2))
+    xs = _buffer(workspace, "x", (t_len, b, n_in))
+    np.copyto(xs, x.transpose(1, 0, 2))
     w_ih = _blocks(params.w_ih, m)
-    pre = np.empty((w_ih.shape[0], t_len, b, m))
+    pre = _buffer(workspace, "pre", (w_ih.shape[0], t_len, b, m))
     np.matmul(xs.reshape(t_len * b, n_in), w_ih.transpose(0, 2, 1),
               out=pre.reshape(-1, t_len * b, m))
     pre += params.b_h.reshape(-1, 1, 1, m)
     lstm_buffers = ()
     if params.cell == "lstm":
-        lstm_buffers = _recur_lstm(params, pre, states)
+        lstm_buffers = _recur_lstm(params, pre, states, workspace)
     else:
         act = np.tanh if params.cell == "simple_tanh" else _relu
         w_hh_t = params.w_hh.T
@@ -264,15 +278,15 @@ def _relu(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=out)
 
 
-def _recur_lstm(params: RnnParams, pre: np.ndarray, states: np.ndarray):
+def _recur_lstm(params: RnnParams, pre: np.ndarray, states: np.ndarray, workspace: dict):
     """The lstm time loop: completes ``pre`` and fills ``states``.
 
     Returns the pass's gate activations, cell states and tanh(c).
     """
     t_len, b, m = pre.shape[1:]
-    acts = np.empty((4, t_len, b, m))
-    cells = np.empty((t_len + 1, b, m))
-    tanh_c = np.empty((t_len, b, m))
+    acts = _buffer(workspace, "acts", (4, t_len, b, m))
+    cells = _buffer(workspace, "cells", (t_len + 1, b, m))
+    tanh_c = _buffer(workspace, "tanh_c", (t_len, b, m))
     cells[0] = 0.0
     # W_hh^T of each gate block, contiguous for the per-step products
     w_rec = np.ascontiguousarray(_blocks(params.w_hh, m).transpose(0, 2, 1))
@@ -308,15 +322,17 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(inputs, dtype=np.float64), np.asarray(targets, dtype=np.float64)
 
 
-def bptt_gradients(params: RnnParams, batch) -> dict[str, np.ndarray]:
+def bptt_gradients(params: RnnParams, batch,
+                   workspace: dict | None = None) -> dict[str, np.ndarray]:
     """Exact gradient of the mean MSE over the batch, by full unrolling.
 
     Accepts a SequenceBatch or an (inputs, targets) pair. Gradient tensors
-    match the parameter shapes. The backward runs on a private forward
-    pass and reuses its buffers as scratch.
+    match the parameter shapes and are new arrays. The backward runs on a
+    private forward pass, made in ``workspace`` when one is given (see
+    ``rnn_forward``), and reuses that pass's buffers as scratch.
     """
     x, targets = _batch_arrays(batch)
-    fwd = rnn_forward(params, x)
+    fwd = rnn_forward(params, x, workspace=workspace)
     return _backward(params, fwd, targets)
 
 
@@ -434,6 +450,7 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
 
     Each epoch takes one step on the whole batch and ends with a fresh loss
     evaluation (and a validation loss when a validation batch is given).
+    The passes on the training batch share one workspace, those on validation another.
     Deterministic for a fixed (params, data, settings); the model comes
     from ``params``, not ``settings``.
     """
@@ -444,17 +461,18 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
     if val_batch is not None:
         x_val, t_val = _batch_arrays(val_batch)
 
+    ws, val_ws = {}, {}
     curve = TrainingCurve()
     for epoch in range(settings.epochs):
         # overflow to inf is detected and reported as divergence, so the
         # intermediate warnings carry no information
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = bptt_gradients(params, (x_train, t_train))
+                grads = bptt_gradients(params, (x_train, t_train), workspace=ws)
                 if clip_norm is not None:
                     grads = clip_gradients(grads, clip_norm)
                 params = sgd_step(params, grads, settings.learning_rate)
-                train_loss = loss_mse(rnn_forward(params, x_train).outputs, t_train)
+                train_loss = loss_mse(rnn_forward(params, x_train, workspace=ws).outputs, t_train)
             if not np.isfinite(train_loss):
                 raise DivergenceError("training loss became non-finite")
         except DivergenceError as e:
@@ -463,7 +481,7 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
             raise err from None
         val_loss = None
         if val_batch is not None:
-            val_loss = loss_mse(rnn_forward(params, x_val).outputs, t_val)
+            val_loss = loss_mse(rnn_forward(params, x_val, workspace=val_ws).outputs, t_val)
         curve.records.append(EpochRecord(epoch, train_loss, val_loss))
     return params, curve
 

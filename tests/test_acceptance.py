@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import genoseq.gradcheck as gc
 from genoseq.data import (genotype_to_csv, parse_genotype_csv, phenotype_to_csv,
@@ -75,6 +76,7 @@ def test_03_feature_count_trend():
                f"missing accuracy margin F8-F1 = {margin:.1f} points")
 
 
+@pytest.mark.slow
 def test_04_cell_ordering_trend():
     relu_wins = lstm_wins = 0
     finals = []

@@ -269,7 +269,7 @@ class TestKernelsMatchPerStepReference:
                                        err_msg=name)
 
     @pytest.mark.parametrize("cell", CELLS)
-    @pytest.mark.parametrize("batch", [1, 3])  # one sequence is already time-major: no copy
+    @pytest.mark.parametrize("batch", [1, 3])  # one sequence is time-major as given
     def test_gradients_leave_arguments_unchanged_and_repeat(self, cell, batch):
         params, x, targets = _generic_instance(cell, batch, 6, 2)
         before = {k: v.copy() for k, v in params.tensors().items()}
@@ -421,6 +421,133 @@ class TestTrain:
             train(p, (x * 1e3, targets), None,
                   RnnSettings(learning_rate=1e6, epochs=50, clip_norm=None))
         assert exc.value.epoch is not None
+
+
+def _reference_train(params, train_batch, val_batch, settings):
+    """``train``'s loop with every pass freshly allocated: no workspace anywhere.
+
+    Returns (params, curve rows, clip events, the epoch that diverged or None).
+    """
+    clip_norm = settings.clip_norm
+    if clip_norm == "default":
+        clip_norm = None if params.cell == "lstm" else 1.0
+    x, targets = train_batch
+    rows, clipped = [], 0
+    for epoch in range(settings.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = bptt_gradients(params, (x, targets))
+            if clip_norm is not None:
+                clipped += gradient_norm(grads) > clip_norm
+                grads = clip_gradients(grads, clip_norm)
+            try:
+                params = sgd_step(params, grads, settings.learning_rate)
+            except DivergenceError:
+                return params, rows, clipped, epoch
+            train_loss = loss_mse(rnn_forward(params, x).outputs, targets)
+        if not np.isfinite(train_loss):
+            return params, rows, clipped, epoch
+        val_loss = None
+        if val_batch is not None:
+            val_loss = loss_mse(rnn_forward(params, val_batch[0]).outputs, val_batch[1])
+        rows.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+    return params, rows, clipped, None
+
+
+def _split_instance(cell, seed=0):
+    """A generic instance cut into a 5-sequence training and a 3-sequence validation batch."""
+    params, x, targets = _generic_instance(cell, 8, 7, 2, seed=seed)
+    return params, (x[:5], targets[:5]), (x[5:], targets[5:])
+
+
+def _pass_arrays(fwd):
+    return {name: getattr(fwd, name) for name in ("x", "states", "pre", "outputs", "acts",
+                                                  "cells", "tanh_c")
+            if getattr(fwd, name) is not None}
+
+
+class TestTrainMatchesFreshlyAllocatedLoop:
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("with_val", [False, True], ids=["no_val", "val"])
+    @pytest.mark.parametrize("clip_norm", [None, 0.02], ids=["no_clip", "clip"])
+    def test_params_and_curve_bit_identical(self, cell, with_val, clip_norm):
+        params, train_batch, val_batch = _split_instance(cell)
+        val_batch = val_batch if with_val else None
+        settings = RnnSettings(cell=cell, learning_rate=0.05, epochs=12, clip_norm=clip_norm)
+        ref_params, ref_rows, clipped, diverged = _reference_train(params, train_batch,
+                                                                   val_batch, settings)
+        assert diverged is None
+        assert (clipped > 0) == (clip_norm is not None)
+        out, curve = train(params, train_batch, val_batch, settings)
+        for name, value in out.tensors().items():
+            assert value.tobytes() == ref_params.tensors()[name].tobytes(), name
+        assert curve.to_rows() == ref_rows
+
+    @pytest.mark.parametrize("learning_rate,epoch", [(50.0, 5), (100.0, 3)],
+                             ids=["non_finite_parameter", "non_finite_loss"])
+    def test_divergence_at_the_same_epoch_with_the_same_partial_curve(self, learning_rate,
+                                                                      epoch):
+        params, train_batch, val_batch = _split_instance("relu_identity")
+        settings = RnnSettings(learning_rate=learning_rate, epochs=40, clip_norm=None)
+        _, ref_rows, _, diverged = _reference_train(params, train_batch, val_batch, settings)
+        assert diverged == epoch  # mid-training, not at the first step
+        with pytest.raises(DivergenceError) as exc:
+            train(params, train_batch, val_batch, settings)
+        assert exc.value.epoch == epoch
+        assert exc.value.curve.to_rows() == ref_rows
+
+
+class TestForwardWorkspace:
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_training_passes_reuse_one_set_of_buffers(self, cell, monkeypatch):
+        params, train_batch, val_batch = _split_instance(cell)
+        passes = []  # every pass stays alive, so no address can be recycled
+        forward = rnn.rnn_forward
+
+        def keep(*args, **kwargs):
+            fwd = forward(*args, **kwargs)
+            passes.append(fwd)
+            return fwd
+
+        monkeypatch.setattr(rnn, "rnn_forward", keep)
+        epochs = 4
+        train(params, train_batch, val_batch, RnnSettings(cell=cell, epochs=epochs))
+        assert len(passes) == 3 * epochs  # gradient pass, post-step loss, validation
+        fitting = [fwd for k, fwd in enumerate(passes) if k % 3 != 2]
+        checking = passes[2::3]
+        for group in (fitting, checking):
+            for name, first in _pass_arrays(group[0]).items():
+                if name != "outputs":
+                    assert all(getattr(fwd, name) is first for fwd in group[1:]), name
+        for name, array in _pass_arrays(fitting[0]).items():
+            assert not np.shares_memory(array, getattr(checking[0], name)), name
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_pass_without_workspace_is_never_modified_later(self, cell):
+        params, (x, targets), _ = _split_instance(cell)
+        fwd = rnn_forward(params, x)
+        before = {name: a.copy() for name, a in _pass_arrays(fwd).items()}
+        x[:] = 0.5  # the pass holds its own copy of the inputs
+        bptt_gradients(params, (x, targets))
+        rnn_forward(params, x)
+        train(params, (x, targets), None, RnnSettings(cell=cell, epochs=2))
+        for name, a in _pass_arrays(fwd).items():
+            assert a.tobytes() == before[name].tobytes(), name
+
+    def test_one_workspace_across_shapes_and_cells_matches_fresh_passes(self):
+        workspace = {}
+        runs = [("lstm", 3, 6, 2), ("lstm", 4, 6, 2), ("lstm", 6, 4, 2),  # same size, new shape
+                ("lstm", 6, 9, 2), ("simple_tanh", 6, 9, 2), ("relu_identity", 2, 9, 3),
+                ("lstm", 3, 6, 2)]
+        for k, (cell, batch, t_len, n_in) in enumerate(runs):
+            params, x, targets = _generic_instance(cell, batch, t_len, n_in, seed=k)
+            fresh, kept = rnn_forward(params, x), rnn_forward(params, x, workspace=workspace)
+            assert kept.states is workspace["states"]
+            for name, a in _pass_arrays(fresh).items():
+                assert getattr(kept, name).tobytes() == a.tobytes(), (k, name)
+            fresh = bptt_gradients(params, (x, targets))
+            kept = bptt_gradients(params, (x, targets), workspace=workspace)
+            for name, g in fresh.items():
+                assert kept[name].tobytes() == g.tobytes(), (k, name)
 
 
 class TestPredict:
