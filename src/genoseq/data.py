@@ -261,17 +261,21 @@ def phenotype_to_csv(p: PhenotypeTable, path) -> None:
                             for values, observed in zip(p.values.tolist(), p.observed.tolist())))
 
 
+def check_ratios(ratios) -> tuple[float, ...]:
+    """``ratios`` as floats; a ConfigError unless they are three positive numbers summing to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must be three positive numbers summing to 1, got {ratios}")
+    return ratios
+
+
 def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:
     """Shuffle 0..n-1 deterministically by seed and slice into three splits.
 
     Each split gets floor(ratio * n) samples; every leftover sample goes
     to train.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"need three positive ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    ratios = check_ratios(ratios)
     perm = Rng(seed).permutation(n_samples)
     n_val = math.floor(ratios[1] * n_samples)
     n_test = math.floor(ratios[2] * n_samples)

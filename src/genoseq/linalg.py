@@ -1,8 +1,9 @@
-"""Seeded random streams, seed derivation, the Frobenius norm, the logistic function.
+"""Random streams, seed derivation, workspace buffers, the Frobenius norm, the logistic function.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
 of float64. Public operations never mutate their arguments; they return
-fresh arrays unless the caller passes an ``out`` buffer to write into.
+fresh arrays unless the caller passes an ``out`` buffer or a ``workspace``
+dict (see :func:`buffer`) to write into.
 
 Randomness comes from :class:`Rng`, a counter-mode SplitMix64 generator.
 The i-th raw output is a pure function of (seed, i), so every draw is
@@ -105,6 +106,13 @@ def derive_seed(seed: int, label: str) -> int:
         h = ((h ^ b) * 0x100000001B3) & _U64_MASK
     mixed = _mix64(np.array([(int(seed) & _U64_MASK) ^ h], dtype=np.uint64))
     return int(mixed[0])
+
+
+def buffer(workspace: dict, name: str, shape: tuple) -> Matrix:
+    """``workspace[name]``, replaced by an uninitialized array when missing or not of ``shape``."""
+    if name not in workspace or workspace[name].shape != shape:
+        workspace[name] = np.empty(shape)
+    return workspace[name]
 
 
 def frobenius_sq(a: Matrix, out: Matrix | None = None) -> float:

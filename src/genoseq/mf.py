@@ -15,13 +15,12 @@ differentiable at zero, so that convention is used throughout.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .data import GenotypeMatrix, write_csv
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .linalg import Rng, frobenius_sq
+from .linalg import Rng, buffer, frobenius_sq
 
 MF_MODES = ("full_batch", "per_entry")
 
@@ -101,39 +100,21 @@ class CostCurve:
         return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
 
 
-def _masked_residual(g: GenotypeMatrix, fp: FactorPair, index) -> np.ndarray:
-    """G - p@q.T built in place (in ``index.residual`` when set), zero at the unobserved cells."""
-    d = np.matmul(fp.p, fp.q.T, out=index.residual)
+def _masked_residual(g: GenotypeMatrix, fp: FactorPair, workspace: dict) -> np.ndarray:
+    """G - p@q.T built in place in ``workspace["residual"]``, zero at the unobserved cells."""
+    d = np.matmul(fp.p, fp.q.T, out=buffer(workspace, "residual", g.codes.shape))
     np.subtract(g.codes, d, out=d)
-    d.reshape(-1)[index.holes] = 0.0
+    if "holes" not in workspace:  # int32 where it fits: an intp index zeroes about 0.25 ms
+        # faster per call at 604x1980, but four paper-scale fits in one process peak 6 MB higher
+        dtype = np.int32 if g.observed.size < 2**31 else np.intp
+        workspace["holes"] = np.flatnonzero(~g.observed).astype(dtype, copy=False)
+    d.reshape(-1)[workspace["holes"]] = 0.0
     return d
 
 
-class _FitIndex(NamedTuple):
-    """What each epoch of a fit reads from ``g`` beyond its codes, and the workspace it writes
-    (without one, each call allocates its own arrays); mf_fit builds it once."""
-
-    holes: np.ndarray       # flat indices of the unobserved cells
-    diagonals: list | None  # ``_diagonals(g)`` in per_entry mode, else None
-    residual: np.ndarray | None = None  # samples x snps: each residual, then the temporaries
-    spare: tuple = (None, None)  # full_batch: the (p, q) buffers the new factors are written to
-
-
-def _fit_index(g: GenotypeMatrix, mode: str, fp: FactorPair | None = None) -> _FitIndex:
-    """The index of ``g``; given the factors ``fp``, with a workspace for fitting them."""
-    holes = np.flatnonzero(~g.observed)  # held through the fit: int32 wherever it fits
-    holes = holes.astype(np.int32) if g.observed.size < 2**31 else holes
-    index = _FitIndex(holes, _diagonals(g) if mode == "per_entry" else None)
-    if fp is None:
-        return index
-    spare = (np.empty_like(fp.p), np.empty_like(fp.q)) if mode == "full_batch" else (None, None)
-    return index._replace(residual=np.empty(g.codes.shape), spare=spare)
-
-
-def _scratch(index: _FitIndex, like: np.ndarray):
-    """A ``like``-shaped view of the free residual buffer, or None (allocate) if it has no room."""
-    fits = index.residual is not None and index.residual.size >= like.size
-    return index.residual.reshape(-1)[:like.size].reshape(like.shape) if fits else None
+def _scratch(d: np.ndarray, like: np.ndarray):
+    """A ``like``-shaped view of the spent residual ``d``, or None (allocate) if it has no room."""
+    return d.reshape(-1)[:like.size].reshape(like.shape) if d.size >= like.size else None
 
 
 def _diagonals(g: GenotypeMatrix) -> list:
@@ -166,28 +147,30 @@ def mf_reconstruct(fp: FactorPair) -> np.ndarray:
     return fp.p @ fp.q.T
 
 
-def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, index=None) -> tuple[float, float]:
+def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, workspace: dict | None = None):
     """(sse, objective): squared error over observed cells, plus regularization."""
-    index = index or _fit_index(g, "full_batch")
-    d = _masked_residual(g, fp, index)
+    workspace = {} if workspace is None else workspace
+    d = _masked_residual(g, fp, workspace)
     sse = float(np.sum(np.multiply(d, d, out=d)))
-    norms = frobenius_sq(fp.p, _scratch(index, fp.p)) + frobenius_sq(fp.q, _scratch(index, fp.q))
+    norms = sum(frobenius_sq(f, _scratch(d, f)) for f in (fp.p, fp.q))
     return sse, sse + 0.5 * beta * norms
 
 
 def mf_gradients(g: GenotypeMatrix, fp: FactorPair, beta: float,
-                 index=None) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the objective with respect to p and q (in ``index.spare`` when set)."""
-    index = index or _fit_index(g, "full_batch")
-    d = _masked_residual(g, fp, index)
-    dp, dq = np.matmul(d, fp.q, out=index.spare[0]), np.matmul(d.T, fp.p, out=index.spare[1])
+                 workspace: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of the objective with respect to p and q, in the workspace's p, q."""
+    workspace = {} if workspace is None else workspace
+    d = _masked_residual(g, fp, workspace)
+    dp = np.matmul(d, fp.q, out=buffer(workspace, "p", fp.p.shape))
+    dq = np.matmul(d.T, fp.p, out=buffer(workspace, "q", fp.q.shape))
     for grad, factor in ((dp, fp.p), (dq, fp.q)):  # -2.0 * grad + beta * factor, in place
         grad *= -2.0
-        grad += np.multiply(beta, factor, out=_scratch(index, factor))
+        grad += np.multiply(beta, factor, out=_scratch(d, factor))
     return dp, dq
 
 
-def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, index=None):
+def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0,
+             workspace: dict | None = None):
     """One optimization epoch; returns (updated factors, cost record).
 
     full_batch mode takes a single step along the full gradient. per_entry
@@ -195,22 +178,26 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, i
     from the fresh p row) bit for bit, one vectorized step per anti-diagonal
     u+v: a diagonal's cells share no factor row, and each cell's row and
     column predecessors lie on earlier diagonals. Dots use np.matmul, as
-    ``p[u] @ q[v]`` does. ``index`` is ``_fit_index(g, cfg.mode, fp)``, built once by
-    mf_fit; alone, the epoch builds one without a workspace. ``fp`` is never changed.
+    ``p[u] @ q[v]`` does. ``fp`` is never changed: the new factors go to the
+    p, q pair of ``workspace`` (see :func:`genoseq.linalg.buffer`), which its
+    next epoch overwrites unless the caller swaps in other arrays, as mf_fit
+    does. The workspace also keeps ``g``'s hole index, so it serves one matrix.
     """
-    if index is None:
-        index = _fit_index(g, cfg.mode)
+    workspace = {} if workspace is None else workspace
     # overflow to inf is detected below and reported as divergence, so the
     # intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == "full_batch":
-            dp, dq = mf_gradients(g, fp, cfg.beta, index)
+            dp, dq = mf_gradients(g, fp, cfg.beta, workspace)
             dp *= cfg.alpha  # p - alpha * dp, stepped inside the gradient buffers
             dq *= cfg.alpha
             new = FactorPair(np.subtract(fp.p, dp, out=dp), np.subtract(fp.q, dq, out=dq))
         else:
-            p, q = fp.p.copy(), fp.q.copy()
-            for us, vs, codes in index.diagonals:
+            p, q = buffer(workspace, "p", fp.p.shape), buffer(workspace, "q", fp.q.shape)
+            p[:], q[:] = fp.p, fp.q
+            if "diagonals" not in workspace:
+                workspace["diagonals"] = _diagonals(g)
+            for us, vs, codes in workspace["diagonals"]:
                 pu, qv = p[us], q[vs]
                 err = codes - np.matmul(pu[:, None, :], qv[:, :, None])[:, 0, 0]
                 err2 = (2.0 * err)[:, None]
@@ -218,10 +205,10 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0, i
                 q[vs] = qv + cfg.alpha * (err2 * p_u - cfg.beta * qv)
                 p[us] = p_u
             new = FactorPair(p, q)
-        sse, objective = mf_cost(g, new, cfg.beta, index)
+        sse, objective = mf_cost(g, new, cfg.beta, workspace)
     if not np.isfinite(objective):
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)
-    n_obs = g.observed.size - index.holes.size
+    n_obs = g.observed.size - workspace["holes"].size
     mse = sse / n_obs if n_obs else 0.0
     return new, CostRecord(epoch, mse, objective)
 
@@ -232,12 +219,10 @@ def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
     if n_obs == 0:
         raise DataError("genotype matrix has no observed entries to fit")
     fp = mf_init(g.samples, g.snps, cfg)
-    curve = CostCurve(n_observed=n_obs)
-    index = _fit_index(g, cfg.mode, fp)
+    curve, ws = CostCurve(n_observed=n_obs), {}
     for epoch in range(cfg.epochs):
-        new, record = mf_epoch(g, fp, cfg, epoch, index)
-        if cfg.mode == "full_batch":  # the old factors take the next epoch's step
-            index = index._replace(spare=(fp.p, fp.q))
+        new, record = mf_epoch(g, fp, cfg, epoch, ws)
+        ws["p"], ws["q"] = fp.p, fp.q  # the old factors take the next epoch's step
         fp = new
         curve.records.append(record)
     return fp, curve

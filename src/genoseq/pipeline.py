@@ -24,7 +24,7 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hi
 import numpy as np
 
 from . import mf, rnn
-from .data import (SequenceBatch, SplitIndices, build_sequences, check_traits,
+from .data import (SequenceBatch, SplitIndices, build_sequences, check_ratios, check_traits,
                    parse_genotype_csv, parse_phenotype_csv, split_dataset, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError
 from .linalg import derive_seed
@@ -50,6 +50,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.chunk_width < 1:
             raise ConfigError(f"chunk_width must be >= 1, got {self.chunk_width}")
+        check_ratios(self.ratios)
         if not self.traits:
             raise ConfigError("at least one trait index is required")
         if self.success_tolerance < 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SequenceBatch, read_json, write_csv, write_json
 from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeError
-from .linalg import Rng, sigmoid
+from .linalg import Rng, buffer, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
 CHECKPOINT_VERSION = "genoseq-rnn-v2"
@@ -215,13 +215,6 @@ def _blocks(w: np.ndarray, m: int) -> np.ndarray:
     return w.reshape(-1, m, w.shape[-1])
 
 
-def _buffer(workspace: dict, name: str, shape: tuple) -> np.ndarray:
-    """``workspace[name]``, replaced by an uninitialized array when missing or not of ``shape``."""
-    if name not in workspace or workspace[name].shape != shape:
-        workspace[name] = np.empty(shape)
-    return workspace[name]
-
-
 def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
                 workspace: dict | None = None) -> ForwardPass:
     """Run the recurrence over one sequence (T, n_in) or a batch (B, T, n_in).
@@ -231,8 +224,7 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
     matrix product per gate block over all T steps, made before the loop;
     each step then adds only its recurrent term h_{t-1} W_hh^T.
 
-    ``workspace``, a dict of name -> array, lends the pass its buffers and
-    keeps them, so that passes of one shape write into the same memory.
+    ``workspace`` (see :func:`genoseq.linalg.buffer`) lends the pass its buffers.
     """
     x = _as_batch(inputs)
     b, t_len, n_in = x.shape
@@ -244,7 +236,7 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
         raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
     workspace = {} if workspace is None else workspace
-    states = _buffer(workspace, "states", (t_len + 1, b, m))
+    states = buffer(workspace, "states", (t_len + 1, b, m))
     if h0 is None:
         states[0] = 0.0
     else:
@@ -253,10 +245,10 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
             raise ShapeError(f"h0 must have shape ({m},) or ({b}, {m}), got {h0.shape}")
         states[0] = h0
 
-    xs = _buffer(workspace, "x", (t_len, b, n_in))
+    xs = buffer(workspace, "x", (t_len, b, n_in))
     np.copyto(xs, x.transpose(1, 0, 2))
     w_ih = _blocks(params.w_ih, m)
-    pre = _buffer(workspace, "pre", (w_ih.shape[0], t_len, b, m))
+    pre = buffer(workspace, "pre", (w_ih.shape[0], t_len, b, m))
     np.matmul(xs.reshape(t_len * b, n_in), w_ih.transpose(0, 2, 1),
               out=pre.reshape(-1, t_len * b, m))
     pre += params.b_h.reshape(-1, 1, 1, m)
@@ -284,9 +276,9 @@ def _recur_lstm(params: RnnParams, pre: np.ndarray, states: np.ndarray, workspac
     Returns the pass's gate activations, cell states and tanh(c).
     """
     t_len, b, m = pre.shape[1:]
-    acts = _buffer(workspace, "acts", (4, t_len, b, m))
-    cells = _buffer(workspace, "cells", (t_len + 1, b, m))
-    tanh_c = _buffer(workspace, "tanh_c", (t_len, b, m))
+    acts = buffer(workspace, "acts", (4, t_len, b, m))
+    cells = buffer(workspace, "cells", (t_len + 1, b, m))
+    tanh_c = buffer(workspace, "tanh_c", (t_len, b, m))
     cells[0] = 0.0
     # W_hh^T of each gate block, contiguous for the per-step products
     w_rec = np.ascontiguousarray(_blocks(params.w_hh, m).transpose(0, 2, 1))

@@ -697,6 +697,26 @@ class TestSharedBehavior:
         assert len(err) == 1 and err[0].startswith(f"genoseq: config key '{key}' must be ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.5], [1.2, -0.1, -0.1]],
+                             ids=["sum_not_1", "non_positive"])
+    def test_bad_ratios_fail_before_reading_inputs(self, tmp_path, capsys, monkeypatch, ratios):
+        data = _synth(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"data": {"ratios": ratios}}))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the config was checked")
+
+        monkeypatch.setattr("genoseq.cli.parse_genotype_csv", no_read)
+        capsys.readouterr()
+        rc = _run("train", "--config", str(tmp_path / "cfg.json"), "--geno",
+                  str(data / "geno_truth.csv"), "--pheno", str(data / "pheno.csv"),
+                  "--epochs", "2", "--out", str(tmp_path / "out"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"genoseq: ratios must be three positive numbers summing to 1, "
+                       f"got {tuple(ratios)}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, key", [("impute", "mf.features"), ("train", "rnn.hidden"),
                                               ("train", "data.chunk_width"),
                                               ("benchmark", "rnn.hidden")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genoseq.linalg import Rng, derive_seed, frobenius_sq, sigmoid
+from genoseq.linalg import Rng, buffer, derive_seed, frobenius_sq, sigmoid
 
 
 class TestFrobeniusSq:
@@ -26,6 +26,22 @@ class TestActivations:
     def test_sigmoid_stable_and_bounded(self):
         out = sigmoid(np.array([[-800.0, 0.0, 800.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]])
+
+
+class TestBuffer:
+    def test_same_name_and_shape_returns_the_same_array(self):
+        workspace = {}
+        first = buffer(workspace, "a", (2, 3))
+        assert first.shape == (2, 3) and first.dtype == np.float64
+        assert buffer(workspace, "a", (2, 3)) is first and workspace == {"a": first}
+
+    def test_missing_name_or_new_shape_gets_a_new_array_under_that_name(self):
+        workspace = {}
+        a = buffer(workspace, "a", (2, 3))
+        b = buffer(workspace, "b", (2, 3))
+        assert b is not a and workspace["b"] is b and workspace["a"] is a
+        resized = buffer(workspace, "a", (3, 2))
+        assert resized is not a and resized.shape == (3, 2) and workspace["a"] is resized
 
 
 class TestRng:

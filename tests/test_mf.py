@@ -296,8 +296,7 @@ class TestFullBatchEpoch:
         cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=mode)
         fp = mf_init(11, 13, cfg)
         before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
-        index = genoseq.mf._fit_index(g, mode, fp)
-        new, record = mf_epoch(g, fp, cfg, 0, index)
+        new, record = mf_epoch(g, fp, cfg, 0, {})
         assert [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)] == before
         alone, alone_record = mf_epoch(g, fp, cfg)
         assert record == alone_record
