@@ -28,8 +28,8 @@ import numpy as np
 from . import gradcheck, mf, pipeline, rnn, tasks
 from .data import (build_sequences, genotype_sequences, genotype_to_csv,
                    parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv, read_json,
-                   split_dataset, synth_lowrank_genotypes, synth_phenotypes,
-                   synth_population_genotypes, write_csv, write_json)
+                   synth_lowrank_genotypes, synth_phenotypes, synth_population_genotypes,
+                   write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 
@@ -115,9 +115,11 @@ def cmd_train(args, values: dict) -> int:
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
 
-    split = split_dataset(geno.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
+    split = cfg.split(geno.samples)
     batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
     trained, result = pipeline.train_trait(batch, split, cfg, trait)
+    if result.error is not None:
+        raise result.error
 
     out = _out_dir(values)
     rnn.save_checkpoint(replace(trained, snps=geno.snps), out / "checkpoint.json")
@@ -159,9 +161,8 @@ def cmd_predict(args, values: dict) -> int:
               ((str(int(idx)), repr(float(p))) for idx, p in zip(sample_ids, preds[:, 0])))
 
     if pheno_path is not None:
-        corr = rnn.pearson_correlation(preds, batch.targets) if len(batch) >= 2 else None
-        metrics = {"correlation": corr, "mse": rnn.loss_mse(preds, batch.targets),
-                   "n": len(batch)}
+        metrics = {"correlation": rnn.pearson_correlation(preds, batch.targets),
+                   "mse": rnn.loss_mse(preds, batch.targets), "n": len(batch)}
         write_json(metrics, out / "predict_metrics.json")
         print(f"predicted {len(preds)} samples; wrote 2 files to {out}")
     else:

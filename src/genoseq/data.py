@@ -387,6 +387,7 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
     rng = Rng(seed)
     u = truth.samples
     k = min(8, truth.snps)
+    check_alloc(u * traits)
     values = np.zeros((u, traits))
     observed = np.ones((u, traits), dtype=bool)
     g = truth.codes.astype(np.float64)

@@ -34,14 +34,15 @@ class StateError(GenoseqError):
 
 
 class InputError(GenoseqError):
-    """A runtime argument is unusable (empty sequence, too-short vector)."""
+    """A runtime argument is unusable (an empty sequence or batch)."""
 
 
 class DivergenceError(GenoseqError):
-    """Optimization produced non-finite values. ``epoch`` is set when known."""
+    """Optimization produced non-finite values; carries ``epoch`` and partial ``curve`` if known."""
 
-    def __init__(self, message, epoch=None):
+    def __init__(self, message, epoch=None, curve=None):
         if epoch is not None:
             message = f"{message} (epoch {epoch})"
         super().__init__(message)
         self.epoch = epoch
+        self.curve = curve

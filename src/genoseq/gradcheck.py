@@ -60,45 +60,36 @@ def fd_noise_floor(f_magnitude: float) -> float:
     return 64.0 * eps * max(abs(f_magnitude), 0.1) / (2.0 * _STEP)
 
 
-def check_mf(trials: int, seed: int) -> float:
-    """Max relative error of mf_gradients vs central differences.
+def _draw_mf(rng: Rng):
+    """A random factorization objective of both factors: (objective, theta0, analytic gradient).
 
-    Each trial draws a small random instance (samples, snps <= 8,
-    features <= 3, ~20% unobserved cells) and checks the gradient of the
-    regularized objective with respect to both factors.
+    Samples and snps are <= 8, features <= 3 and ~20% of the cells are unobserved.
     """
-    worst = 0.0
-    for trial in range(trials):
-        rng = Rng(derive_seed(seed, f"gradcheck/mf/{trial}"))
-        u = rng.randint(2, 9)
-        v = rng.randint(2, 9)
-        f_lat = rng.randint(1, 4)
-        codes = np.floor(rng.uniform((u, v), 0, 3)).astype(np.int16)
-        observed = rng.uniform((u, v)) > 0.2
-        if not observed.any():
-            observed[0, 0] = True
-        g = GenotypeMatrix(codes, observed)
-        beta = float(rng.uniform(1, 0.0, 0.1)[0])
-        p0 = rng.uniform((u, f_lat), -1.0, 1.0)
-        q0 = rng.uniform((v, f_lat), -1.0, 1.0)
+    u = rng.randint(2, 9)
+    v = rng.randint(2, 9)
+    f_lat = rng.randint(1, 4)
+    codes = np.floor(rng.uniform((u, v), 0, 3)).astype(np.int16)
+    observed = rng.uniform((u, v)) > 0.2
+    if not observed.any():
+        observed[0, 0] = True
+    g = GenotypeMatrix(codes, observed)
+    beta = float(rng.uniform(1, 0.0, 0.1)[0])
+    p0 = rng.uniform((u, f_lat), -1.0, 1.0)
+    q0 = rng.uniform((v, f_lat), -1.0, 1.0)
 
-        def objective(theta):
-            p = theta[:u * f_lat].reshape(u, f_lat)
-            q = theta[u * f_lat:].reshape(v, f_lat)
-            return mf.mf_cost(g, mf.FactorPair(p, q), beta)[1]
+    def objective(theta):
+        p = theta[:u * f_lat].reshape(u, f_lat)
+        q = theta[u * f_lat:].reshape(v, f_lat)
+        return mf.mf_cost(g, mf.FactorPair(p, q), beta)[1]
 
-        theta0 = np.concatenate([p0.reshape(-1), q0.reshape(-1)])
-        numeric = central_difference(objective, theta0)
-        dp, dq = mf.mf_gradients(g, mf.FactorPair(p0, q0), beta)
-        analytic = np.concatenate([dp.reshape(-1), dq.reshape(-1)])
-        floor = fd_noise_floor(objective(theta0))
-        worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
-    return worst
+    theta0 = np.concatenate([p0.reshape(-1), q0.reshape(-1)])
+    dp, dq = mf.mf_gradients(g, mf.FactorPair(p0, q0), beta)
+    return objective, theta0, np.concatenate([dp.reshape(-1), dq.reshape(-1)])
 
 
 def _pack(tensors: dict[str, np.ndarray]) -> np.ndarray:
     """Parameters or gradients as one vector, in the order _unpack reads them."""
-    return np.concatenate([tensors[k].reshape(-1) for k in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")])
+    return np.concatenate([tensors[k].reshape(-1) for k in rnn.TENSORS])
 
 
 def _unpack(params: rnn.RnnParams, theta: np.ndarray) -> rnn.RnnParams:
@@ -127,31 +118,47 @@ def _random_instance(cell: str, rng: Rng):
     return params, x, targets
 
 
-def check_rnn(cell: str, trials: int, seed: int) -> float:
-    """Max relative error of bptt_gradients vs central differences for one cell."""
+def _draw_rnn(cell: str, rng: Rng):
+    """A small random instance of one cell's loss, as (loss, theta0, analytic gradient)."""
+    params, x, targets = _random_instance(cell, rng)
+    if cell == "relu_identity":
+        # redraw while any pre-activation sits on the relu kink
+        attempts = 0
+        while (np.abs(rnn.rnn_forward(params, x).pre) < _RELU_KINK_GUARD).any():
+            params, x, targets = _random_instance(cell, rng)
+            attempts += 1
+            if attempts > 200:
+                raise RuntimeError("could not draw a kink-free relu instance")
+
+    def loss_at(theta):
+        candidate = _unpack(params, theta)
+        return rnn.loss_mse(rnn.rnn_forward(candidate, x).outputs, targets)
+
+    return loss_at, _pack(params.tensors()), _pack(rnn.bptt_gradients(params, (x, targets)))
+
+
+def check(scope: str, trials: int, seed: int) -> float:
+    """Max relative error of one scope's analytic gradient vs central differences.
+
+    ``scope`` is "mf" or a cell name; trial i draws its instance from the
+    seed derived with the label ``gradcheck/{scope}/{i}``.
+    """
     worst = 0.0
     for trial in range(trials):
-        rng = Rng(derive_seed(seed, f"gradcheck/{cell}/{trial}"))
-        params, x, targets = _random_instance(cell, rng)
-        if cell == "relu_identity":
-            # redraw while any pre-activation sits on the relu kink
-            attempts = 0
-            while (np.abs(rnn.rnn_forward(params, x).pre) < _RELU_KINK_GUARD).any():
-                params, x, targets = _random_instance(cell, rng)
-                attempts += 1
-                if attempts > 200:
-                    raise RuntimeError("could not draw a kink-free relu instance")
-
-        def loss_at(theta):
-            candidate = _unpack(params, theta)
-            return rnn.loss_mse(rnn.rnn_forward(candidate, x).outputs, targets)
-
-        theta0 = _pack(params.tensors())
-        numeric = central_difference(loss_at, theta0)
-        analytic = _pack(rnn.bptt_gradients(params, (x, targets)))
-        floor = fd_noise_floor(loss_at(theta0))
+        rng = Rng(derive_seed(seed, f"gradcheck/{scope}/{trial}"))
+        f, theta0, analytic = _draw_mf(rng) if scope == "mf" else _draw_rnn(scope, rng)
+        numeric = central_difference(f, theta0)
+        floor = fd_noise_floor(f(theta0))
         worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
     return worst
+
+
+def check_mf(trials: int, seed: int) -> float:
+    return check("mf", trials, seed)
+
+
+def check_rnn(cell: str, trials: int, seed: int) -> float:
+    return check(cell, trials, seed)
 
 
 def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
@@ -167,10 +174,4 @@ def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
     for s in scopes:
         if s not in all_scopes:
             raise ConfigError(f"unknown gradcheck scope {s!r}; choose from {all_scopes}")
-    results = {}
-    for s in scopes:
-        if s == "mf":
-            results[s] = check_mf(trials, seed)
-        else:
-            results[s] = check_rnn(s, trials, seed)
-    return results
+    return {s: check(s, trials, seed) for s in scopes}

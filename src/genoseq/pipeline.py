@@ -26,7 +26,7 @@ import numpy as np
 from . import mf, rnn
 from .data import (SequenceBatch, SplitIndices, build_sequences, check_ratios, check_traits,
                    parse_genotype_csv, parse_phenotype_csv, split_dataset, write_csv, write_json)
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 from .rnn import RnnSettings
 
@@ -64,6 +64,10 @@ class PipelineConfig:
     def seeded_mf(self) -> mf.MfConfig:
         """The factorization config with its seed derived from the master seed."""
         return replace(self.mf, seed=derive_seed(self.seed, "mf"))
+
+    def split(self, n_samples: int) -> SplitIndices:
+        """The train/validation/test split of ``n_samples``, seeded from the master seed."""
+        return split_dataset(n_samples, self.ratios, derive_seed(self.seed, "split"))
 
 
 def _config_keys() -> dict[str, tuple]:
@@ -158,11 +162,14 @@ class SplitMetrics(NamedTuple):
 class TraitResult:
     trait: int
     cell: str
-    status: str = "ok"          # or "failed"
-    error: str | None = None
+    error: GenoseqError | None = None  # why the trait failed; None when it trained
     curve: rnn.TrainingCurve | None = None
     metrics: dict = field(default_factory=dict)  # split name -> SplitMetrics
     n_samples: dict = field(default_factory=dict)
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "failed"
 
 
 @dataclass
@@ -189,7 +196,7 @@ class RunReport:
             entry = {"trait": tr.trait, "cell": tr.cell, "status": tr.status,
                      "n_samples": tr.n_samples}
             if tr.error is not None:
-                entry["error"] = tr.error
+                entry["error"] = str(tr.error)
             if tr.curve is not None:
                 entry["curve"] = tr.curve.to_rows()
             entry["metrics"] = {split: m._asdict() for split, m in tr.metrics.items()}
@@ -211,7 +218,7 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
         raise DataError("cannot evaluate an empty batch")
     preds = rnn.predict(model, batch.inputs)
     actual = batch.targets
-    corr = rnn.pearson_correlation(preds, actual) if len(batch) >= 2 else None
+    corr = rnn.pearson_correlation(preds, actual)
     mse = rnn.loss_mse(preds, actual)
     if target_range is None:
         target_range = float(actual.max() - actual.min())
@@ -222,29 +229,31 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
 
 
 def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
-                trait: int) -> tuple[rnn.RnnParams, TraitResult]:
+                trait: int) -> tuple[rnn.RnnParams | None, TraitResult]:
     """Train one trait's model and score it on every split; returns (model, result).
 
     ``batch`` holds the samples with the trait observed and ``split`` assigns
-    them to train, validation and test. Raises DataError when no training
-    sample has the trait and DivergenceError when training diverges; either
-    carries the failed TraitResult as ``result``.
+    them to train, validation and test. A trait that cannot be trained
+    returns no model and a result whose ``error`` says why: a DataError when
+    no training sample has the trait, or the DivergenceError of a training
+    that diverged, whose partial curve the result keeps.
     """
     parts = {name: batch.subset_by_samples(idx) for name, idx in
              (("train", split.train), ("validation", split.validation), ("test", split.test))}
     result = TraitResult(trait=trait, cell=cfg.rnn.cell,
                          n_samples={name: len(part) for name, part in parts.items()})
+    if len(parts["train"]) == 0:
+        result.error = DataError("no training samples with an observed trait value")
+        return None, result
+    params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
+                          derive_seed(cfg.seed, f"rnn/trait{trait}"))
+    val = parts["validation"] if len(parts["validation"]) else None
     try:
-        if len(parts["train"]) == 0:
-            raise DataError("no training samples with an observed trait value")
-        params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
-                              derive_seed(cfg.seed, f"rnn/trait{trait}"))
-        val = parts["validation"] if len(parts["validation"]) else None
         trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn)
-    except (DataError, DivergenceError) as e:
-        result.status, result.error, result.curve = "failed", str(e), getattr(e, "curve", None)
-        e.result = result
-        raise
+    except DivergenceError as e:
+        e.__context__ = None  # keep the error, not the frames of the training it ended
+        result.error, result.curve = e.with_traceback(None), e.curve
+        return None, result
     train_targets = parts["train"].targets
     target_range = float(train_targets.max() - train_targets.min())
     result.metrics = {name: evaluate_split(trained, part, cfg.success_tolerance, target_range)
@@ -273,9 +282,8 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
     report.stage_seconds["impute"] = time.perf_counter() - t0
 
-    split_seed = derive_seed(cfg.seed, "split")
-    split = split_dataset(geno.samples, cfg.ratios, split_seed)
-    report.seeds["split"] = split_seed
+    split = cfg.split(geno.samples)
+    report.seeds["split"] = derive_seed(cfg.seed, "split")
     report.seeds["mf"] = cfg.seeded_mf().seed
     report.split_sizes = {"train": int(split.train.size),
                           "validation": int(split.validation.size),
@@ -285,10 +293,8 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     for trait in cfg.traits:
         report.seeds[f"rnn/trait{trait}"] = derive_seed(cfg.seed, f"rnn/trait{trait}")
         batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
-        try:
-            _, result = train_trait(batch, split, cfg, trait)
-        except (DataError, DivergenceError) as e:
-            result = e.result
+        _, result = train_trait(batch, split, cfg, trait)
+        if result.error is not None:
             log.warning("trait %d failed: %s", trait, result.error)
         report.trait_results.append(result)
     report.stage_seconds["train"] = time.perf_counter() - t0
@@ -344,19 +350,11 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
             _, curves[cell] = rnn.train(params, batch, None, settings)
             finals[cell] = curves[cell].final_train_loss()
         except DivergenceError as e:
-            curves[cell] = getattr(e, "curve", rnn.TrainingCurve())
+            curves[cell] = e.curve
             finals[cell] = float("inf")
             diverged[cell] = str(e)
     ordering = sorted(cells, key=lambda c: finals[c])
     return CellComparison(curves, finals, diverged, ordering)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
@@ -396,7 +394,7 @@ def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
                    for tr in report.trait_results for split_name, m in tr.metrics.items()))
         written.append(path)
 
-    manifest = {"files": [{"name": p.name, "sha256": _sha256(p)}
+    manifest = {"files": [{"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
                           for p in sorted(written, key=lambda p: p.name)]}
     write_json(manifest, out / "manifest.json")
     return manifest

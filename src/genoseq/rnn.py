@@ -28,6 +28,7 @@ from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeE
 from .linalg import Rng, buffer, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
+TENSORS = ("w_ih", "w_hh", "w_ho", "b_h", "b_o")  # parameter order of tensors() and checkpoints
 CHECKPOINT_VERSION = "genoseq-rnn-v2"
 
 # Remember-by-default forget gates: with a bias of 1 the cell state decays
@@ -75,8 +76,7 @@ class RnnParams:
             setattr(self, name, arr)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"w_ih": self.w_ih, "w_hh": self.w_hh, "w_ho": self.w_ho,
-                "b_h": self.b_h, "b_o": self.b_o}
+        return {name: getattr(self, name) for name in TENSORS}
 
 
 @dataclass(frozen=True)
@@ -468,9 +468,7 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
             if not np.isfinite(train_loss):
                 raise DivergenceError("training loss became non-finite")
         except DivergenceError as e:
-            err = DivergenceError(str(e), epoch=epoch)
-            err.curve = curve  # completed epochs up to the failure
-            raise err from None
+            raise DivergenceError(str(e), epoch=epoch, curve=curve) from None
         val_loss = None
         if val_batch is not None:
             val_loss = loss_mse(rnn_forward(params, x_val, workspace=val_ws).outputs, t_val)
@@ -484,16 +482,14 @@ def predict(params: RnnParams, inputs) -> np.ndarray:
 
 
 def pearson_correlation(pred, actual) -> float | None:
-    """Pearson r in [-1, 1]; None when either input is constant."""
+    """Pearson r in [-1, 1]; None below 2 values or when either input is constant."""
     p = np.asarray(pred, dtype=np.float64).reshape(-1)
     a = np.asarray(actual, dtype=np.float64).reshape(-1)
     if p.shape != a.shape:
         raise ShapeError(f"length mismatch: {p.shape} vs {a.shape}")
-    if p.size < 2:
-        raise InputError(f"need at least 2 values, got {p.size}")
     # an exactly constant vector has no defined correlation; check the
     # range, not the centered norm, which picks up mean-roundoff residue
-    if p.max() == p.min() or a.max() == a.min():
+    if p.size < 2 or p.max() == p.min() or a.max() == a.min():
         return None
     pc = p - p.mean()
     ac = a - a.mean()
@@ -530,8 +526,7 @@ def load_checkpoint(path) -> RnnParams:
     try:
         cell = doc["cell"]
         dims, snps = [doc[k] for k in ("n_in", "n_hidden", "n_out")], doc["snps"]
-        tensors = {name: _decode_array(doc["tensors"][name])
-                   for name in ("w_ih", "w_hh", "w_ho", "b_h", "b_o")}
+        tensors = {name: _decode_array(doc["tensors"][name]) for name in TENSORS}
     except KeyError as e:
         raise ParseError(f"checkpoint lacks the entry {e}") from None
     except (TypeError, ValueError, OverflowError) as e:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import SequenceBatch
 from .errors import ConfigError
-from .linalg import Rng
+from .linalg import Rng, check_alloc
 
 
 def lag_memory_task(n_sequences: int, lag: int, seed: int) -> SequenceBatch:
@@ -23,6 +23,7 @@ def lag_memory_task(n_sequences: int, lag: int, seed: int) -> SequenceBatch:
     """
     if n_sequences < 1 or lag < 1:
         raise ConfigError(f"need n_sequences, lag >= 1, got {n_sequences}, {lag}")
+    check_alloc(n_sequences * lag)
     rng = Rng(seed)
     values = rng.uniform(n_sequences, -1.0, 1.0)
     inputs = np.zeros((n_sequences, lag, 1))
@@ -44,6 +45,7 @@ def deep_recall_task(n_sequences: int, length: int, seed: int) -> SequenceBatch:
     """
     if n_sequences < 1 or length < 5:
         raise ConfigError(f"need n_sequences >= 1 and length >= 5, got {n_sequences}, {length}")
+    check_alloc(n_sequences * length)
     rng = Rng(seed)
     fractions = (0.08, 0.25, 0.45, 0.65, 0.85, 1.0)
     lags = sorted({min(length - 1, max(1, round(f * length) - 1)) for f in fractions})

@@ -739,6 +739,20 @@ class TestSharedBehavior:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: cannot allocate ")
 
+    @pytest.mark.parametrize("argv", [["benchmark", "--task", "deep", "--length"],
+                                      ["benchmark", "--task", "lag", "--length"],
+                                      ["synth", "--traits"]],
+                             ids=["deep_length", "lag_length", "synth_traits"])
+    @pytest.mark.parametrize("size", [np.iinfo(np.intp).max + 1, 10 ** 30],
+                             ids=["intp_max_plus_1", "1e30"])
+    def test_size_flag_too_large_for_any_array_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                     argv, size):
+        # only sizes past what numpy can index, so that nothing is allocated
+        capsys.readouterr()
+        assert _run(*argv, str(size), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: cannot allocate ")
+
     @pytest.mark.parametrize("what", ["config file", "checkpoint"])
     def test_deeply_nested_json_exits_1_with_one_line(self, tmp_path, capsys, what):
         deep = tmp_path / "deep.json"

@@ -8,13 +8,13 @@ import pytest
 
 from genoseq.cli import main
 
-from genoseq.data import (genotype_to_csv, phenotype_to_csv, synth_lowrank_genotypes,
-                          synth_phenotypes)
-from genoseq.errors import ConfigError, DataError
+from genoseq.data import (PhenotypeTable, SplitIndices, genotype_to_csv, phenotype_to_csv,
+                          synth_lowrank_genotypes, synth_phenotypes)
+from genoseq.errors import ConfigError, DataError, DivergenceError
 from genoseq.mf import MfConfig
 from genoseq.pipeline import (PipelineConfig, RnnSettings, compare_on_batch,
                               evaluate_split, export_report, flatten_config, resolve_config,
-                              run_pipeline)
+                              run_pipeline, train_trait)
 from genoseq.rnn import RnnParams
 from genoseq.tasks import deep_recall_task
 
@@ -177,6 +177,59 @@ class TestRunPipeline:
         assert set(cli_metrics) == set(result.metrics) == {"train", "validation", "test"}
         for split, m in result.metrics.items():
             assert cli_metrics[split] == {**m._asdict(), "n": result.n_samples[split]}
+
+    def test_failed_traits_are_reported_and_exported(self, tmp_path):
+        # acceptance 6's data plus a third trait that no sample has; the
+        # learning rate makes both observed traits diverge mid-training
+        holed, truth = synth_lowrank_genotypes(40, 48, rank=3, missing_frac=0.08, seed=17)
+        phenos = synth_phenotypes(truth, traits=2, seed=18, noise=0.3, missing_per_trait=2)
+        phenos = PhenotypeTable(np.column_stack([phenos.values, np.zeros(40)]),
+                                np.column_stack([phenos.observed, np.zeros(40, dtype=bool)]))
+        geno_path, pheno_path = tmp_path / "g.csv", tmp_path / "p.csv"
+        genotype_to_csv(holed, geno_path)
+        phenotype_to_csv(phenos, pheno_path)
+        cfg = PipelineConfig(mf=MfConfig(features=4, alpha=0.002, beta=0.02, epochs=150),
+                             rnn=RnnSettings(cell="lstm", hidden=10, learning_rate=1e12,
+                                             epochs=25),
+                             chunk_width=6, seed=23, traits=(0, 1, 2))
+        report = run_pipeline(geno_path, pheno_path, cfg)
+        manifest = export_report(report, tmp_path / "out")
+        assert [f["name"] for f in manifest["files"]] == [
+            "metrics.csv", "mf_cost.csv", "report.json", "trait0_curve.csv", "trait1_curve.csv"]
+        traits = json.loads((tmp_path / "out" / "report.json").read_text())["traits"]
+        assert [t["trait"] for t in traits] == [0, 1, 2]
+        for t in traits[:2]:
+            assert t["status"] == "failed"
+            assert t["error"] == "training loss became non-finite (epoch 11)"
+            assert [r["epoch"] for r in t["curve"]] == list(range(11))
+            assert t["metrics"] == {}
+        assert traits[2]["status"] == "failed"
+        assert traits[2]["error"] == "no training samples with an observed trait value"
+        assert "curve" not in traits[2] and traits[2]["metrics"] == {}
+        metrics_csv = (tmp_path / "out" / "metrics.csv").read_text()
+        assert metrics_csv == "trait,split,correlation,mse,success_pct\n"
+
+
+class TestTrainTrait:
+    SPLIT = SplitIndices(np.arange(6), np.arange(6, 7), np.arange(7, 8))
+
+    def test_divergence_is_returned_without_the_training_frames(self):
+        cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, learning_rate=1e8,
+                                             epochs=30), chunk_width=1)
+        model, result = train_trait(deep_recall_task(8, 30, seed=9), self.SPLIT, cfg, 0)
+        assert model is None and result.status == "failed"
+        assert isinstance(result.error, DivergenceError)
+        assert result.curve is result.error.curve and len(result.curve) == result.error.epoch
+        # a stored error must not keep the failed training's workspaces alive
+        assert result.error.__traceback__ is None and result.error.__context__ is None
+
+    def test_no_training_sample_is_a_data_error(self):
+        split = SplitIndices(np.arange(0), np.arange(0, 4), np.arange(4, 8))
+        model, result = train_trait(deep_recall_task(8, 30, seed=9), split,
+                                    PipelineConfig(chunk_width=1), 0)
+        assert model is None and result.status == "failed" and result.curve is None
+        assert isinstance(result.error, DataError)
+        assert str(result.error) == "no training samples with an observed trait value"
 
 
 class TestCompareCells:

@@ -589,8 +589,7 @@ class TestPearsonCorrelation:
         assert pearson_correlation([1, 1, 1], [1, 2, 3]) is None
 
     def test_too_short(self):
-        with pytest.raises(InputError):
-            pearson_correlation([1.0], [2.0])
+        assert pearson_correlation([1.0], [2.0]) is None
 
 
 class TestIdentityMemory:
