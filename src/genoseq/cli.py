@@ -60,11 +60,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def load_cli_config(path) -> dict:
-    """Load a config JSON as {config key: value}; unknown keys are rejected."""
-    return pipeline.flatten_config(read_json(_require_file(path, "config"), "config file"))
-
-
 def _require_file(path, what: str) -> Path:
     if path is None:
         raise ConfigError(f"no {what} file given")
@@ -324,7 +319,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
 
     try:
-        config = load_cli_config(args.config) if args.config else {}
+        config = (pipeline.flatten_config(read_json(_require_file(args.config, "config"),
+                                                    "config file")) if args.config else {})
         if config:
             log.debug("loaded config with keys %s", sorted(config))
         flags = {k: v for k, v in vars(args).items() if v is not None}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, StateError
+from .errors import ConfigError, DataError, ParseError
 from .linalg import Rng, check_alloc
 
 MISSING_SENTINEL = 5
@@ -430,7 +430,7 @@ def build_sequences(g: GenotypeMatrix, phenos: PhenotypeTable, trait: int,
 def genotype_sequences(g: GenotypeMatrix, chunk_width: int) -> np.ndarray:
     """Chunk a fully observed genotype matrix into (samples, timesteps, width), codes halved."""
     if not g.fully_observed():
-        raise StateError("genotype matrix has unobserved cells; impute before building sequences")
+        raise DataError("genotype matrix has unobserved cells; impute before building sequences")
     if chunk_width < 1:
         raise ConfigError(f"chunk_width must be >= 1, got {chunk_width}")
     u, v = g.samples, g.snps

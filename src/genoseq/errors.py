@@ -26,15 +26,7 @@ class ParseError(GenoseqError):
 
 
 class DataError(GenoseqError):
-    """A dataset violates a precondition (e.g. no observed entries)."""
-
-
-class StateError(GenoseqError):
-    """An operation was called on data in the wrong state (e.g. holes remain)."""
-
-
-class InputError(GenoseqError):
-    """A runtime argument is unusable (an empty sequence or batch)."""
+    """A dataset violates a precondition (no observed entries, holes left, an empty batch)."""
 
 
 class DivergenceError(GenoseqError):

@@ -153,14 +153,6 @@ def check(scope: str, trials: int, seed: int) -> float:
     return worst
 
 
-def check_mf(trials: int, seed: int) -> float:
-    return check("mf", trials, seed)
-
-
-def check_rnn(cell: str, trials: int, seed: int) -> float:
-    return check(cell, trials, seed)
-
-
 def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
     """Run every requested oracle; returns {scope: max relative error}.
 

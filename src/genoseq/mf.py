@@ -142,11 +142,6 @@ def mf_init(samples: int, snps: int, cfg: MfConfig) -> FactorPair:
     return FactorPair(p, q)
 
 
-def mf_reconstruct(fp: FactorPair) -> np.ndarray:
-    """The estimated genotype matrix p @ q.T."""
-    return fp.p @ fp.q.T
-
-
 def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, workspace: dict | None = None):
     """(sse, objective): squared error over observed cells, plus regularization."""
     workspace = {} if workspace is None else workspace
@@ -265,7 +260,7 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = 
 
 def rounded_reconstruction(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
     """The reconstruction rounded to codes everywhere, ignoring observations."""
-    recon = mf_reconstruct(fp)  # rounded and clamped in place, then cast
+    recon = fp.p @ fp.q.T  # rounded and clamped in place, then cast
     recon = np.clip(np.rint(recon, out=recon), 0, 2, out=recon).astype(g.codes.dtype)
     ids = list(g.snp_ids) if g.snp_ids is not None else None
     return GenotypeMatrix(recon, np.ones_like(recon, dtype=bool), ids)

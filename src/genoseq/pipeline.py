@@ -61,13 +61,22 @@ class PipelineConfig:
         return asdict(self, dict_factory=lambda items: {
             k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
+    def seeds(self) -> dict[str, int]:
+        """The master seed and, by label, every stage seed derived from it.
+
+        The stages are the split, the factorization ("mf") and each trait's
+        initial model ("rnn/trait{t}"). A run report exports this dict.
+        """
+        labels = ("split", "mf") + tuple(f"rnn/trait{t}" for t in self.traits)
+        return {"master": self.seed, **{label: derive_seed(self.seed, label) for label in labels}}
+
     def seeded_mf(self) -> mf.MfConfig:
-        """The factorization config with its seed derived from the master seed."""
-        return replace(self.mf, seed=derive_seed(self.seed, "mf"))
+        """The factorization config with its stage seed."""
+        return replace(self.mf, seed=self.seeds()["mf"])
 
     def split(self, n_samples: int) -> SplitIndices:
-        """The train/validation/test split of ``n_samples``, seeded from the master seed."""
-        return split_dataset(n_samples, self.ratios, derive_seed(self.seed, "split"))
+        """The train/validation/test split of ``n_samples``, with its stage seed."""
+        return split_dataset(n_samples, self.ratios, self.seeds()["split"])
 
 
 def _config_keys() -> dict[str, tuple]:
@@ -205,13 +214,12 @@ class RunReport:
 
 
 def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance: float,
-                   target_range: float | None = None) -> SplitMetrics:
+                   target_range: float) -> SplitMetrics:
     """Correlation, MSE, and tolerance-band success rate on one split.
 
     A prediction counts as a success when |pred - actual| is within
-    success_tolerance times the target range; the range should come from
-    the training split (pass it in), else this batch's own range is used.
-    Constant targets make the correlation undefined (None); the other
+    success_tolerance times ``target_range``, the training split's target
+    range. Constant targets make the correlation undefined (None); the other
     metrics are still returned.
     """
     if len(batch) == 0:
@@ -220,8 +228,6 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     actual = batch.targets
     corr = rnn.pearson_correlation(preds, actual)
     mse = rnn.loss_mse(preds, actual)
-    if target_range is None:
-        target_range = float(actual.max() - actual.min())
     band = success_tolerance * target_range
     worst = np.max(np.abs(preds - actual), axis=1)
     success_pct = 100.0 * float(np.mean(worst <= band))
@@ -232,11 +238,12 @@ def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
                 trait: int) -> tuple[rnn.RnnParams | None, TraitResult]:
     """Train one trait's model and score it on every split; returns (model, result).
 
-    ``batch`` holds the samples with the trait observed and ``split`` assigns
-    them to train, validation and test. A trait that cannot be trained
-    returns no model and a result whose ``error`` says why: a DataError when
-    no training sample has the trait, or the DivergenceError of a training
-    that diverged, whose partial curve the result keeps.
+    ``batch`` holds the samples with the trait observed, ``split`` assigns
+    them to train, validation and test, and ``trait`` is one of
+    ``cfg.traits``. A trait that cannot be trained returns no model and a
+    result whose ``error`` says why: a DataError when no training sample
+    has the trait, or the DivergenceError of a training that diverged,
+    whose partial curve the result keeps.
     """
     parts = {name: batch.subset_by_samples(idx) for name, idx in
              (("train", split.train), ("validation", split.validation), ("test", split.test))}
@@ -246,7 +253,7 @@ def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
         result.error = DataError("no training samples with an observed trait value")
         return None, result
     params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
-                          derive_seed(cfg.seed, f"rnn/trait{trait}"))
+                          cfg.seeds()[f"rnn/trait{trait}"])
     val = parts["validation"] if len(parts["validation"]) else None
     try:
         trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn)
@@ -268,7 +275,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     (synthetic runs). A divergence while training one trait marks that
     trait's entry failed and the remaining traits still run.
     """
-    report = RunReport(config=cfg.to_dict(), seeds={"master": cfg.seed})
+    report = RunReport(config=cfg.to_dict(), seeds=cfg.seeds())
     t0 = time.perf_counter()
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
@@ -283,15 +290,12 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     report.stage_seconds["impute"] = time.perf_counter() - t0
 
     split = cfg.split(geno.samples)
-    report.seeds["split"] = derive_seed(cfg.seed, "split")
-    report.seeds["mf"] = cfg.seeded_mf().seed
     report.split_sizes = {"train": int(split.train.size),
                           "validation": int(split.validation.size),
                           "test": int(split.test.size)}
 
     t0 = time.perf_counter()
     for trait in cfg.traits:
-        report.seeds[f"rnn/trait{trait}"] = derive_seed(cfg.seed, f"rnn/trait{trait}")
         batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
         _, result = train_trait(batch, split, cfg, trait)
         if result.error is not None:

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .data import SequenceBatch, read_json, write_csv, write_json
-from .errors import ConfigError, DivergenceError, InputError, ParseError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
 from .linalg import Rng, buffer, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
@@ -201,15 +201,6 @@ class ForwardPass:
         return self.states[1:].transpose(1, 0, 2)
 
 
-def _as_batch(inputs) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None, :, :]
-    if x.ndim != 3:
-        raise ShapeError(f"inputs must be (T, n_in) or (batch, T, n_in), got {x.shape}")
-    return x
-
-
 def _blocks(w: np.ndarray, m: int) -> np.ndarray:
     """A hidden-side tensor (gates·M, k) as its gate blocks, (gates, M, k)."""
     return w.reshape(-1, m, w.shape[-1])
@@ -217,7 +208,7 @@ def _blocks(w: np.ndarray, m: int) -> np.ndarray:
 
 def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
                 workspace: dict | None = None) -> ForwardPass:
-    """Run the recurrence over one sequence (T, n_in) or a batch (B, T, n_in).
+    """Run the recurrence over a batch of sequences, inputs (B, T, n_in).
 
     h_0 is zero unless given. The readout is linear and evaluated at the
     final timestep. The input side of every step, x_t W_ih^T + b_h, is one
@@ -226,12 +217,14 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
 
     ``workspace`` (see :func:`genoseq.linalg.buffer`) lends the pass its buffers.
     """
-    x = _as_batch(inputs)
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"inputs must be (batch, T, n_in), got {x.shape}")
     b, t_len, n_in = x.shape
     if t_len == 0:
-        raise InputError("empty sequence")
+        raise DataError("empty sequence")
     if b == 0:
-        raise InputError("empty batch: no sequences to run")
+        raise DataError("empty batch: no sequences to run")
     if n_in != params.n_in:
         raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
@@ -307,23 +300,15 @@ def loss_mse(predictions, targets) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, SequenceBatch):
-        return batch.inputs, batch.targets
-    inputs, targets = batch
-    return np.asarray(inputs, dtype=np.float64), np.asarray(targets, dtype=np.float64)
-
-
-def bptt_gradients(params: RnnParams, batch,
+def bptt_gradients(params: RnnParams, batch: tuple[np.ndarray, np.ndarray],
                    workspace: dict | None = None) -> dict[str, np.ndarray]:
-    """Exact gradient of the mean MSE over the batch, by full unrolling.
+    """Exact gradient of the mean MSE over an (inputs, targets) batch, by full unrolling.
 
-    Accepts a SequenceBatch or an (inputs, targets) pair. Gradient tensors
-    match the parameter shapes and are new arrays. The backward runs on a
-    private forward pass, made in ``workspace`` when one is given (see
-    ``rnn_forward``), and reuses that pass's buffers as scratch.
+    Gradient tensors match the parameter shapes and are new arrays. The
+    backward runs on a private forward pass, made in ``workspace`` when one
+    is given (see ``rnn_forward``), and reuses that pass's buffers as scratch.
     """
-    x, targets = _batch_arrays(batch)
+    x, targets = batch
     fwd = rnn_forward(params, x, workspace=workspace)
     return _backward(params, fwd, targets)
 
@@ -437,7 +422,8 @@ def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: flo
     return replace(params, **tensors)
 
 
-def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
+def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatch | None,
+          settings: RnnSettings):
     """Gradient-descent training loop; returns (trained params, curve).
 
     Each epoch takes one step on the whole batch and ends with a fresh loss
@@ -449,9 +435,7 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
     clip_norm = settings.clip_norm
     if clip_norm == "default":
         clip_norm = None if params.cell == "lstm" else 1.0
-    x_train, t_train = _batch_arrays(train_batch)
-    if val_batch is not None:
-        x_val, t_val = _batch_arrays(val_batch)
+    x_train, t_train = train_batch.inputs, train_batch.targets
 
     ws, val_ws = {}, {}
     curve = TrainingCurve()
@@ -471,13 +455,14 @@ def train(params: RnnParams, train_batch, val_batch, settings: RnnSettings):
             raise DivergenceError(str(e), epoch=epoch, curve=curve) from None
         val_loss = None
         if val_batch is not None:
-            val_loss = loss_mse(rnn_forward(params, x_val, workspace=val_ws).outputs, t_val)
+            val_loss = loss_mse(rnn_forward(params, val_batch.inputs, workspace=val_ws).outputs,
+                                val_batch.targets)
         curve.records.append(EpochRecord(epoch, train_loss, val_loss))
     return params, curve
 
 
 def predict(params: RnnParams, inputs) -> np.ndarray:
-    """Final-timestep outputs per input sequence; no state is shared between them."""
+    """Final-timestep outputs per sequence of inputs (B, T, n_in); no state is shared between them."""
     return rnn_forward(params, inputs).outputs
 
 

@@ -281,11 +281,14 @@ class TestTrain:
                   "--out", str(out))
         _one_line_exit_1(rc, capsys, bad, out)
 
-    def test_holed_genotype_rejected(self, tmp_path):
+    def test_holed_genotype_rejected(self, tmp_path, capsys):
         data = _synth(tmp_path)
+        capsys.readouterr()
         rc = _run("train", "--geno", str(data / "geno_holed.csv"),
                   "--pheno", str(data / "pheno.csv"), "--epochs", "5")
         assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: genotype matrix has unobserved cells; impute before building sequences"]
 
 
 def _pheno_labelled(data, tmp_path, labelled):

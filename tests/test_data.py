@@ -12,7 +12,7 @@ from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build
                           parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
                           split_dataset, synth_lowrank_genotypes, synth_phenotypes,
                           synth_population_genotypes)
-from genoseq.errors import ConfigError, ParseError, StateError
+from genoseq.errors import ConfigError, DataError, ParseError
 from genoseq.linalg import Rng
 
 
@@ -433,7 +433,7 @@ class TestBuildSequences:
     def test_unimputed_matrix_rejected(self):
         holed, _ = synth_lowrank_genotypes(5, 6, rank=2, missing_frac=0.2, seed=2)
         phenos = synth_phenotypes(_small_dataset(5, 6)[0], seed=1)
-        with pytest.raises(StateError):
+        with pytest.raises(DataError, match="unobserved cells"):
             build_sequences(holed, phenos, trait=0, chunk_width=2)
 
     def test_trait_out_of_range(self):

@@ -10,8 +10,7 @@ from genoseq.linalg import Rng
 import genoseq.mf
 from genoseq.mf import (MF_MODES, CostCurve, CostRecord, FactorPair, MfConfig, fit_report,
                         impute, imputation_accuracy, mf_cost, mf_epoch, mf_fit,
-                        mf_gradients, mf_init, mf_reconstruct,
-                        rounded_reconstruction)
+                        mf_gradients, mf_init, rounded_reconstruction)
 
 
 def _geno(codes, observed=None):
@@ -72,18 +71,21 @@ class TestMfInit:
 
 class TestMfReconstruct:
     def test_rank_one_hand_products(self):
-        fp = FactorPair(np.array([[2.0], [3.0]]), np.array([[4.0], [5.0]]))
-        np.testing.assert_array_equal(mf_reconstruct(fp), [[8.0, 10.0], [12.0, 15.0]])
+        # products [[2, 1], [1, 0.5]]; 0.5 rounds half to even
+        fp = FactorPair(np.array([[1.0], [0.5]]), np.array([[2.0], [1.0]]))
+        recon = rounded_reconstruction(_geno(np.zeros((2, 2))), fp)
+        np.testing.assert_array_equal(recon.codes, [[2, 1], [1, 0]])
 
     def test_zero_factor_annihilates(self):
         fp = FactorPair(np.ones((3, 2)), np.zeros((4, 2)))
-        np.testing.assert_array_equal(mf_reconstruct(fp), np.zeros((3, 4)))
+        recon = rounded_reconstruction(_geno(np.ones((3, 4))), fp)
+        np.testing.assert_array_equal(recon.codes, np.zeros((3, 4)))
 
     def test_entry_is_feature_dot_product(self):
         rng = Rng(3)
-        fp = FactorPair(rng.uniform((4, 6)), rng.uniform((5, 6)))
-        recon = mf_reconstruct(fp)
-        assert recon[2, 3] == pytest.approx(float(np.dot(fp.p[2], fp.q[3])), abs=1e-12)
+        fp = FactorPair(rng.uniform((4, 6), 0.0, 0.5), rng.uniform((5, 6)))
+        recon = rounded_reconstruction(_geno(np.zeros((4, 5))), fp)
+        assert recon.codes[2, 3] == np.clip(np.rint(np.dot(fp.p[2], fp.q[3])), 0, 2)
 
 
 class TestMfCost:
@@ -96,8 +98,6 @@ class TestMfCost:
 
     def test_perfect_fit_zero_objective(self):
         fp = FactorPair(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
-        recon = mf_reconstruct(fp)
-        g = _geno(np.rint(recon))
         # quantize factors so the product is exactly the codes
         g = GenotypeMatrix(np.array([[1, 3], [2, 6]]) // 1, np.ones((2, 2), dtype=bool))
         sse, objective = mf_cost(g, fp, beta=0.0)
@@ -127,7 +127,7 @@ class TestMfGradients:
 
     def test_matches_finite_differences(self):
         # 20 random small instances, samples/snps <= 8, features <= 3
-        assert gc.check_mf(trials=20, seed=101) < 1e-6
+        assert gc.check("mf", trials=20, seed=101) < 1e-6
 
     def test_mask_independence_bitwise(self):
         holed, _ = synth_lowrank_genotypes(6, 7, rank=2, missing_frac=0.3, seed=3)
@@ -437,7 +437,7 @@ class TestMfFit:
         for epoch in range(25):
             fp_a, _ = mf_epoch(g_a, fp_a, cfg, epoch)
             fp_b, _ = mf_epoch(g_b, fp_b, cfg, epoch)
-        np.testing.assert_allclose(mf_reconstruct(fp_a)[perm], mf_reconstruct(fp_b),
+        np.testing.assert_allclose((fp_a.p @ fp_a.q.T)[perm], fp_b.p @ fp_b.q.T,
                                    atol=1e-9)
 
 

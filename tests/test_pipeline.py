@@ -58,14 +58,15 @@ class TestEvaluateSplit:
     def test_constant_predictor_keeps_other_metrics(self):
         batch = deep_recall_task(8, 20, seed=2)
         mean = float(batch.targets.mean())
-        m = evaluate_split(_constant_net(mean, n_in=1), batch, 10.0)
+        m = evaluate_split(_constant_net(mean, n_in=1), batch, 10.0,
+                           float(batch.targets.max() - batch.targets.min()))
         assert m.correlation is None
         assert m.mse == pytest.approx(float(batch.targets.var()))
         assert m.success_pct == 100.0  # generous tolerance band
 
     def test_zero_tolerance_counts_exact_matches_only(self):
         batch = deep_recall_task(6, 20, seed=3)
-        m = evaluate_split(_constant_net(0.0, n_in=1), batch, 0.0)
+        m = evaluate_split(_constant_net(0.0, n_in=1), batch, 0.0, target_range=1.0)
         exact = float(np.mean(np.abs(batch.targets[:, 0]) <= 0.0)) * 100
         assert m.success_pct == exact
 
@@ -128,6 +129,38 @@ class TestRunPipeline:
         train_batch = batch.subset_by_samples(split.train)
         test_set = set(split.test.tolist())
         assert not (set(train_batch.sample_indices.tolist()) & test_set)
+
+    def test_reported_seeds_reproduce_the_fit_split_and_initial_models(self, tmp_path,
+                                                                        monkeypatch):
+        from genoseq import pipeline, rnn
+        from genoseq.data import parse_genotype_csv, split_dataset
+        from genoseq.mf import mf_fit
+
+        splits, inits = [], []
+        train_trait, train = pipeline.train_trait, rnn.train
+        monkeypatch.setattr(pipeline, "train_trait",
+                            lambda batch, split, *rest: splits.append(split)
+                            or train_trait(batch, split, *rest))
+        monkeypatch.setattr(rnn, "train",
+                            lambda params, *rest: inits.append(params) or train(params, *rest))
+        geno, pheno, _ = _write_dataset(tmp_path)
+        cfg = _small_config(traits=(0, 1), rnn_epochs=2)
+        report = run_pipeline(geno, pheno, cfg)
+
+        assert list(report.seeds) == ["master", "split", "mf", "rnn/trait0", "rnn/trait1"]
+        _, curve = mf_fit(parse_genotype_csv(geno), replace(cfg.mf, seed=report.seeds["mf"]))
+        assert curve.to_rows() == report.mf_curve.to_rows()
+        split = split_dataset(50, cfg.ratios, report.seeds["split"])
+        assert len(splits) == 2
+        for used in splits:
+            for part in ("train", "validation", "test"):
+                assert getattr(used, part).tolist() == getattr(split, part).tolist()
+        assert len(inits) == 2
+        for trait, used in zip(cfg.traits, inits):
+            fresh = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
+                                 report.seeds[f"rnn/trait{trait}"])
+            for name, value in fresh.tensors().items():
+                assert used.tensors()[name].tobytes() == value.tobytes(), (trait, name)
 
     def test_sample_count_mismatch_rejected(self, tmp_path):
         geno, _, _ = _write_dataset(tmp_path)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import genoseq.gradcheck as gc
 from genoseq import rnn
-from genoseq.errors import (ConfigError, DivergenceError, InputError, ParseError,
-                            ShapeError)
+from genoseq.data import SequenceBatch
+from genoseq.errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
 from genoseq.linalg import Rng
 from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, LSTM_FORGET_BIAS, RnnParams, RnnSettings,
                          bptt_gradients, clip_gradients, gradient_norm,
@@ -140,19 +140,19 @@ class TestRnnForward:
     def test_identity_preservation_at_init(self):
         p = rnn_init("relu_identity", 2, 4, 1, seed=3)
         p.w_ih[:] = 0.0
-        fwd = rnn_forward(p, np.zeros((6, 2)))
+        fwd = rnn_forward(p, np.zeros((1, 6, 2)))
         np.testing.assert_array_equal(fwd.hidden, np.zeros((1, 6, 4)))
         assert fwd.outputs[0, 0] == p.b_o[0]
 
     def test_zero_network_outputs_zero(self):
         p = RnnParams("simple_tanh", 2, 3, 1, np.zeros((3, 2)), np.zeros((3, 3)),
                       np.zeros((1, 3)), np.zeros(3), np.zeros(1))
-        fwd = rnn_forward(p, np.ones((1, 2)))
+        fwd = rnn_forward(p, np.ones((1, 1, 2)))
         assert fwd.outputs[0, 0] == 0.0
 
     def test_hand_evaluated_chain(self):
         # h1 = tanh(1), h2 = tanh(0.5 * h1), y = 2 * h2
-        fwd = rnn_forward(_tiny_tanh(), np.array([[1.0], [0.0]]))
+        fwd = rnn_forward(_tiny_tanh(), np.array([[[1.0], [0.0]]]))
         assert fwd.outputs[0, 0] == pytest.approx(0.726798968778105, abs=1e-12)
         assert fwd.hidden[0, 0, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
         assert fwd.hidden[0, 1, 0] == pytest.approx(math.tanh(0.5 * math.tanh(1.0)), abs=1e-12)
@@ -160,11 +160,16 @@ class TestRnnForward:
     def test_width_mismatch(self):
         p = rnn_init("simple_tanh", 3, 2, 1, seed=1)
         with pytest.raises(ShapeError):
+            rnn_forward(p, np.ones((1, 4, 2)))
+
+    def test_single_sequence_without_batch_axis_rejected(self):
+        p = rnn_init("simple_tanh", 2, 2, 1, seed=1)
+        with pytest.raises(ShapeError, match=r"\(batch, T, n_in\)"):
             rnn_forward(p, np.ones((4, 2)))
 
     def test_empty_sequence(self):
         p = rnn_init("simple_tanh", 2, 2, 1, seed=1)
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             rnn_forward(p, np.ones((1, 0, 2)))
 
     def test_lstm_gates_in_unit_interval(self):
@@ -225,11 +230,11 @@ class TestBpttGradients:
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_matches_finite_differences(self, cell):
-        assert gc.check_rnn(cell, trials=10, seed=303) < 1e-5
+        assert gc.check(cell, trials=10, seed=303) < 1e-5
 
     def test_empty_batch_rejected(self):
         p = rnn_init("simple_tanh", 1, 2, 1, seed=1)
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             bptt_gradients(p, (np.zeros((0, 3, 1)), np.zeros((0, 1))))
 
 
@@ -284,7 +289,7 @@ class TestKernelsMatchPerStepReference:
             assert first[k].tobytes() == second[k].tobytes()
 
     def test_gradient_oracle_catches_a_skewed_gate_factor(self, monkeypatch):
-        assert gc.check_rnn("lstm", trials=5, seed=303) < 1e-5
+        assert gc.check("lstm", trials=5, seed=303) < 1e-5
         exact = rnn._lstm_factors
 
         def skewed(fwd):
@@ -293,7 +298,7 @@ class TestKernelsMatchPerStepReference:
             return carry
 
         monkeypatch.setattr(rnn, "_lstm_factors", skewed)
-        assert gc.check_rnn("lstm", trials=5, seed=303) > 1e-5
+        assert gc.check("lstm", trials=5, seed=303) > 1e-5
 
 
 class TestClipGradients:
@@ -328,7 +333,7 @@ class TestClipGradients:
         x, targets = Rng(2).uniform((3, 4, 2)), Rng(3).uniform((3, 1))
         for cell in CELLS:
             bounds.clear()
-            train(rnn_init(cell, 2, 3, 1, seed=1), (x, targets), None,
+            train(rnn_init(cell, 2, 3, 1, seed=1), SequenceBatch(x, targets), None,
                   RnnSettings(learning_rate=0.01, epochs=2))
             assert bounds == ([] if cell == "lstm" else [1.0, 1.0])
 
@@ -379,46 +384,44 @@ class TestTrain:
         rng = Rng(seed)
         x = rng.uniform((n, t_len, 2), -1, 1)
         targets = x.sum(axis=(1, 2), keepdims=False)[:, None] * 0.1
-        return x, targets
+        return SequenceBatch(x, targets)
 
     def test_zero_epochs(self):
-        x, targets = self._toy()
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        out, curve = train(p, (x, targets), None, RnnSettings(learning_rate=0.1, epochs=0))
+        out, curve = train(p, self._toy(), None, RnnSettings(learning_rate=0.1, epochs=0))
         assert len(curve) == 0
         for k, v in out.tensors().items():
             assert v.tobytes() == p.tensors()[k].tobytes()
 
     def test_descends_on_toy_problem(self):
-        x, targets = self._toy()
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x, targets), None,
+        _, curve = train(p, self._toy(), None,
                          RnnSettings(learning_rate=0.05, epochs=200, clip_norm=1.0))
         assert curve.records[-1].train_loss < curve.records[0].train_loss
 
     def test_curve_is_deterministic(self):
-        x, targets = self._toy()
+        batch = self._toy()
         cfg = RnnSettings(learning_rate=0.05, epochs=50, clip_norm=1.0)
         curves = []
         for _ in range(2):
             p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-            _, curve = train(p, (x, targets), None, cfg)
+            _, curve = train(p, batch, None, cfg)
             curves.append([r.train_loss for r in curve.records])
         assert curves[0] == curves[1]
 
     def test_validation_losses_recorded(self):
-        x, targets = self._toy(n=6)
+        batch = self._toy(n=6)
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x[:4], targets[:4]), (x[4:], targets[4:]),
+        _, curve = train(p, batch.subset_by_samples(range(4)), batch.subset_by_samples([4, 5]),
                          RnnSettings(learning_rate=0.05, epochs=10, clip_norm=1.0))
         assert all(r.val_loss is not None for r in curve.records)
 
     def test_divergence_carries_epoch(self):
-        x, targets = self._toy()
+        batch = self._toy()
         p = rnn_init("relu_identity", 2, 3, 1, seed=1)
         p.w_hh[:] = np.eye(3) * 40.0  # explosive recurrence
         with pytest.raises(DivergenceError) as exc:
-            train(p, (x * 1e3, targets), None,
+            train(p, SequenceBatch(batch.inputs * 1e3, batch.targets), None,
                   RnnSettings(learning_rate=1e6, epochs=50, clip_norm=None))
         assert exc.value.epoch is not None
 
@@ -431,7 +434,7 @@ def _reference_train(params, train_batch, val_batch, settings):
     clip_norm = settings.clip_norm
     if clip_norm == "default":
         clip_norm = None if params.cell == "lstm" else 1.0
-    x, targets = train_batch
+    x, targets = train_batch.inputs, train_batch.targets
     rows, clipped = [], 0
     for epoch in range(settings.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -448,7 +451,7 @@ def _reference_train(params, train_batch, val_batch, settings):
             return params, rows, clipped, epoch
         val_loss = None
         if val_batch is not None:
-            val_loss = loss_mse(rnn_forward(params, val_batch[0]).outputs, val_batch[1])
+            val_loss = loss_mse(rnn_forward(params, val_batch.inputs).outputs, val_batch.targets)
         rows.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
     return params, rows, clipped, None
 
@@ -456,7 +459,7 @@ def _reference_train(params, train_batch, val_batch, settings):
 def _split_instance(cell, seed=0):
     """A generic instance cut into a 5-sequence training and a 3-sequence validation batch."""
     params, x, targets = _generic_instance(cell, 8, 7, 2, seed=seed)
-    return params, (x[:5], targets[:5]), (x[5:], targets[5:])
+    return params, SequenceBatch(x[:5], targets[:5]), SequenceBatch(x[5:], targets[5:])
 
 
 def _pass_arrays(fwd):
@@ -523,13 +526,14 @@ class TestForwardWorkspace:
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_pass_without_workspace_is_never_modified_later(self, cell):
-        params, (x, targets), _ = _split_instance(cell)
+        params, batch, _ = _split_instance(cell)
+        x, targets = batch.inputs, batch.targets
         fwd = rnn_forward(params, x)
         before = {name: a.copy() for name, a in _pass_arrays(fwd).items()}
         x[:] = 0.5  # the pass holds its own copy of the inputs
         bptt_gradients(params, (x, targets))
         rnn_forward(params, x)
-        train(params, (x, targets), None, RnnSettings(cell=cell, epochs=2))
+        train(params, batch, None, RnnSettings(cell=cell, epochs=2))
         for name, a in _pass_arrays(fwd).items():
             assert a.tobytes() == before[name].tobytes(), name
 
@@ -565,13 +569,13 @@ class TestPredict:
         np.testing.assert_array_equal(predict(p, x[perm]), preds[perm])
 
     def test_consistent_with_forward(self):
-        fwd = rnn_forward(_tiny_tanh(), np.array([[1.0], [0.0]]))
+        fwd = rnn_forward(_tiny_tanh(), np.array([[[1.0], [0.0]]]))
         preds = predict(_tiny_tanh(), np.array([[[1.0], [0.0]]]))
         assert preds[0, 0] == fwd.outputs[0, 0]
 
     def test_empty_batch_rejected(self):
         p = rnn_init("lstm", 2, 3, 1, seed=1)
-        with pytest.raises(InputError, match="empty batch"):
+        with pytest.raises(DataError, match="empty batch"):
             predict(p, np.zeros((0, 4, 2)))
 
 
@@ -675,7 +679,8 @@ class TestTrainingCurveCsv:
         x = Rng(5).uniform((4, 3, 2), -1, 1)
         targets = Rng(6).uniform((4, 1))
         p = rnn_init("simple_tanh", 2, 3, 1, seed=1)
-        _, curve = train(p, (x, targets), (x, targets),
+        batch = SequenceBatch(x, targets)
+        _, curve = train(p, batch, batch,
                          RnnSettings(learning_rate=0.05, epochs=3, clip_norm=1.0))
         path = tmp_path / "curve.csv"
         curve.to_csv(path)
