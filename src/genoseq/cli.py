@@ -6,7 +6,7 @@ A flag that overrides a config key stores its value under that key's name
 (``--epochs`` of train is ``rnn.epochs``), and both reach one resolver,
 :func:`genoseq.pipeline.resolve_config`. Every piece of randomness derives
 from one --seed, fanned out per stage by name, so a fixed seed makes every
-file output bit-reproducible.
+file output bit-reproducible on the same BLAS library and thread count.
 
 Exit codes: 0 success, 1 usage/config/parse errors (a size too large to
 allocate among them), 2 numerical divergence, 3 output I/O failures.
@@ -20,7 +20,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,8 @@ def cmd_impute(args, values: dict) -> int:
     out = _out_dir(values)
     genotype_to_csv(imputed, out / "imputed.csv")
     curve.to_csv(out / "mf_cost.csv")
-    write_json(mf.fit_report(mf_cfg, curve, accuracy), out / "fit_report.json")
+    write_json({"config": cfg.to_config(), "seeds": {"master": cfg.seed, "mf": mf_cfg.seed},
+                **mf.fit_report(curve, accuracy)}, out / "fit_report.json")
     print(f"imputed {int((~geno.observed).sum())} cells; wrote 3 files to {out}")
     return EXIT_OK
 
@@ -121,7 +122,7 @@ def cmd_train(args, values: dict) -> int:
     result.curve.to_csv(out / "train_curve.csv")
     metrics = {name: {**m._asdict(), "n": result.n_samples[name]}
                for name, m in result.metrics.items()}
-    write_json({"config": cfg.to_dict(), "trait": trait, "metrics": metrics},
+    write_json({"config": cfg.to_config(), "trait": trait, "metrics": metrics},
                 out / "train_report.json")
     print(f"trained {cfg.rnn.cell} on trait {trait}; wrote 3 files to {out}")
     return EXIT_OK
@@ -171,7 +172,8 @@ def cmd_benchmark(args, values: dict) -> int:
     # the cell comparison trains at a higher default learning rate than train
     cfg = pipeline.resolve_config(
         values, pipeline.PipelineConfig(rnn=pipeline.RnnSettings(learning_rate=0.1)))
-    settings = {k: v for k, v in asdict(cfg.rnn).items() if k != "cell"}
+    config = cfg.to_config()
+    del config["rnn"]["cell"]  # rejected above: --cells names the compared cells
     cells = args.cells if args.cells else list(rnn.CELLS)
     batch = tasks.make_task(args.task, args.sequences, args.length,
                             derive_seed(cfg.seed, f"benchmark/{args.task}"))
@@ -180,7 +182,7 @@ def cmd_benchmark(args, values: dict) -> int:
     for cell in cells:
         comparison.curves[cell].to_csv(out / f"{cell}_curve.csv")
     write_json({"task": args.task, "length": args.length, "sequences": args.sequences,
-                 "seed": cfg.seed, "settings": settings, **comparison.to_json_dict()},
+                "config": config, **comparison.to_json_dict()},
                 out / "benchmark.json")
     order = " < ".join(comparison.ordering)
     print(f"benchmark {args.task}(length={args.length}): final-loss order {order}; "

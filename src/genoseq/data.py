@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +167,19 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+@dataclass
+class Curve:
+    """Per-epoch records of one fit or training run; JSON reports export each one's fields."""
+
+    records: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def to_rows(self) -> list[dict]:
+        return [asdict(r) for r in self.records]
 
 
 def parse_genotype_csv(source) -> GenotypeMatrix:

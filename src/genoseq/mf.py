@@ -14,11 +14,11 @@ differentiable at zero, so that convention is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GenotypeMatrix, write_csv
+from .data import Curve, GenotypeMatrix, write_csv
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .linalg import Rng, buffer, frobenius_sq
 
@@ -75,29 +75,21 @@ class FactorPair:
 class CostRecord:
     epoch: int
     mse: float       # mean squared error over observed entries
+    sse: float       # summed squared error over observed entries
     objective: float  # summed squared error plus regularization
 
 
 @dataclass
-class CostCurve:
-    """Per-epoch reconstruction cost; n_observed converts mse back to sse."""
-
-    records: list[CostRecord] = field(default_factory=list)
-    n_observed: int = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
+class CostCurve(Curve):
+    n_observed: int = 0  # the fitted matrix's observed entries, over which each mse averages
 
     def final_sse(self) -> float:
-        return self.records[-1].mse * self.n_observed if self.records else float("nan")
+        return self.records[-1].sse if self.records else float("nan")
 
     def to_csv(self, path) -> None:
         write_csv(path, ("epoch", "sse", "objective"),
-                  ((str(r.epoch), repr(float(r.mse * self.n_observed)), repr(float(r.objective)))
+                  ((str(r.epoch), repr(float(r.sse)), repr(float(r.objective)))
                    for r in self.records))
-
-    def to_rows(self) -> list[dict]:
-        return [{"epoch": r.epoch, "mse": r.mse, "objective": r.objective} for r in self.records]
 
 
 def _masked_residual(g: GenotypeMatrix, fp: FactorPair, workspace: dict) -> np.ndarray:
@@ -205,7 +197,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0,
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)
     n_obs = g.observed.size - workspace["holes"].size
     mse = sse / n_obs if n_obs else 0.0
-    return new, CostRecord(epoch, mse, objective)
+    return new, CostRecord(epoch, mse, sse, objective)
 
 
 def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
@@ -284,11 +276,9 @@ def imputation_accuracy(truth: GenotypeMatrix, imputed: GenotypeMatrix, holes: n
     return missing_pct, full_pct
 
 
-def fit_report(cfg: MfConfig | None, curve: CostCurve, accuracy=None) -> dict:
-    """JSON-ready summary of one fit: resolved config (when given), curve, optional accuracy."""
+def fit_report(curve: CostCurve, accuracy=None) -> dict:
+    """JSON-ready summary of one fit: its curve and, when scored against a truth, accuracy."""
     report = {"n_observed": curve.n_observed, "curve": curve.to_rows()}
-    if cfg is not None:
-        report["config"] = asdict(cfg)
     if accuracy is not None:
         missing_pct, full_pct = accuracy
         report["accuracy"] = {"missing_pct": missing_pct, "full_pct": full_pct}

@@ -1,12 +1,13 @@
 """End-to-end orchestration: parse, impute, chunk, train per trait, evaluate.
 
 The stages run in a fixed order and every stage draws its seed from the
-master seed by name (see :func:`genoseq.linalg.derive_seed`), so a run is
-a pure function of (input files, config) and two runs with the same
-config export byte-identical reports.
+master seed by name (see :func:`genoseq.linalg.derive_seed`), so two runs
+with the same input files and config, on the same BLAS library and thread
+count, export byte-identical reports.
 
 This module also owns the config schema: every config-file key, with its
-section, default and type, comes from the dataclass fields (see resolve_config).
+section, default and type, comes from the dataclass fields (see resolve_config),
+and PipelineConfig.to_config writes the one layout every export's ``config`` has.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -32,7 +33,7 @@ from .rnn import RnnSettings
 
 log = logging.getLogger("genoseq.pipeline")
 
-REPORT_VERSION = "genoseq-report-v2"
+REPORT_VERSION = "genoseq-report-v3"
 FILE_KEYS = ("out", "geno", "pheno", "truth")  # config-file paths, not run settings
 _DATA = {"section": "data"}  # PipelineConfig fields kept in the config file's "data" section
 
@@ -56,10 +57,14 @@ class PipelineConfig:
         if self.success_tolerance < 0:
             raise ConfigError(f"success_tolerance must be >= 0, got {self.success_tolerance}")
 
-    def to_dict(self) -> dict:
-        """The config as JSON data, its tuples as lists."""
-        return asdict(self, dict_factory=lambda items: {
-            k: list(v) if isinstance(v, tuple) else v for k, v in items})
+    def to_config(self) -> dict:
+        """The config file that resolve_config reads back to this config, tuples as lists."""
+        doc = {section: {} for section in _SECTIONS}
+        for key in [k for k in CONFIG_KEYS if k not in FILE_KEYS]:
+            section, _, name = key.rpartition(".")
+            value = getattr({"mf": self.mf, "rnn": self.rnn}.get(section, self), name)
+            doc.get(section, doc)[name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     def seeds(self) -> dict[str, int]:
         """The master seed and, by label, every stage seed derived from it.
@@ -200,7 +205,7 @@ class RunReport:
     def to_json_dict(self) -> dict:
         doc = {"version": REPORT_VERSION, "config": self.config, "seeds": self.seeds,
                "split_sizes": self.split_sizes,
-               "mf": mf.fit_report(None, self.mf_curve, self.mf_accuracy), "traits": []}
+               "mf": mf.fit_report(self.mf_curve, self.mf_accuracy), "traits": []}
         for tr in self.trait_results:
             entry = {"trait": tr.trait, "cell": tr.cell, "status": tr.status,
                      "n_samples": tr.n_samples}
@@ -275,7 +280,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     (synthetic runs). A divergence while training one trait marks that
     trait's entry failed and the remaining traits still run.
     """
-    report = RunReport(config=cfg.to_dict(), seeds=cfg.seeds())
+    report = RunReport(config=cfg.to_config(), seeds=cfg.seeds())
     t0 = time.perf_counter()
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)

@@ -18,12 +18,12 @@ backpropagation through time and optional global-norm gradient clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
-from .data import SequenceBatch, read_json, write_csv, write_json
+from .data import Curve, SequenceBatch, read_json, write_csv, write_json
 from .errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
 from .linalg import Rng, buffer, sigmoid
 
@@ -114,13 +114,7 @@ class EpochRecord:
     val_loss: float | None = None
 
 
-@dataclass
-class TrainingCurve:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
+class TrainingCurve(Curve):
     def final_train_loss(self) -> float:
         return self.records[-1].train_loss if self.records else float("nan")
 
@@ -129,10 +123,6 @@ class TrainingCurve:
                   ((str(r.epoch), repr(float(r.train_loss)),
                     repr(float(r.val_loss)) if r.val_loss is not None else "")
                    for r in self.records))
-
-    def to_rows(self) -> list[dict]:
-        return [{"epoch": r.epoch, "train_loss": r.train_loss, "val_loss": r.val_loss}
-                for r in self.records]
 
 
 def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnParams:

@@ -485,7 +485,7 @@ class TestBenchmark:
         doc = json.loads((out / "benchmark.json").read_text())
         assert set(doc["final_losses"]) == {"simple_tanh", "lstm", "relu_identity"}
         assert len(doc["ordering"]) == 3
-        assert "cell" not in doc["settings"]
+        assert "cell" not in doc["config"]["rnn"]
 
     def test_seeded_rerun_identical(self, tmp_path):
         hashes = []
@@ -608,8 +608,8 @@ class TestSharedBehavior:
                   "--epochs", "40", "--out", str(out))
         assert rc == 0
         report = json.loads((out / "fit_report.json").read_text())
-        assert report["config"]["features"] == 3   # from config
-        assert report["config"]["epochs"] == 40    # flag wins
+        assert report["config"]["mf"]["features"] == 3   # from config
+        assert report["config"]["mf"]["epochs"] == 40    # flag wins
         assert len(report["curve"]) == 40
 
     @pytest.mark.parametrize("doc", [
@@ -632,6 +632,30 @@ class TestSharedBehavior:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ")
+
+    @pytest.mark.parametrize("command", ["impute", "train", "benchmark"])
+    def test_exported_config_reruns_to_equal_exports(self, tmp_path, command):
+        # every setting below is off its default, so a config that lost one changes an export
+        data = _synth(tmp_path)
+        inputs = {"impute": ["--geno", str(data / "geno_holed.csv"),
+                             "--truth", str(data / "geno_truth.csv")],
+                  "train": ["--geno", str(data / "geno_truth.csv"),
+                            "--pheno", str(data / "pheno.csv")],
+                  "benchmark": ["--task", "adding", "--length", "12", "--sequences", "6"]}
+        flags = {"impute": ["--features", "4", "--alpha", "0.002", "--epochs", "40"],
+                 "train": ["--trait", "1", "--cell", "lstm", "--hidden", "5", "--lr", "0.02",
+                           "--epochs", "6", "--chunk-width", "7", "--success-tolerance", "0.3"],
+                 "benchmark": ["--hidden", "5", "--lr", "0.03", "--epochs", "6"]}
+        report = {"impute": "fit_report.json", "train": "train_report.json",
+                  "benchmark": "benchmark.json"}[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert _run(command, *inputs[command], *flags[command], "--seed", "9",
+                    "--out", str(first)) == 0
+        config = json.loads((first / report).read_text(encoding="utf-8"))["config"]
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        assert _run(command, *inputs[command], "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(again)) == 0
+        assert _hash_dir(again) == _hash_dir(first)
 
     def test_config_ints_fit_float_keys(self, tmp_path):
         data, imputed = _imputed(tmp_path)

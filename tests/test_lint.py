@@ -8,6 +8,7 @@ import pytest
 import genoseq
 
 MODULES = sorted(Path(genoseq.__file__).parent.glob("*.py"))
+FILE_CALLS = ("open", "write_text", "write_bytes")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +27,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def file_io(source: str) -> list[str]:
+    """Calls in ``source`` of a FILE_CALLS name, as a function or a method, and imports of json."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in FILE_CALLS:
+                found.append((node.lineno, f"{name}()"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append((node.lineno, f"from {node.module} import"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def test_module_list_is_the_package():
     assert {p.stem for p in MODULES} >= {"cli", "data", "mf", "pipeline", "rnn"}
 
@@ -38,3 +55,18 @@ def test_no_unused_import(path):
 def test_unused_import_is_caught():
     source = "from .data import SequenceBatch, write_csv\nimport numpy as np\nwrite_csv(np)\n"
     assert unused_imports(source) == ["line 1: SequenceBatch"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data.py"], ids=lambda p: p.name)
+def test_only_data_opens_files_or_json(path):
+    # every export goes through data.write_csv or data.write_json, every JSON read through read_json
+    assert file_io(path.read_text(encoding="utf-8")) == []
+
+
+def test_file_io_is_caught():
+    source = ("import json\nfrom json import dumps\nfrom pathlib import Path\n"
+              "with open('a') as fh:\n    Path('b').write_bytes(fh.read())\n")
+    assert file_io(source) == ["line 1: import json", "line 2: from json import",
+                               "line 4: open()", "line 5: write_bytes()"]
+    data = next(p for p in MODULES if p.name == "data.py")
+    assert file_io(data.read_text(encoding="utf-8"))  # the one module that does the I/O

@@ -264,7 +264,7 @@ class TestFullBatchEpoch:
         for epoch in range(12):
             fp, record = mf_epoch(g, fp, cfg, epoch)
             ref, sse, objective = _full_batch_reference(g, ref, cfg)
-            assert record == CostRecord(epoch, sse / n_obs if n_obs else 0.0, objective)
+            assert record == CostRecord(epoch, sse / n_obs if n_obs else 0.0, sse, objective)
             assert fp.p.tobytes() == ref.p.tobytes()
             assert fp.q.tobytes() == ref.q.tobytes()
             assert mf_cost(g, fp, cfg.beta) == (sse, objective)
@@ -314,7 +314,7 @@ class TestFullBatchFit:
             dp, dq = mf_gradients(g, ref, cfg.beta)
             ref = FactorPair(ref.p - cfg.alpha * dp, ref.q - cfg.alpha * dq)
             sse, objective = mf_cost(g, ref, cfg.beta)
-            records.append(CostRecord(epoch, sse / int(g.observed.sum()), objective))
+            records.append(CostRecord(epoch, sse / int(g.observed.sum()), sse, objective))
         assert curve.records == records
         assert fp.p.tobytes() == ref.p.tobytes()
         assert fp.q.tobytes() == ref.q.tobytes()
@@ -336,7 +336,7 @@ class TestFullBatchFit:
             else:
                 ref = _per_entry_reference(g, ref, cfg)
                 sse, objective = _reference_cost(g, ref, cfg.beta)
-            assert record == alone_record == CostRecord(epoch, sse / n_obs, objective)
+            assert record == alone_record == CostRecord(epoch, sse / n_obs, sse, objective)
         assert len(curve) == 6
         for got in (fp, alone):
             assert got.p.tobytes() == ref.p.tobytes()
@@ -540,12 +540,27 @@ class TestReporting:
         epoch, sse, objective = lines[1].split(",")
         assert epoch == "0" and float(sse) > 0 and float(objective) >= float(sse)
 
+    @pytest.mark.parametrize("mode", MF_MODES)
+    def test_cost_csv_sse_is_the_computed_sse(self, tmp_path, mode):
+        # each row's sse is mf_cost's own sum, not mse * n_observed rounded once more
+        holed, _ = synth_lowrank_genotypes(100, 200, rank=5, missing_frac=0.1, seed=42)
+        cfg = MfConfig(features=8, alpha=0.001, epochs=50, seed=3, mode=mode)
+        _, curve = mf_fit(holed, cfg)
+        curve.to_csv(tmp_path / "mf_cost.csv")
+        rows = (tmp_path / "mf_cost.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 50
+        fp = mf_init(100, 200, cfg)
+        for epoch, row in enumerate(rows):
+            fp, _ = mf_epoch(holed, fp, cfg, epoch)
+            assert row.split(",")[1] == repr(mf_cost(holed, fp, cfg.beta)[0])
+
     def test_fit_report_contents(self):
         holed, truth = synth_lowrank_genotypes(6, 6, rank=2, missing_frac=0.1, seed=2)
         cfg = MfConfig(features=2, alpha=0.005, epochs=3, seed=1)
         fp, curve = mf_fit(holed, cfg)
         acc = imputation_accuracy(truth, impute(holed, fp), ~holed.observed)
-        report = fit_report(cfg, curve, acc)
-        assert report["config"]["features"] == 2
+        report = fit_report(curve, acc)
+        assert report["n_observed"] == int(holed.observed.sum())
+        assert report["curve"][-1]["sse"] == curve.final_sse()
         assert len(report["curve"]) == 3
         assert set(report["accuracy"]) == {"missing_pct", "full_pct"}

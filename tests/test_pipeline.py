@@ -12,9 +12,9 @@ from genoseq.data import (PhenotypeTable, SplitIndices, genotype_to_csv, phenoty
                           synth_lowrank_genotypes, synth_phenotypes)
 from genoseq.errors import ConfigError, DataError, DivergenceError
 from genoseq.mf import MfConfig
-from genoseq.pipeline import (PipelineConfig, RnnSettings, compare_on_batch,
-                              evaluate_split, export_report, flatten_config, resolve_config,
-                              run_pipeline, train_trait)
+from genoseq.pipeline import (CONFIG_KEYS, FILE_KEYS, PipelineConfig, RnnSettings,
+                              compare_on_batch, evaluate_split, export_report, flatten_config,
+                              resolve_config, run_pipeline, train_trait)
 from genoseq.rnn import RnnParams
 from genoseq.tasks import deep_recall_task
 
@@ -301,7 +301,7 @@ class TestExportReport:
         manifest = export_report(report, out, formats=("json",))
         assert [f["name"] for f in manifest["files"]] == ["report.json"]
         doc = json.loads((out / "report.json").read_text())
-        assert doc["version"] == "genoseq-report-v2"
+        assert doc["version"] == "genoseq-report-v3"
         assert "mf" in doc and "traits" in doc
         assert "excluded_samples" not in doc
 
@@ -313,6 +313,12 @@ class TestExportReport:
         assert {"report.json", "mf_cost.csv", "trait0_curve.csv", "metrics.csv"} <= names
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "trait,split,correlation,mse,success_pct"
+
+    def test_report_config_resolves_to_the_run_config(self, tmp_path):
+        report = self._report(tmp_path)
+        export_report(report, tmp_path / "out", formats=("json",))
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert resolve_config(flatten_config(doc["config"])) == _small_config()
 
     def test_reexport_hashes_identical(self, tmp_path):
         report = self._report(tmp_path)
@@ -340,12 +346,13 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(success_tolerance=-1.0)
 
-    def test_to_dict_round_trips_key_fields(self):
-        cfg = _small_config()
-        doc = cfg.to_dict()
+    def test_to_config_writes_the_config_file_layout(self):
+        doc = _small_config().to_config()
+        assert set(flatten_config(doc)) == set(CONFIG_KEYS) - set(FILE_KEYS)
         assert doc["mf"]["features"] == 6
         assert doc["rnn"]["cell"] == "relu_identity"
-        assert doc["traits"] == [0]
+        assert doc["data"] == {"chunk_width": 8, "ratios": [0.8, 0.1, 0.1]}
+        assert doc["traits"] == [0] and doc["seed"] == 11
 
     def test_readme_config_block_resolves(self):
         # every key the README documents must still be a config key of its type
