@@ -177,7 +177,7 @@ def cmd_benchmark(args, values: dict) -> int:
     cells = args.cells if args.cells else list(rnn.CELLS)
     batch = tasks.make_task(args.task, args.sequences, args.length,
                             derive_seed(cfg.seed, f"benchmark/{args.task}"))
-    comparison = pipeline.compare_on_batch(batch, cells, cfg.rnn.hidden, cfg.rnn, cfg.seed)
+    comparison = pipeline.compare_on_batch(batch, cells, cfg.rnn, cfg.seed)
     out = _out_dir(values)
     for cell in cells:
         comparison.curves[cell].to_csv(out / f"{cell}_curve.csv")
@@ -215,14 +215,14 @@ def cmd_synth(args, values: dict) -> int:
 
 def cmd_gradcheck(args, values: dict) -> int:
     seed = pipeline.resolve_config(values).seed
+    if not 0 < args.threshold < float("inf"):
+        raise ConfigError(f"threshold must be a finite number > 0, got {args.threshold}")
     scopes = args.cells if args.cells else None
     results = gradcheck.run_all(args.trials, seed, scopes)
-    failed = False
+    passed = {scope: err < args.threshold for scope, err in results.items()}
     for scope, err in results.items():
-        status = "ok" if err < args.threshold else "FAIL"
-        failed = failed or err >= args.threshold
-        print(f"{scope:14s} max_rel_err={err:.3e}  {status}")
-    if failed:
+        print(f"{scope:14s} max_rel_err={err:.3e}  {'ok' if passed[scope] else 'FAIL'}")
+    if not all(passed.values()):
         print(f"gradient check failed at threshold {args.threshold:g}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

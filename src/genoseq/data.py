@@ -1,8 +1,9 @@
 """Genotype and phenotype datasets: parsing, encoding, splits, synthesis.
 
 Genotype calls are encoded 0 (AA), 1 (AB), 2 (BB). Missing calls are
-written as 5 on disk; in memory the boolean ``observed`` mask is
-authoritative, so the sentinel never reaches arithmetic.
+written as 5 on disk, and parsed and synthetic matrices keep 5 in
+``codes`` at the holes. The boolean ``observed`` mask decides which cells
+are data; a hole's code is never used as data.
 """
 
 from __future__ import annotations

@@ -43,9 +43,12 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, noise_floor: f
     itself (roundoff in f(x+h) - f(x-h) divided by 2h). Discrepancies
     below it cannot be attributed to the analytic gradient and are not
     counted; any genuine gradient bug sits orders of magnitude above it.
+    A NaN or infinite component on either side is an error of inf.
     """
     a = np.asarray(analytic).reshape(-1)
     n = np.asarray(numeric).reshape(-1)
+    if not (np.isfinite(a).all() and np.isfinite(n).all()):
+        return float("inf")
     diff = np.abs(a - n)
     scale = np.maximum(np.abs(a), np.abs(n))
     keep = (scale > 1e-8) & (diff > noise_floor)

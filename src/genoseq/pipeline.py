@@ -181,10 +181,6 @@ class TraitResult:
     metrics: dict = field(default_factory=dict)  # split name -> SplitMetrics
     n_samples: dict = field(default_factory=dict)
 
-    @property
-    def status(self) -> str:
-        return "ok" if self.error is None else "failed"
-
 
 @dataclass
 class RunReport:
@@ -207,8 +203,8 @@ class RunReport:
                "split_sizes": self.split_sizes,
                "mf": mf.fit_report(self.mf_curve, self.mf_accuracy), "traits": []}
         for tr in self.trait_results:
-            entry = {"trait": tr.trait, "cell": tr.cell, "status": tr.status,
-                     "n_samples": tr.n_samples}
+            entry = {"trait": tr.trait, "cell": tr.cell,
+                     "status": "ok" if tr.error is None else "failed", "n_samples": tr.n_samples}
             if tr.error is not None:
                 entry["error"] = str(tr.error)
             if tr.curve is not None:
@@ -257,7 +253,7 @@ def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
     if len(parts["train"]) == 0:
         result.error = DataError("no training samples with an observed trait value")
         return None, result
-    params = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
+    params = rnn.rnn_init(cfg.rnn.cell, batch.inputs.shape[2], cfg.rnn.hidden, 1,
                           cfg.seeds()[f"rnn/trait{trait}"])
     val = parts["validation"] if len(parts["validation"]) else None
     try:
@@ -332,11 +328,11 @@ class CellComparison:
                 "curves": {c: curve.to_rows() for c, curve in self.curves.items()}}
 
 
-def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSettings,
+def compare_on_batch(batch: SequenceBatch, cells, settings: RnnSettings,
                      seed: int) -> CellComparison:
     """Train each cell on the same batch with a matched budget.
 
-    The data, epochs, and learning rate are identical; initializations are
+    The data, width, epochs, and learning rate are identical; initializations are
     cell-appropriate (an identity recurrence cannot share values with a
     gaussian one) but all derive from the same seed. A diverging cell
     keeps its partial curve and is marked; the others complete.
@@ -345,12 +341,14 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
         raise ConfigError("cell comparison needs at least two cells")
     if len(set(cells)) != len(cells):
         raise ConfigError(f"cell comparison names a cell more than once: {list(cells)}")
+    if settings.epochs < 1:
+        raise ConfigError(f"cell comparison needs at least one epoch, got {settings.epochs}")
     init_seed = derive_seed(seed, "compare/init")
 
     curves, finals, diverged = {}, {}, {}
     for cell in cells:
-        params = rnn.rnn_init(cell, batch.inputs.shape[2], hidden, batch.targets.shape[1],
-                              init_seed)
+        params = rnn.rnn_init(cell, batch.inputs.shape[2], settings.hidden,
+                              batch.targets.shape[1], init_seed)
         # start every cell at the mean-prediction plateau: with a zero
         # output bias the first epochs chase the target mean, and that
         # transient drifts the hidden biases of integrating cells
@@ -366,45 +364,27 @@ def compare_on_batch(batch: SequenceBatch, cells, hidden: int, settings: RnnSett
     return CellComparison(curves, finals, diverged, ordering)
 
 
-def export_report(report: RunReport, dir_path, formats=("json", "csv")) -> dict:
-    """Write the report and curve files plus a hash manifest; returns the manifest.
+def export_report(report: RunReport, dir_path) -> dict:
+    """Write report.json, mf_cost.csv, each trait's curve, metrics.csv and a hash manifest.
 
-    Stage timings are not exported, so identical runs produce identical
-    bytes and the manifest hashes match.
+    Returns the manifest. Stage timings are not exported, so identical runs
+    produce identical bytes and the manifest hashes match.
     """
-    formats = set(formats)
-    if not formats:
-        raise ConfigError("no export formats requested")
-    unknown = formats - {"json", "csv"}
-    if unknown:
-        raise ConfigError(f"unknown export formats: {sorted(unknown)}")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if "json" in formats:
-        path = out / "report.json"
-        write_json(report.to_json_dict(), path)
-        written.append(path)
-    if "csv" in formats:
-        path = out / "mf_cost.csv"
-        report.mf_curve.to_csv(path)
-        written.append(path)
-        for tr in report.trait_results:
-            if tr.curve is not None:
-                path = out / f"trait{tr.trait}_curve.csv"
-                tr.curve.to_csv(path)
-                written.append(path)
-        path = out / "metrics.csv"
-        write_csv(path, ("trait", "split", "correlation", "mse", "success_pct"),
-                  ((str(tr.trait), split_name,
-                    repr(float(m.correlation)) if m.correlation is not None else "NA",
-                    repr(float(m.mse)), repr(float(m.success_pct)))
-                   for tr in report.trait_results for split_name, m in tr.metrics.items()))
-        written.append(path)
-
-    manifest = {"files": [{"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                          for p in sorted(written, key=lambda p: p.name)]}
+    write_json(report.to_json_dict(), out / "report.json")
+    report.mf_curve.to_csv(out / "mf_cost.csv")
+    written = ["report.json", "mf_cost.csv", "metrics.csv"]
+    for tr in report.trait_results:
+        if tr.curve is not None:
+            written.append(f"trait{tr.trait}_curve.csv")
+            tr.curve.to_csv(out / written[-1])
+    write_csv(out / "metrics.csv", ("trait", "split", "correlation", "mse", "success_pct"),
+              ((str(tr.trait), split_name,
+                repr(float(m.correlation)) if m.correlation is not None else "NA",
+                repr(float(m.mse)), repr(float(m.success_pct)))
+               for tr in report.trait_results for split_name, m in tr.metrics.items()))
+    manifest = {"files": [{"name": n, "sha256": hashlib.sha256((out / n).read_bytes()).hexdigest()}
+                          for n in sorted(written)]}
     write_json(manifest, out / "manifest.json")
     return manifest
-

@@ -84,8 +84,7 @@ def test_04_cell_ordering_trend():
         seed = 2000 + rep
         batch = deep_recall_task(32, 100, derive_seed(seed, "task"))
         settings = RnnSettings(hidden=16, learning_rate=0.01, epochs=600)
-        cmp = compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"],
-                               16, settings, seed)
+        cmp = compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"], settings, seed)
         f = cmp.final_losses
         relu_wins += f["relu_identity"] < f["simple_tanh"]
         lstm_wins += f["lstm"] < f["simple_tanh"]
@@ -129,7 +128,7 @@ def test_06_end_to_end_determinism(tmp_path):
     manifests = []
     for tag in ("run1", "run2"):
         report = run_pipeline(geno, pheno, cfg, truth_path=truth_p)
-        manifests.append(export_report(report, tmp_path / tag, formats=("json", "csv")))
+        manifests.append(export_report(report, tmp_path / tag))
     assert manifests[0] == manifests[1], "export manifests differ between identical runs"
     hashes = {f["name"]: f["sha256"] for f in manifests[0]["files"]}
     assert set(hashes) >= {"report.json", "mf_cost.csv", "metrics.csv"}

@@ -529,6 +529,16 @@ class TestBenchmark:
         assert len(err) == 1 and err[0].startswith("genoseq: ")
         assert not out.exists()
 
+    def test_zero_epochs_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = _run("benchmark", "--task", "lag", "--length", "10", "--sequences", "4",
+                  "--epochs", "0", "--out", str(out))
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "epoch" in err[0]
+        assert captured.out == "" and not out.exists()
+
     def test_rnn_cell_in_config_exits_1_with_one_line(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rnn": {"cell": "lstm"}}))
@@ -572,6 +582,15 @@ class TestGradcheck:
 
     def test_unknown_scope_exits_1(self):
         assert _run("gradcheck", "--trials", "2", "--cells", "gru") == 1
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_threshold_outside_finite_positive_exits_1_with_one_line(self, capsys, threshold):
+        rc = _run("gradcheck", "--trials", "1", "--threshold", threshold)
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and "threshold" in err[0]
+        assert captured.out == ""
 
 
 class TestSharedBehavior:

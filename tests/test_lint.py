@@ -8,6 +8,7 @@ import pytest
 import genoseq
 
 MODULES = sorted(Path(genoseq.__file__).parent.glob("*.py"))
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 FILE_CALLS = ("open", "write_text", "write_bytes")
 
 
@@ -43,6 +44,23 @@ def file_io(source: str) -> list[str]:
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
+def unused_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Functions, classes and methods defined in ``sources`` ({name: source}) that no code reads.
+
+    A definition is read when its name occurs as a name or an attribute in
+    any of ``sources`` or ``readers``. Dunder methods, which Python calls
+    itself, are never reported.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in [*trees.values(), *map(ast.parse, readers)] for node in ast.walk(tree)}
+    found = [(name, node.lineno, node.name) for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name not in read and not node.name.startswith("__")]
+    return [f"{name}:{line}: {what}" for name, line, what in sorted(found)]
+
+
 def test_module_list_is_the_package():
     assert {p.stem for p in MODULES} >= {"cli", "data", "mf", "pipeline", "rnn"}
 
@@ -70,3 +88,17 @@ def test_file_io_is_caught():
                                "line 4: open()", "line 5: write_bytes()"]
     data = next(p for p in MODULES if p.name == "data.py")
     assert file_io(data.read_text(encoding="utf-8"))  # the one module that does the I/O
+
+
+def test_every_definition_is_used_by_the_package_or_the_acceptance_gate():
+    # a helper that only its own unit tests call is dead code: delete both
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unused_definitions(sources, [ACCEPTANCE.read_text(encoding="utf-8")]) == []
+
+
+def test_unused_definition_is_caught():
+    source = ("class Used:\n    def __len__(self):\n        return 0\n"
+              "    def spare(self):\n        return Used()\n"
+              "def helper():\n    return 1\n")
+    assert unused_definitions({"m.py": source}, []) == ["m.py:4: spare", "m.py:6: helper"]
+    assert unused_definitions({"m.py": source}, ["Used().spare()"]) == ["m.py:6: helper"]

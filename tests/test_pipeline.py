@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from genoseq import rnn
 from genoseq.cli import main
 
 from genoseq.data import (PhenotypeTable, SplitIndices, genotype_to_csv, phenotype_to_csv,
@@ -89,7 +90,7 @@ class TestRunPipeline:
         assert 0 <= missing_pct <= 100 and 0 <= full_pct <= 100
         assert set(report.split_sizes) == {"train", "validation", "test"}
         (result,) = report.trait_results
-        assert result.status == "ok"
+        assert result.error is None
         assert len(result.curve) == 40
         assert set(result.metrics) == {"train", "validation", "test"}
         for m in result.metrics.values():
@@ -250,8 +251,7 @@ class TestTrainTrait:
         cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, learning_rate=1e8,
                                              epochs=30), chunk_width=1)
         model, result = train_trait(deep_recall_task(8, 30, seed=9), self.SPLIT, cfg, 0)
-        assert model is None and result.status == "failed"
-        assert isinstance(result.error, DivergenceError)
+        assert model is None and isinstance(result.error, DivergenceError)
         assert result.curve is result.error.curve and len(result.curve) == result.error.epoch
         # a stored error must not keep the failed training's workspaces alive
         assert result.error.__traceback__ is None and result.error.__context__ is None
@@ -260,29 +260,50 @@ class TestTrainTrait:
         split = SplitIndices(np.arange(0), np.arange(0, 4), np.arange(4, 8))
         model, result = train_trait(deep_recall_task(8, 30, seed=9), split,
                                     PipelineConfig(chunk_width=1), 0)
-        assert model is None and result.status == "failed" and result.curve is None
+        assert model is None and result.curve is None
         assert isinstance(result.error, DataError)
         assert str(result.error) == "no training samples with an observed trait value"
+
+    def test_model_width_comes_from_the_batch(self):
+        cfg = PipelineConfig(rnn=RnnSettings(hidden=3, epochs=2))  # chunk_width stays 20
+        model, result = train_trait(deep_recall_task(8, 30, seed=9), self.SPLIT, cfg, 0)
+        assert result.error is None and (model.n_in, model.n_hidden) == (1, 3)
 
 
 class TestCompareCells:
     def test_needs_two_cells(self):
         batch = deep_recall_task(4, 10, seed=5)
         with pytest.raises(ConfigError):
-            compare_on_batch(batch, ["lstm"], 4, RnnSettings(), seed=2)
+            compare_on_batch(batch, ["lstm"], RnnSettings(), seed=2)
+
+    def test_needs_one_epoch(self):
+        batch = deep_recall_task(4, 10, seed=5)
+        with pytest.raises(ConfigError, match="at least one epoch"):
+            compare_on_batch(batch, ["lstm", "relu_identity"], RnnSettings(epochs=0), seed=2)
+
+    def test_models_take_the_settings_width(self, monkeypatch):
+        widths, init = [], rnn.rnn_init
+
+        def recording(cell, n_in, n_hidden, *rest):
+            widths.append((cell, n_in, n_hidden))
+            return init(cell, n_in, n_hidden, *rest)
+
+        monkeypatch.setattr(rnn, "rnn_init", recording)
+        batch = deep_recall_task(4, 10, seed=5)
+        compare_on_batch(batch, ["simple_tanh", "lstm"], RnnSettings(hidden=5, epochs=1), seed=2)
+        assert widths == [("simple_tanh", 1, 5), ("lstm", 1, 5)]
 
     def test_three_cells_hundred_epochs_aligned(self):
         batch = deep_recall_task(6, 10, seed=5)
         settings = RnnSettings(hidden=4, learning_rate=0.01, epochs=100)
-        cmp = compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"],
-                               4, settings, seed=2)
+        cmp = compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"], settings, seed=2)
         assert len(cmp.curves) == 3
         assert all(len(curve) == 100 for curve in cmp.curves.values())
 
     def test_diverging_cell_is_isolated(self):
         batch = deep_recall_task(8, 30, seed=9)
         settings = RnnSettings(hidden=6, learning_rate=1e8, epochs=30)
-        cmp = compare_on_batch(batch, ["simple_tanh", "lstm"], 6, settings, seed=4)
+        cmp = compare_on_batch(batch, ["simple_tanh", "lstm"], settings, seed=4)
         assert "lstm" in cmp.diverged
         assert cmp.final_losses["lstm"] == float("inf")
         assert len(cmp.curves["simple_tanh"]) == 30  # unaffected by the other cell
@@ -295,46 +316,33 @@ class TestExportReport:
         geno, pheno, truth = _write_dataset(tmp_path)
         return run_pipeline(geno, pheno, _small_config(), truth_path=truth)
 
-    def test_json_only(self, tmp_path):
+    def test_writes_the_one_layout(self, tmp_path):
         report = self._report(tmp_path)
         out = tmp_path / "out"
-        manifest = export_report(report, out, formats=("json",))
-        assert [f["name"] for f in manifest["files"]] == ["report.json"]
+        manifest = export_report(report, out)
+        assert [f["name"] for f in manifest["files"]] == [
+            "metrics.csv", "mf_cost.csv", "report.json", "trait0_curve.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "metrics.csv", "mf_cost.csv", "report.json", "trait0_curve.csv"]
         doc = json.loads((out / "report.json").read_text())
         assert doc["version"] == "genoseq-report-v3"
         assert "mf" in doc and "traits" in doc
         assert "excluded_samples" not in doc
-
-    def test_csv_files_written(self, tmp_path):
-        report = self._report(tmp_path)
-        out = tmp_path / "out"
-        manifest = export_report(report, out, formats=("json", "csv"))
-        names = {f["name"] for f in manifest["files"]}
-        assert {"report.json", "mf_cost.csv", "trait0_curve.csv", "metrics.csv"} <= names
+        assert doc["traits"][0]["status"] == "ok" and "error" not in doc["traits"][0]
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "trait,split,correlation,mse,success_pct"
 
     def test_report_config_resolves_to_the_run_config(self, tmp_path):
         report = self._report(tmp_path)
-        export_report(report, tmp_path / "out", formats=("json",))
+        export_report(report, tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
         assert resolve_config(flatten_config(doc["config"])) == _small_config()
 
     def test_reexport_hashes_identical(self, tmp_path):
         report = self._report(tmp_path)
-        m1 = export_report(report, tmp_path / "a", formats=("json", "csv"))
-        m2 = export_report(report, tmp_path / "b", formats=("json", "csv"))
+        m1 = export_report(report, tmp_path / "a")
+        m2 = export_report(report, tmp_path / "b")
         assert m1 == m2
-
-    def test_empty_formats_rejected(self, tmp_path):
-        report = self._report(tmp_path)
-        with pytest.raises(ConfigError):
-            export_report(report, tmp_path / "out", formats=())
-
-    def test_unknown_format_rejected(self, tmp_path):
-        report = self._report(tmp_path)
-        with pytest.raises(ConfigError):
-            export_report(report, tmp_path / "out", formats=("parquet",))
 
 
 class TestPipelineConfig:

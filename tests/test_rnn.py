@@ -300,6 +300,23 @@ class TestKernelsMatchPerStepReference:
         monkeypatch.setattr(rnn, "_lstm_factors", skewed)
         assert gc.check("lstm", trials=5, seed=303) > 1e-5
 
+    def test_gradient_oracle_fails_a_nan_gradient(self, monkeypatch):
+        exact = rnn.bptt_gradients
+
+        def poisoned(params, batch):
+            grads = exact(params, batch)
+            grads["w_hh"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(rnn, "bptt_gradients", poisoned)
+        assert gc.check("simple_tanh", trials=3, seed=303) >= gc.DEFAULT_THRESHOLD
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_is_an_infinite_error(self, bad):
+        # no RuntimeWarning either: the suite turns those into errors
+        assert gc.max_relative_error(np.array([bad, 2.0]), np.array([1.0, 2.0]), 1e-9) == np.inf
+        assert gc.max_relative_error(np.array([1.0, 2.0]), np.array([1.0, bad]), 1e-9) == np.inf
+
 
 class TestClipGradients:
     def test_scales_down_to_clip_norm(self):
