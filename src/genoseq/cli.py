@@ -82,13 +82,13 @@ def cmd_impute(args, values: dict) -> int:
     geno = parse_genotype_csv(geno_path)
     truth = values.get("truth")
     truth = parse_genotype_csv(_require_file(truth, "truth")) if truth is not None else None
-    mf_cfg = cfg.seeded_mf()
-    imputed, curve, accuracy = mf.fit_impute(geno, mf_cfg, truth)
+    seed = cfg.seeds()["mf"]
+    imputed, curve, accuracy = mf.fit_impute(geno, cfg.mf, seed, truth)
 
     out = _out_dir(values)
     genotype_to_csv(imputed, out / "imputed.csv")
     curve.to_csv(out / "mf_cost.csv")
-    write_json({"config": cfg.to_config(), "seeds": {"master": cfg.seed, "mf": mf_cfg.seed},
+    write_json({"config": cfg.to_config(), "seeds": {"master": cfg.seed, "mf": seed},
                 **mf.fit_report(curve, accuracy)}, out / "fit_report.json")
     print(f"imputed {int((~geno.observed).sum())} cells; wrote 3 files to {out}")
     return EXIT_OK
@@ -112,7 +112,7 @@ def cmd_train(args, values: dict) -> int:
     phenos = parse_phenotype_csv(pheno_path)
 
     split = cfg.split(geno.samples)
-    batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
+    batch = build_sequences(geno, phenos, trait, cfg.data.chunk_width)
     trained, result = pipeline.train_trait(batch, split, cfg, trait)
     if result.error is not None:
         raise result.error

@@ -121,11 +121,6 @@ class SequenceBatch:
         return SequenceBatch(self.inputs[wanted], self.targets[wanted], self.sample_indices[wanted])
 
 
-def _read_source(source) -> tuple[bytes, str]:
-    """The bytes of ``source``, a path or the bytes themselves, and the name its errors give it."""
-    return (source, "input") if isinstance(source, bytes) else (Path(source).read_bytes(), str(source))
-
-
 def _csv_rows(raw: bytes, where: str, what: str):
     """Yield (0, header), then (row number from 1, cells) for each non-blank body row.
 
@@ -183,18 +178,18 @@ class Curve:
         return [asdict(r) for r in self.records]
 
 
-def parse_genotype_csv(source) -> GenotypeMatrix:
+def parse_genotype_csv(path) -> GenotypeMatrix:
     """Parse a genotype CSV: header of SNP ids, one row of calls per sample.
 
     Cells may be numeric codes {0,1,2,5} or tokens {AA,AB,BB,Null}, in any
     case and padding. The observed mask is False exactly where the sentinel
     or Null occurred. Ragged rows and empty files are rejected.
     """
-    raw, where = _read_source(source)
+    raw = Path(path).read_bytes()
     canonical = _parse_canonical(raw)
     if canonical is not None:
         return canonical
-    rows = _csv_rows(raw, where, "genotype")
+    rows = _csv_rows(raw, str(path), "genotype")
     snp_ids = [h.strip() for h in next(rows)[1]]
     calls, n_rows = bytearray(), 0
     for r, cells in rows:
@@ -240,13 +235,13 @@ def genotype_to_csv(g: GenotypeMatrix, path) -> None:
     write_csv(path, ids, (strings[np.subtract(row, lo, dtype=np.intp)].tolist() for row in body))
 
 
-def parse_phenotype_csv(source) -> PhenotypeTable:
+def parse_phenotype_csv(path) -> PhenotypeTable:
     """Parse a phenotype CSV: header of trait names, real-valued body.
 
     An empty cell or "NA" (any case) marks a missing measurement; a
     measurement must be a finite number.
     """
-    rows = _csv_rows(*_read_source(source), "phenotype")
+    rows = _csv_rows(Path(path).read_bytes(), str(path), "phenotype")
     names = [h.strip() for h in next(rows)[1]]
     values = [[_phenotype_value(cell, r, c) for c, cell in enumerate(cells)] for r, cells in rows]
     values = np.array(values, dtype=np.float64).reshape(len(values), len(names))
@@ -281,6 +276,19 @@ def check_ratios(ratios) -> tuple[float, ...]:
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be three positive numbers summing to 1, got {ratios}")
     return ratios
+
+
+@dataclass(frozen=True)
+class DataSettings:
+    """How imputed genotypes become model inputs: SNPs per timestep and the split ratios."""
+
+    chunk_width: int = 20
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+
+    def __post_init__(self):
+        if self.chunk_width < 1:
+            raise ConfigError(f"chunk_width must be >= 1, got {self.chunk_width}")
+        check_ratios(self.ratios)
 
 
 def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:

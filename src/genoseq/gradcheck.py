@@ -169,4 +169,6 @@ def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
     for s in scopes:
         if s not in all_scopes:
             raise ConfigError(f"unknown gradcheck scope {s!r}; choose from {all_scopes}")
+    if len(set(scopes)) != len(scopes):
+        raise ConfigError(f"gradient check names a scope more than once: {list(scopes)}")
     return {s: check(s, trials, seed) for s in scopes}

@@ -38,7 +38,6 @@ class MfConfig:
     beta: float = 0.02
     epochs: int = 5000
     init_range: tuple[float, float] = (0.0, 1.0)
-    seed: int = 0
     mode: str = "full_batch"
 
     def __post_init__(self):
@@ -119,16 +118,16 @@ def _diagonals(g: GenotypeMatrix) -> list:
                     np.split(g.codes[us, vs].astype(np.float64), cuts)))
 
 
-def mf_init(samples: int, snps: int, cfg: MfConfig) -> FactorPair:
-    """Draw both factors i.i.d. uniform on cfg.init_range from cfg.seed.
+def mf_init(samples: int, snps: int, cfg: MfConfig, seed: int) -> FactorPair:
+    """Draw both factors i.i.d. uniform on cfg.init_range from ``seed``.
 
     p is filled first, then q, from one stream, so the result is a pure
-    function of (samples, snps, cfg).
+    function of (samples, snps, cfg, seed).
     """
     if samples < 1 or snps < 1:
         raise ShapeError(f"need samples, snps >= 1, got {samples}x{snps}")
     lo, hi = cfg.init_range
-    rng = Rng(cfg.seed)
+    rng = Rng(seed)
     p = rng.uniform((samples, cfg.features), lo, hi)
     q = rng.uniform((snps, cfg.features), lo, hi)
     return FactorPair(p, q)
@@ -200,12 +199,12 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0,
     return new, CostRecord(epoch, mse, sse, objective)
 
 
-def mf_fit(g: GenotypeMatrix, cfg: MfConfig):
-    """Run cfg.epochs epochs from a fresh init; returns (factors, cost curve)."""
+def mf_fit(g: GenotypeMatrix, cfg: MfConfig, seed: int):
+    """Run cfg.epochs epochs from the init drawn from ``seed``; returns (factors, cost curve)."""
     n_obs = int(g.observed.sum())
     if n_obs == 0:
         raise DataError("genotype matrix has no observed entries to fit")
-    fp = mf_init(g.samples, g.snps, cfg)
+    fp = mf_init(g.samples, g.snps, cfg, seed)
     curve, ws = CostCurve(n_observed=n_obs), {}
     for epoch in range(cfg.epochs):
         new, record = mf_epoch(g, fp, cfg, epoch, ws)
@@ -230,7 +229,8 @@ def _filled(g: GenotypeMatrix, recon: GenotypeMatrix) -> GenotypeMatrix:
     return GenotypeMatrix(np.where(g.observed, g.codes, recon.codes), recon.observed, recon.snp_ids)
 
 
-def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = None):
+def fit_impute(g: GenotypeMatrix, cfg: MfConfig, seed: int,
+               truth: GenotypeMatrix | None = None):
     """Fit, fill the holes once, and score against ``truth`` when given.
 
     Returns (imputed matrix, cost curve, accuracy); accuracy is None without a
@@ -239,7 +239,7 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, truth: GenotypeMatrix | None = 
     """
     if truth is not None and (truth.codes.shape != g.codes.shape or not truth.fully_observed()):
         raise DataError(f"truth must be a fully observed {g.samples}x{g.snps} genotype matrix")
-    factors, curve = mf_fit(g, cfg)
+    factors, curve = mf_fit(g, cfg, seed)
     recon = rounded_reconstruction(g, factors)
     imputed = _filled(g, recon)
     accuracy = None

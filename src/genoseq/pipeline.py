@@ -5,9 +5,10 @@ master seed by name (see :func:`genoseq.linalg.derive_seed`), so two runs
 with the same input files and config, on the same BLAS library and thread
 count, export byte-identical reports.
 
-This module also owns the config schema: every config-file key, with its
-section, default and type, comes from the dataclass fields (see resolve_config),
-and PipelineConfig.to_config writes the one layout every export's ``config`` has.
+This module also owns the config schema: the config file is the PipelineConfig
+tree, each settings-dataclass field one section, so every key, with its default
+and type, comes from the dataclass fields (see resolve_config), and
+PipelineConfig.to_config writes the one layout every export's ``config`` has.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -25,7 +26,7 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hi
 import numpy as np
 
 from . import mf, rnn
-from .data import (SequenceBatch, SplitIndices, build_sequences, check_ratios, check_traits,
+from .data import (DataSettings, SequenceBatch, SplitIndices, build_sequences, check_traits,
                    parse_genotype_csv, parse_phenotype_csv, split_dataset, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
@@ -35,36 +36,26 @@ log = logging.getLogger("genoseq.pipeline")
 
 REPORT_VERSION = "genoseq-report-v3"
 FILE_KEYS = ("out", "geno", "pheno", "truth")  # config-file paths, not run settings
-_DATA = {"section": "data"}  # PipelineConfig fields kept in the config file's "data" section
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     mf: mf.MfConfig = field(default_factory=mf.MfConfig)
     rnn: RnnSettings = field(default_factory=RnnSettings)
-    chunk_width: int = field(default=20, metadata=_DATA)
-    ratios: tuple[float, float, float] = field(default=(0.8, 0.1, 0.1), metadata=_DATA)
+    data: DataSettings = field(default_factory=DataSettings)
     seed: int = 0
     traits: tuple[int, ...] = (0,)
     success_tolerance: float = 0.1
 
     def __post_init__(self):
-        if self.chunk_width < 1:
-            raise ConfigError(f"chunk_width must be >= 1, got {self.chunk_width}")
-        check_ratios(self.ratios)
         if not self.traits:
             raise ConfigError("at least one trait index is required")
         if self.success_tolerance < 0:
             raise ConfigError(f"success_tolerance must be >= 0, got {self.success_tolerance}")
 
     def to_config(self) -> dict:
-        """The config file that resolve_config reads back to this config, tuples as lists."""
-        doc = {section: {} for section in _SECTIONS}
-        for key in [k for k in CONFIG_KEYS if k not in FILE_KEYS]:
-            section, _, name = key.rpartition(".")
-            value = getattr({"mf": self.mf, "rnn": self.rnn}.get(section, self), name)
-            doc.get(section, doc)[name] = list(value) if isinstance(value, tuple) else value
-        return doc
+        """The config file that resolve_config reads back to this config (JSON lists its tuples)."""
+        return asdict(self)
 
     def seeds(self) -> dict[str, int]:
         """The master seed and, by label, every stage seed derived from it.
@@ -75,35 +66,32 @@ class PipelineConfig:
         labels = ("split", "mf") + tuple(f"rnn/trait{t}" for t in self.traits)
         return {"master": self.seed, **{label: derive_seed(self.seed, label) for label in labels}}
 
-    def seeded_mf(self) -> mf.MfConfig:
-        """The factorization config with its stage seed."""
-        return replace(self.mf, seed=self.seeds()["mf"])
-
     def split(self, n_samples: int) -> SplitIndices:
         """The train/validation/test split of ``n_samples``, with its stage seed."""
-        return split_dataset(n_samples, self.ratios, self.seeds()["split"])
+        return split_dataset(n_samples, self.data.ratios, self.seeds()["split"])
 
 
 def _config_keys() -> dict[str, tuple]:
     """{"section.name" or top-level name: (type hint, type as written)} for every config key.
 
-    The keys are the fields of PipelineConfig (in the section their metadata
-    names), of MfConfig ("mf") and RnnSettings ("rnn"), and the FILE_KEYS.
-    MfConfig.seed is no key: it always derives from the master seed.
+    A PipelineConfig field that holds a settings dataclass is a section, and
+    each of that dataclass's fields is a key in it; every other field is a
+    top-level key, and so are the FILE_KEYS.
     """
     keys = {k: (str, "str") for k in FILE_KEYS}
-    for prefix, cls in (("", PipelineConfig), ("mf.", mf.MfConfig), ("rnn.", RnnSettings)):
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            section = f.metadata.get("section")
-            key = f"{section}.{f.name}" if section else prefix + f.name
-            if not is_dataclass(hints[f.name]) and key != "mf.seed":
-                keys[key] = (hints[f.name], f.type)
+    hints = get_type_hints(PipelineConfig)
+    for f in fields(PipelineConfig):
+        if is_dataclass(hints[f.name]):
+            section_hints = get_type_hints(hints[f.name])
+            keys.update((f"{f.name}.{g.name}", (section_hints[g.name], g.type))
+                        for g in fields(hints[f.name]))
+        else:
+            keys[f.name] = (hints[f.name], f.type)
     return keys
 
 
 CONFIG_KEYS = _config_keys()
-_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+_SECTIONS = tuple(dict.fromkeys(key.split(".")[0] for key in CONFIG_KEYS if "." in key))
 
 
 def flatten_config(doc) -> dict:
@@ -152,7 +140,7 @@ def resolve_config(values: dict, base: PipelineConfig | None = None) -> Pipeline
     key (other flags) are ignored.
     """
     base = base or PipelineConfig()
-    parts = {"": {}, "mf": {}, "rnn": {}}
+    parts = {section: {} for section in ("", *_SECTIONS)}
     for key, (hint, written) in CONFIG_KEYS.items():
         if key not in values:
             continue
@@ -161,9 +149,9 @@ def resolve_config(values: dict, base: PipelineConfig | None = None) -> Pipeline
             raise ConfigError(f"config key {key!r} must be {written}, got {value!r}")
         section, _, name = key.rpartition(".")
         if key not in FILE_KEYS:
-            parts.get(section, parts[""])[name] = tuple(value) if isinstance(value, list) else value
-    return replace(base, mf=replace(base.mf, **parts["mf"]), rnn=replace(base.rnn, **parts["rnn"]),
-                   **parts[""])
+            parts[section][name] = tuple(value) if isinstance(value, list) else value
+    sections = {section: replace(getattr(base, section), **parts[section]) for section in _SECTIONS}
+    return replace(base, **sections, **parts[""])
 
 
 class SplitMetrics(NamedTuple):
@@ -223,8 +211,6 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     range. Constant targets make the correlation undefined (None); the other
     metrics are still returned.
     """
-    if len(batch) == 0:
-        raise DataError("cannot evaluate an empty batch")
     preds = rnn.predict(model, batch.inputs)
     actual = batch.targets
     corr = rnn.pearson_correlation(preds, actual)
@@ -287,7 +273,8 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     check_traits(cfg.traits, phenos)
 
     t0 = time.perf_counter()
-    geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.seeded_mf(), truth)
+    geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.mf, report.seeds["mf"],
+                                                              truth)
     report.stage_seconds["impute"] = time.perf_counter() - t0
 
     split = cfg.split(geno.samples)
@@ -297,7 +284,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
 
     t0 = time.perf_counter()
     for trait in cfg.traits:
-        batch = build_sequences(geno, phenos, trait, cfg.chunk_width)
+        batch = build_sequences(geno, phenos, trait, cfg.data.chunk_width)
         _, result = train_trait(batch, split, cfg, trait)
         if result.error is not None:
             log.warning("trait %d failed: %s", trait, result.error)

@@ -389,8 +389,6 @@ def gradient_norm(grads: dict[str, np.ndarray]) -> float:
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients by clip_norm / ||g|| when the global L2 norm exceeds it."""
-    if not clip_norm > 0:
-        raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
     norm = gradient_norm(grads)
     if norm <= clip_norm:
         return grads

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import genoseq.gradcheck as gc
-from genoseq.data import (genotype_to_csv, parse_genotype_csv, phenotype_to_csv,
+from genoseq.data import (DataSettings, genotype_to_csv, parse_genotype_csv, phenotype_to_csv,
                           synth_lowrank_genotypes, synth_phenotypes,
                           synth_population_genotypes)
 from genoseq.linalg import Rng, derive_seed
@@ -47,8 +47,8 @@ def test_02_mf_recovery():
     t0 = time.perf_counter()
     holed, truth = synth_lowrank_genotypes(100, 200, rank=5, missing_frac=0.10, seed=11)
     holes = ~holed.observed
-    cfg = MfConfig(features=8, alpha=0.001, beta=0.02, epochs=1500, seed=3)
-    factors, _ = mf_fit(holed, cfg)
+    cfg = MfConfig(features=8, alpha=0.001, beta=0.02, epochs=1500)
+    factors, _ = mf_fit(holed, cfg, seed=3)
     missing_pct, _ = imputation_accuracy(truth, impute(holed, factors), holes)
     _, full_pct = imputation_accuracy(truth, rounded_reconstruction(holed, factors), holes)
     elapsed = time.perf_counter() - t0
@@ -64,8 +64,8 @@ def test_03_feature_count_trend():
     holes = ~holed.observed
     finals = {}
     for features in (1, 2, 4, 8):
-        cfg = MfConfig(features=features, alpha=0.001, beta=0.02, epochs=1500, seed=3)
-        factors, curve = mf_fit(holed, cfg)
+        cfg = MfConfig(features=features, alpha=0.001, beta=0.02, epochs=1500)
+        factors, curve = mf_fit(holed, cfg, seed=3)
         missing_pct, _ = imputation_accuracy(truth, impute(holed, factors), holes)
         finals[features] = (curve.final_sse(), missing_pct)
     sses = [finals[f][0] for f in (1, 2, 4, 8)]
@@ -119,7 +119,7 @@ def _pipeline_fixture(tmp_path, tag):
     cfg = PipelineConfig(mf=MfConfig(features=4, alpha=0.002, beta=0.02, epochs=150),
                          rnn=RnnSettings(cell="relu_identity", hidden=10,
                                          learning_rate=0.05, epochs=25),
-                         chunk_width=6, seed=23, traits=(0, 1))
+                         data=DataSettings(chunk_width=6), seed=23, traits=(0, 1))
     return geno, pheno, truth_p, cfg
 
 

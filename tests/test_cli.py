@@ -583,6 +583,14 @@ class TestGradcheck:
     def test_unknown_scope_exits_1(self):
         assert _run("gradcheck", "--trials", "2", "--cells", "gru") == 1
 
+    def test_repeated_scope_exits_1_with_one_line(self, capsys):
+        rc = _run("gradcheck", "--trials", "1", "--cells", "mf", "mf")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "genoseq: gradient check names a scope more than once: ['mf', 'mf']"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_threshold_outside_finite_positive_exits_1_with_one_line(self, capsys, threshold):
         rc = _run("gradcheck", "--trials", "1", "--threshold", threshold)

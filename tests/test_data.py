@@ -1,5 +1,7 @@
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,19 @@ from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build
 from genoseq.errors import ConfigError, DataError, ParseError
 from genoseq.linalg import Rng
 
+_SCRATCH = tempfile.TemporaryDirectory()  # removed when the test process exits
+INPUT = Path(_SCRATCH.name) / "input.csv"
+
+
+def _parsed(parse, source: bytes, path=INPUT):
+    """``parse`` of the file ``path``, after writing ``source`` to it: the readers take a path."""
+    path.write_bytes(source)
+    return parse(path)
+
 
 class TestGenotypeCsv:
     def test_direct_transcription(self):
-        g = parse_genotype_csv(b"s1,s2,s3\n0,5,2\n1,1,0\n")
+        g = _parsed(parse_genotype_csv, b"s1,s2,s3\n0,5,2\n1,1,0\n")
         np.testing.assert_array_equal(g.codes, [[0, 5, 2], [1, 1, 0]])
         np.testing.assert_array_equal(g.observed, [[True, False, True], [True, True, True]])
         assert g.snp_ids == ["s1", "s2", "s3"]
@@ -27,35 +38,35 @@ class TestGenotypeCsv:
                                         b"a,b\n0,nULL\nbB,1\n", b"a,b\n AA ,5\r\n2, Ab\r\n"],
                              ids=["tokens", "lower_case", "numeric_and_tokens", "padded_crlf"])
     def test_token_body(self, source):
-        g = parse_genotype_csv(source)
+        g = _parsed(parse_genotype_csv, source)
         np.testing.assert_array_equal(g.codes, [[0, 5], [2, 1]])
         np.testing.assert_array_equal(g.observed, [[True, False], [True, True]])
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ParseError):
-            parse_genotype_csv(b"a,b,c\n0,1,2\n0,1\n")
+            _parsed(parse_genotype_csv, b"a,b,c\n0,1,2\n0,1\n")
 
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
-            parse_genotype_csv(b"")
+            _parsed(parse_genotype_csv, b"")
 
     @pytest.mark.parametrize("source, row, col", [(b"a,b\n0,XX\n", 1, 1),
                                                   (b"a,b,c\naa,1,Null\n\nAB,XY,2\n", 3, 1)],
                              ids=["first_row", "after_blank_line"])
     def test_bad_cell_carries_location(self, source, row, col):
         with pytest.raises(ParseError) as exc:
-            parse_genotype_csv(source)
+            _parsed(parse_genotype_csv, source)
         assert exc.value.row == row and exc.value.col == col
 
     def test_crlf_accepted(self):
-        g = parse_genotype_csv(b"a,b\r\n1,2\r\n")
+        g = _parsed(parse_genotype_csv, b"a,b\r\n1,2\r\n")
         np.testing.assert_array_equal(g.codes, [[1, 2]])
 
     def test_paper_scale_dimensions(self):
         header = ",".join(f"s{j}" for j in range(1980))
         row = ",".join("1" for _ in range(1980))
         body = "\n".join([header] + [row] * 604)
-        g = parse_genotype_csv(body.encode())
+        g = _parsed(parse_genotype_csv, body.encode())
         assert g.samples == 604 and g.snps == 1980
 
     def test_round_trip_exact(self, tmp_path):
@@ -69,12 +80,12 @@ class TestGenotypeCsv:
 REFERENCE_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": 5, "0": 0, "1": 1, "2": 2, "5": 5}
 
 
-def _parse_reference(source: bytes) -> GenotypeMatrix:
+def _parse_reference(path) -> GenotypeMatrix:
     """The per-token genotype parser: every cell stripped, upper-cased and looked up."""
     try:
-        text = source.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"input is not UTF-8 text: {e.reason}") from None
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason}") from None
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -97,9 +108,9 @@ def _parse_reference(source: bytes) -> GenotypeMatrix:
     return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
 
 
-def _outcome(parse, source):
+def _outcome(parse, source: bytes, path=INPUT):
     try:
-        g = parse(source)
+        g = _parsed(parse, source, path)
     except ParseError as e:
         return ("error", str(e), e.row, e.col)
     return ("ok", g.codes.dtype, g.codes.tobytes(), g.codes.shape, g.observed.tobytes(),
@@ -167,14 +178,13 @@ class TestGenotypeCodec:
         assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
 
     @pytest.mark.parametrize("edit", NEAR_CANONICAL_EDITS)
-    def test_file_parse_matches_bytes_parse(self, tmp_path, edit):
+    def test_parse_of_another_file_differs_only_in_the_name(self, tmp_path, edit):
         source = _near_canonical_bytes([["0", "5"], ["2", "1"], ["1", "1"]], 2, edit, (2, 0))
         path = tmp_path / "g.csv"
-        path.write_bytes(source)
         expected = _outcome(parse_genotype_csv, source)
-        if expected[0] == "error":  # a file's messages name it where bytes say "input"
-            expected = ("error", expected[1].replace("input", str(path)), *expected[2:])
-        assert _outcome(parse_genotype_csv, path) == expected
+        if expected[0] == "error":  # each message names the file it read
+            expected = ("error", expected[1].replace(str(INPUT), str(path)), *expected[2:])
+        assert _outcome(parse_genotype_csv, source, path) == expected
 
     @given(_token_grids() | _near_canonical())
     @settings(max_examples=500, deadline=None)
@@ -222,12 +232,8 @@ class TestGenotypeCodec:
         for tail in (b"", b"0,AA\n"):  # the canonical path, then the csv path
             assert _outcome(parse_genotype_csv, source + tail) == _outcome(_parse_reference, source + tail)
 
-    def test_lone_cr_line_ends_parse_alike_from_bytes_and_file(self, tmp_path):
-        source = b"a,b\rAA,1\r0,2\r"
-        path = tmp_path / "cr.csv"
-        path.write_bytes(source)
-        assert _outcome(parse_genotype_csv, source) == _outcome(parse_genotype_csv, path)
-        assert parse_genotype_csv(source).codes.tolist() == [[0, 1], [0, 2]]
+    def test_lone_cr_line_ends_parse(self):
+        assert _parsed(parse_genotype_csv, b"a,b\rAA,1\r0,2\r").codes.tolist() == [[0, 1], [0, 2]]
 
     @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])
     def test_non_utf8_is_a_parse_error(self, tmp_path, parse):
@@ -235,40 +241,40 @@ class TestGenotypeCodec:
         path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"\xff,1\n")  # past the first read buffer
         with pytest.raises(ParseError, match="bad.csv is not UTF-8 text"):
             parse(path)
-        with pytest.raises(ParseError, match="input is not UTF-8 text"):
-            parse(b"a,b\n\xff,1\n")
+        with pytest.raises(ParseError, match="input.csv is not UTF-8 text"):
+            _parsed(parse, b"a,b\n\xff,1\n")
 
 
 class TestPhenotypeCsv:
     def test_direct_transcription(self):
-        p = parse_phenotype_csv(b"t1,t2\n1.5,NA\n2.0,3.0\n")
+        p = _parsed(parse_phenotype_csv, b"t1,t2\n1.5,NA\n2.0,3.0\n")
         assert p.values[0, 0] == 1.5 and p.values[1, 1] == 3.0
         np.testing.assert_array_equal(p.observed, [[True, False], [True, True]])
 
     def test_header_only_gives_zero_samples(self):
-        p = parse_phenotype_csv(b"t1,t2\n")
+        p = _parsed(parse_phenotype_csv, b"t1,t2\n")
         assert p.samples == 0 and p.traits == 2
 
     def test_two_trait_file(self):
-        p = parse_phenotype_csv(b"trait1,trait2\n0.1,0.2\n")
+        p = _parsed(parse_phenotype_csv, b"trait1,trait2\n0.1,0.2\n")
         assert p.traits == 2
 
     def test_empty_cell_is_missing(self):
-        p = parse_phenotype_csv(b"t\n\n1.0\n")
+        p = _parsed(parse_phenotype_csv, b"t\n\n1.0\n")
         # blank line is skipped entirely; only the 1.0 row remains
         assert p.samples == 1
 
     def test_non_numeric_cell_rejected(self):
         with pytest.raises(ParseError):
-            parse_phenotype_csv(b"t\nabc\n")
+            _parsed(parse_phenotype_csv, b"t\nabc\n")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_rejected_with_location(self, cell):
         with pytest.raises(ParseError, match=r"non-finite .*\(row 2, column 1\)"):
-            parse_phenotype_csv(f"t1,t2\n1.0,2.0\n3.0,{cell}\n".encode())
+            _parsed(parse_phenotype_csv, f"t1,t2\n1.0,2.0\n3.0,{cell}\n".encode())
 
     def test_round_trip(self, tmp_path):
-        p = parse_phenotype_csv(b"t1,t2\n1.5,NA\n-2.25,3.0\n")
+        p = _parsed(parse_phenotype_csv, b"t1,t2\n1.5,NA\n-2.25,3.0\n")
         phenotype_to_csv(p, tmp_path / "pheno.csv")
         again = parse_phenotype_csv(tmp_path / "pheno.csv")
         assert again.values[np.where(again.observed)].tolist() == \

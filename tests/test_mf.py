@@ -48,24 +48,24 @@ class TestMfConfig:
 
 class TestMfInit:
     def test_entries_in_range(self):
-        fp = mf_init(20, 30, MfConfig(features=4, seed=7))
+        fp = mf_init(20, 30, MfConfig(features=4), seed=7)
         for m in (fp.p, fp.q):
             assert m.min() >= 0.0 and m.max() < 1.0
 
     def test_degenerate_range_collapses_to_constant(self):
-        cfg = MfConfig(features=2, init_range=(0.5, 0.5 + 1e-12), seed=1)
-        fp = mf_init(5, 6, cfg)
+        cfg = MfConfig(features=2, init_range=(0.5, 0.5 + 1e-12))
+        fp = mf_init(5, 6, cfg, seed=1)
         np.testing.assert_allclose(fp.p, 0.5, atol=1e-11)
         np.testing.assert_allclose(fp.q, 0.5, atol=1e-11)
 
     def test_deterministic(self):
-        cfg = MfConfig(features=3, seed=42)
-        a, b = mf_init(7, 9, cfg), mf_init(7, 9, cfg)
+        cfg = MfConfig(features=3)
+        a, b = mf_init(7, 9, cfg, seed=42), mf_init(7, 9, cfg, seed=42)
         assert a.p.tobytes() == b.p.tobytes()
         assert a.q.tobytes() == b.q.tobytes()
 
     def test_shapes(self):
-        fp = mf_init(11, 13, MfConfig(features=5, seed=0))
+        fp = mf_init(11, 13, MfConfig(features=5), seed=0)
         assert fp.p.shape == (11, 5) and fp.q.shape == (13, 5)
 
 
@@ -131,7 +131,7 @@ class TestMfGradients:
 
     def test_mask_independence_bitwise(self):
         holed, _ = synth_lowrank_genotypes(6, 7, rank=2, missing_frac=0.3, seed=3)
-        fp = mf_init(6, 7, MfConfig(features=2, seed=5))
+        fp = mf_init(6, 7, MfConfig(features=2), seed=5)
         base_cost = mf_cost(holed, fp, 0.02)
         base_grads = mf_gradients(holed, fp, 0.02)
         poisoned = holed.copy()
@@ -146,13 +146,13 @@ class TestMfEpoch:
     def test_vanishing_step_leaves_factors_unchanged(self):
         # the alpha -> 0 limit: a step below one ulp is the identity
         g = _geno([[1, 2], [0, 1]])
-        fp = mf_init(2, 2, MfConfig(features=2, seed=1))
-        new, _ = mf_epoch(g, fp, MfConfig(features=2, alpha=1e-300, seed=1))
+        fp = mf_init(2, 2, MfConfig(features=2), seed=1)
+        new, _ = mf_epoch(g, fp, MfConfig(features=2, alpha=1e-300))
         assert new.p.tobytes() == fp.p.tobytes()
         assert new.q.tobytes() == fp.q.tobytes()
 
     def test_one_step_reduces_hand_example(self):
-        cfg = MfConfig(features=1, alpha=0.1, beta=0.02, seed=0)
+        cfg = MfConfig(features=1, alpha=0.1, beta=0.02)
         before = mf_cost(ONE_CELL, ONE_CELL_FP, 0.02)[1]
         _, record = mf_epoch(ONE_CELL, ONE_CELL_FP, cfg)
         assert record.objective < before
@@ -160,15 +160,14 @@ class TestMfEpoch:
     def test_stationary_point_fixed(self):
         fp = FactorPair(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
         g = _geno([[1, 3], [2, 6]])
-        new, _ = mf_epoch(g, fp, MfConfig(features=1, alpha=0.1, beta=0.0, seed=0))
+        new, _ = mf_epoch(g, fp, MfConfig(features=1, alpha=0.1, beta=0.0))
         np.testing.assert_allclose(new.p, fp.p, atol=1e-15)
         np.testing.assert_allclose(new.q, fp.q, atol=1e-15)
 
     def test_per_entry_mode_also_descends(self):
         holed, _ = synth_lowrank_genotypes(8, 9, rank=2, missing_frac=0.1, seed=6)
-        cfg = MfConfig(features=2, alpha=0.01, beta=0.02, epochs=30, seed=2,
-                       mode="per_entry")
-        _, curve = mf_fit(holed, cfg)
+        cfg = MfConfig(features=2, alpha=0.01, beta=0.02, epochs=30, mode="per_entry")
+        _, curve = mf_fit(holed, cfg, seed=2)
         assert curve.records[-1].objective < curve.records[0].objective
 
 
@@ -209,8 +208,8 @@ class TestPerEntrySweep:
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_scalar_loop_bitwise(self, shape, features, mask):
         g = _masked(*shape, mask, seed=features)
-        cfg = MfConfig(features=features, alpha=0.01, beta=0.02, seed=3, mode="per_entry")
-        fp = ref = mf_init(*shape, cfg)
+        cfg = MfConfig(features=features, alpha=0.01, beta=0.02, mode="per_entry")
+        fp = ref = mf_init(*shape, cfg, seed=3)
         for epoch in range(3):
             fp, _ = mf_epoch(g, fp, cfg, epoch)
             ref = _per_entry_reference(g, ref, cfg)
@@ -219,9 +218,9 @@ class TestPerEntrySweep:
 
     def test_fit_matches_scalar_loop_bitwise(self):
         g = _masked(37, 23, "masked_col", seed=11)
-        cfg = MfConfig(features=5, alpha=0.01, beta=0.02, epochs=3, seed=11, mode="per_entry")
-        fp, _ = mf_fit(g, cfg)
-        ref = mf_init(37, 23, cfg)
+        cfg = MfConfig(features=5, alpha=0.01, beta=0.02, epochs=3, mode="per_entry")
+        fp, _ = mf_fit(g, cfg, seed=11)
+        ref = mf_init(37, 23, cfg, seed=11)
         for _ in range(3):
             ref = _per_entry_reference(g, ref, cfg)
         assert fp.p.tobytes() == ref.p.tobytes()
@@ -258,8 +257,8 @@ class TestFullBatchEpoch:
     def test_matches_reference_bitwise(self, shape, mask):
         g = _masked(*shape, mask, seed=shape[0])
         g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
-        cfg = MfConfig(features=5, alpha=0.005, beta=0.02, seed=7)
-        fp = ref = mf_init(*shape, cfg)
+        cfg = MfConfig(features=5, alpha=0.005, beta=0.02)
+        fp = ref = mf_init(*shape, cfg, seed=7)
         n_obs = int(g.observed.sum())
         for epoch in range(12):
             fp, record = mf_epoch(g, fp, cfg, epoch)
@@ -274,8 +273,8 @@ class TestFullBatchEpoch:
     def test_inputs_left_unchanged(self, call):
         g = _masked(11, 13, "masked_row", seed=3)
         mode = call if call in MF_MODES else "full_batch"
-        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=mode)
-        fp = mf_init(11, 13, cfg)
+        cfg = MfConfig(features=4, alpha=0.01, mode=mode)
+        fp = mf_init(11, 13, cfg, seed=4)
         before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
         if call == "gradients":
             mf_gradients(g, fp, cfg.beta)
@@ -293,8 +292,8 @@ class TestFullBatchEpoch:
     def test_epoch_with_the_fit_workspace_leaves_its_factors_unchanged(self, mode):
         # the workspace's spare pair takes the step; the factors handed in stay as they were
         g = _masked(11, 13, "masked_row", seed=3)
-        cfg = MfConfig(features=4, alpha=0.01, seed=4, mode=mode)
-        fp = mf_init(11, 13, cfg)
+        cfg = MfConfig(features=4, alpha=0.01, mode=mode)
+        fp = mf_init(11, 13, cfg, seed=4)
         before = [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)]
         new, record = mf_epoch(g, fp, cfg, 0, {})
         assert [a.tobytes() for a in (fp.p, fp.q, g.codes, g.observed)] == before
@@ -307,9 +306,9 @@ class TestFullBatchFit:
     def test_full_batch_fit_matches_oracle_loop_bitwise(self):
         g = _masked(23, 31, "masked_row", seed=4)
         g.observed[:, 5] = False
-        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=12, seed=9)
-        fp, curve = mf_fit(g, cfg)
-        ref, records = mf_init(23, 31, cfg), []
+        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=12)
+        fp, curve = mf_fit(g, cfg, seed=9)
+        ref, records = mf_init(23, 31, cfg, seed=9), []
         for epoch in range(12):
             dp, dq = mf_gradients(g, ref, cfg.beta)
             ref = FactorPair(ref.p - cfg.alpha * dp, ref.q - cfg.alpha * dq)
@@ -325,9 +324,9 @@ class TestFullBatchFit:
         # mf_fit hands each epoch the index it built once; an epoch called alone builds its own
         g = _masked(13, 9, mask, seed=5)
         g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
-        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=6, seed=2, mode=mode)
-        fp, curve = mf_fit(g, cfg)
-        ref = alone = mf_init(13, 9, cfg)
+        cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=6, mode=mode)
+        fp, curve = mf_fit(g, cfg, seed=2)
+        ref = alone = mf_init(13, 9, cfg, seed=2)
         n_obs = int(g.observed.sum())
         for epoch, record in enumerate(curve.records):
             alone, alone_record = mf_epoch(g, alone, cfg, epoch)
@@ -354,7 +353,7 @@ class TestFullBatchFit:
             return flatnonzero(a)
 
         monkeypatch.setattr(np, "flatnonzero", counted)
-        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, seed=1, mode=mode))
+        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, mode=mode), seed=1)
         assert len(builds) == 1
 
     @pytest.mark.parametrize("mode,most", [("full_batch", 24), ("per_entry", 12)])
@@ -369,7 +368,7 @@ class TestFullBatchFit:
 
         monkeypatch.setattr("genoseq.mf._masked_residual", counted)
         g = _masked(9, 11, "random", seed=2)
-        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, seed=1, mode=mode))
+        mf_fit(g, MfConfig(features=3, alpha=0.005, epochs=12, mode=mode), seed=1)
         assert len(calls) <= most
         if mode == "per_entry":
             assert len(calls) == 12
@@ -385,15 +384,15 @@ def _rank_one_codes():
 
 class TestMfFit:
     def test_rank_one_recovery(self):
-        cfg = MfConfig(features=1, alpha=0.01, beta=0.0, epochs=1500, seed=4)
-        _, curve = mf_fit(_rank_one_codes(), cfg)
+        cfg = MfConfig(features=1, alpha=0.01, beta=0.0, epochs=1500)
+        _, curve = mf_fit(_rank_one_codes(), cfg, seed=4)
         assert curve.final_sse() < 1e-3
 
     def test_zero_epochs_returns_init_and_empty_curve(self):
         g = _geno([[1, 2], [0, 1]])
-        cfg = MfConfig(features=2, epochs=0, seed=3)
-        fp, curve = mf_fit(g, cfg)
-        init = mf_init(2, 2, cfg)
+        cfg = MfConfig(features=2, epochs=0)
+        fp, curve = mf_fit(g, cfg, seed=3)
+        init = mf_init(2, 2, cfg, seed=3)
         assert fp.p.tobytes() == init.p.tobytes()
         assert len(curve) == 0
 
@@ -401,22 +400,22 @@ class TestMfFit:
         holed, _ = synth_population_genotypes(30, 40, groups=4, missing_frac=0.1, seed=7)
         finals = []
         for features in (1, 4):
-            cfg = MfConfig(features=features, alpha=0.002, beta=0.02, epochs=400, seed=3)
-            _, curve = mf_fit(holed, cfg)
+            cfg = MfConfig(features=features, alpha=0.002, beta=0.02, epochs=400)
+            _, curve = mf_fit(holed, cfg, seed=3)
             finals.append(curve.final_sse())
         assert finals[1] <= finals[0]
 
     def test_no_observed_entries_rejected(self):
         g = _geno([[1]], observed=np.zeros((1, 1), dtype=bool))
         with pytest.raises(DataError):
-            mf_fit(g, MfConfig(features=1, seed=0))
+            mf_fit(g, MfConfig(features=1), seed=0)
 
     def test_monotone_descent_with_small_enough_alpha(self):
         holed, _ = synth_lowrank_genotypes(9, 11, rank=2, missing_frac=0.2, seed=14)
         alpha = 1e-3
         for _ in range(20):
-            cfg = MfConfig(features=2, alpha=alpha, beta=0.0, epochs=60, seed=5)
-            _, curve = mf_fit(holed, cfg)
+            cfg = MfConfig(features=2, alpha=alpha, beta=0.0, epochs=60)
+            _, curve = mf_fit(holed, cfg, seed=5)
             objectives = [r.objective for r in curve.records]
             if all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:])):
                 break
@@ -426,8 +425,8 @@ class TestMfFit:
 
     def test_permutation_equivariance(self):
         holed, _ = synth_lowrank_genotypes(7, 9, rank=2, missing_frac=0.15, seed=21)
-        cfg = MfConfig(features=2, alpha=0.005, beta=0.02, seed=8)
-        fp0 = mf_init(7, 9, cfg)
+        cfg = MfConfig(features=2, alpha=0.005, beta=0.02)
+        fp0 = mf_init(7, 9, cfg, seed=8)
         perm = Rng(3).permutation(7)
 
         fp_a = FactorPair(fp0.p.copy(), fp0.q.copy())
@@ -465,17 +464,16 @@ class TestMemory:
 
     def test_full_batch_fit_holds_two_factor_pairs_and_one_residual(self):
         g = self._geno()
-        cfg = MfConfig(features=self.FEATURES, alpha=1e-4, init_range=(0.0, 0.05), epochs=3,
-                       seed=1)
+        cfg = MfConfig(features=self.FEATURES, alpha=1e-4, init_range=(0.0, 0.05), epochs=3)
         pair = (self.SAMPLES + self.SNPS) * self.FEATURES * 8
         residual = self.SAMPLES * self.SNPS * 8
         # slack: the cast buffer, and the hole index as int32 plus its intp copy when indexing
         slack = 8 * np.getbufsize() + 12 * int((~g.observed).sum()) + 16384
-        assert _traced_peak(lambda: mf_fit(g, cfg)) <= 2 * pair + residual + slack
+        assert _traced_peak(lambda: mf_fit(g, cfg, seed=1)) <= 2 * pair + residual + slack
 
     def test_rounded_reconstruction_holds_one_product_and_the_codes(self):
         g = self._geno()
-        fp = mf_init(self.SAMPLES, self.SNPS, MfConfig(features=self.FEATURES, seed=2))
+        fp = mf_init(self.SAMPLES, self.SNPS, MfConfig(features=self.FEATURES), seed=2)
         cells = self.SAMPLES * self.SNPS
         assert _traced_peak(lambda: rounded_reconstruction(g, fp)) <= cells * (8 + 2) + 4096
 
@@ -531,8 +529,8 @@ class TestImputationAccuracy:
 class TestReporting:
     def test_cost_curve_csv_layout(self, tmp_path):
         holed, _ = synth_lowrank_genotypes(6, 6, rank=2, missing_frac=0.1, seed=2)
-        cfg = MfConfig(features=2, alpha=0.005, epochs=3, seed=1)
-        _, curve = mf_fit(holed, cfg)
+        cfg = MfConfig(features=2, alpha=0.005, epochs=3)
+        _, curve = mf_fit(holed, cfg, seed=1)
         curve.to_csv(tmp_path / "mf_cost.csv")
         lines = (tmp_path / "mf_cost.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "epoch,sse,objective"
@@ -544,20 +542,20 @@ class TestReporting:
     def test_cost_csv_sse_is_the_computed_sse(self, tmp_path, mode):
         # each row's sse is mf_cost's own sum, not mse * n_observed rounded once more
         holed, _ = synth_lowrank_genotypes(100, 200, rank=5, missing_frac=0.1, seed=42)
-        cfg = MfConfig(features=8, alpha=0.001, epochs=50, seed=3, mode=mode)
-        _, curve = mf_fit(holed, cfg)
+        cfg = MfConfig(features=8, alpha=0.001, epochs=50, mode=mode)
+        _, curve = mf_fit(holed, cfg, seed=3)
         curve.to_csv(tmp_path / "mf_cost.csv")
         rows = (tmp_path / "mf_cost.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 50
-        fp = mf_init(100, 200, cfg)
+        fp = mf_init(100, 200, cfg, seed=3)
         for epoch, row in enumerate(rows):
             fp, _ = mf_epoch(holed, fp, cfg, epoch)
             assert row.split(",")[1] == repr(mf_cost(holed, fp, cfg.beta)[0])
 
     def test_fit_report_contents(self):
         holed, truth = synth_lowrank_genotypes(6, 6, rank=2, missing_frac=0.1, seed=2)
-        cfg = MfConfig(features=2, alpha=0.005, epochs=3, seed=1)
-        fp, curve = mf_fit(holed, cfg)
+        cfg = MfConfig(features=2, alpha=0.005, epochs=3)
+        fp, curve = mf_fit(holed, cfg, seed=1)
         acc = imputation_accuracy(truth, impute(holed, fp), ~holed.observed)
         report = fit_report(curve, acc)
         assert report["n_observed"] == int(holed.observed.sum())

@@ -1,18 +1,19 @@
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoseq import rnn
 from genoseq.cli import main
 
-from genoseq.data import (PhenotypeTable, SplitIndices, genotype_to_csv, phenotype_to_csv,
-                          synth_lowrank_genotypes, synth_phenotypes)
+from genoseq.data import (DataSettings, PhenotypeTable, SplitIndices, genotype_to_csv,
+                          phenotype_to_csv, synth_lowrank_genotypes, synth_phenotypes)
 from genoseq.errors import ConfigError, DataError, DivergenceError
-from genoseq.mf import MfConfig
+from genoseq.mf import MF_MODES, MfConfig
 from genoseq.pipeline import (CONFIG_KEYS, FILE_KEYS, PipelineConfig, RnnSettings,
                               compare_on_batch, evaluate_split, export_report, flatten_config,
                               resolve_config, run_pipeline, train_trait)
@@ -38,7 +39,7 @@ def _small_config(seed=11, traits=(0,), cell="relu_identity", rnn_epochs=40):
     return PipelineConfig(
         mf=MfConfig(features=6, alpha=0.002, beta=0.02, epochs=200),
         rnn=RnnSettings(cell=cell, hidden=12, learning_rate=0.05, epochs=rnn_epochs),
-        chunk_width=8, seed=seed, traits=traits)
+        data=DataSettings(chunk_width=8), seed=seed, traits=traits)
 
 
 def _constant_net(value, n_in=2, hidden=3):
@@ -79,6 +80,11 @@ class TestEvaluateSplit:
         narrow = evaluate_split(model, batch, 0.5, target_range=0.1)  # band 0.05
         assert wide.success_pct == 100.0
         assert narrow.success_pct < 100.0
+
+    def test_empty_batch_is_a_data_error(self):
+        batch = deep_recall_task(4, 20, seed=5).subset_by_samples([])
+        with pytest.raises(DataError, match="empty batch"):
+            evaluate_split(_constant_net(0.0, n_in=1), batch, 0.1, target_range=1.0)
 
 
 class TestRunPipeline:
@@ -123,10 +129,10 @@ class TestRunPipeline:
         cfg = _small_config()
         g = parse_genotype_csv(geno)
         p = parse_phenotype_csv(pheno)
-        factors, _ = mf_fit(g, replace(cfg.mf, seed=derive_seed(cfg.seed, "mf")))
+        factors, _ = mf_fit(g, cfg.mf, seed=derive_seed(cfg.seed, "mf"))
         filled = impute(g, factors)
-        split = split_dataset(filled.samples, cfg.ratios, derive_seed(cfg.seed, "split"))
-        batch = build_sequences(filled, p, 0, cfg.chunk_width)
+        split = split_dataset(filled.samples, cfg.data.ratios, derive_seed(cfg.seed, "split"))
+        batch = build_sequences(filled, p, 0, cfg.data.chunk_width)
         train_batch = batch.subset_by_samples(split.train)
         test_set = set(split.test.tolist())
         assert not (set(train_batch.sample_indices.tolist()) & test_set)
@@ -149,16 +155,16 @@ class TestRunPipeline:
         report = run_pipeline(geno, pheno, cfg)
 
         assert list(report.seeds) == ["master", "split", "mf", "rnn/trait0", "rnn/trait1"]
-        _, curve = mf_fit(parse_genotype_csv(geno), replace(cfg.mf, seed=report.seeds["mf"]))
+        _, curve = mf_fit(parse_genotype_csv(geno), cfg.mf, seed=report.seeds["mf"])
         assert curve.to_rows() == report.mf_curve.to_rows()
-        split = split_dataset(50, cfg.ratios, report.seeds["split"])
+        split = split_dataset(50, cfg.data.ratios, report.seeds["split"])
         assert len(splits) == 2
         for used in splits:
             for part in ("train", "validation", "test"):
                 assert getattr(used, part).tolist() == getattr(split, part).tolist()
         assert len(inits) == 2
         for trait, used in zip(cfg.traits, inits):
-            fresh = rnn.rnn_init(cfg.rnn.cell, cfg.chunk_width, cfg.rnn.hidden, 1,
+            fresh = rnn.rnn_init(cfg.rnn.cell, cfg.data.chunk_width, cfg.rnn.hidden, 1,
                                  report.seeds[f"rnn/trait{trait}"])
             for name, value in fresh.tensors().items():
                 assert used.tensors()[name].tobytes() == value.tobytes(), (trait, name)
@@ -189,7 +195,7 @@ class TestRunPipeline:
                 mf=MfConfig(features=6, alpha=0.002, beta=0.02, epochs=300),
                 rnn=RnnSettings(cell="relu_identity", hidden=32,
                                 learning_rate=0.05, epochs=800),
-                chunk_width=8, seed=seed, traits=(0,))
+                data=DataSettings(chunk_width=8), seed=seed, traits=(0,))
             report = run_pipeline(geno_path, pheno_path, cfg)
             m = report.trait_results[0].metrics
             wins += m["train"].mse <= m["test"].mse
@@ -205,8 +211,8 @@ class TestRunPipeline:
         assert rc == 0
         cli_metrics = json.loads((tmp_path / "model" / "train_report.json").read_text())["metrics"]
         cfg = PipelineConfig(mf=MfConfig(features=2, epochs=3),
-                             rnn=RnnSettings(cell="lstm", hidden=6, epochs=15), chunk_width=8,
-                             seed=5, traits=(1,))
+                             rnn=RnnSettings(cell="lstm", hidden=6, epochs=15),
+                             data=DataSettings(chunk_width=8), seed=5, traits=(1,))
         (result,) = run_pipeline(truth, pheno, cfg).trait_results
         assert set(cli_metrics) == set(result.metrics) == {"train", "validation", "test"}
         for split, m in result.metrics.items():
@@ -225,7 +231,7 @@ class TestRunPipeline:
         cfg = PipelineConfig(mf=MfConfig(features=4, alpha=0.002, beta=0.02, epochs=150),
                              rnn=RnnSettings(cell="lstm", hidden=10, learning_rate=1e12,
                                              epochs=25),
-                             chunk_width=6, seed=23, traits=(0, 1, 2))
+                             data=DataSettings(chunk_width=6), seed=23, traits=(0, 1, 2))
         report = run_pipeline(geno_path, pheno_path, cfg)
         manifest = export_report(report, tmp_path / "out")
         assert [f["name"] for f in manifest["files"]] == [
@@ -249,7 +255,7 @@ class TestTrainTrait:
 
     def test_divergence_is_returned_without_the_training_frames(self):
         cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, learning_rate=1e8,
-                                             epochs=30), chunk_width=1)
+                                             epochs=30), data=DataSettings(chunk_width=1))
         model, result = train_trait(deep_recall_task(8, 30, seed=9), self.SPLIT, cfg, 0)
         assert model is None and isinstance(result.error, DivergenceError)
         assert result.curve is result.error.curve and len(result.curve) == result.error.epoch
@@ -259,13 +265,13 @@ class TestTrainTrait:
     def test_no_training_sample_is_a_data_error(self):
         split = SplitIndices(np.arange(0), np.arange(0, 4), np.arange(4, 8))
         model, result = train_trait(deep_recall_task(8, 30, seed=9), split,
-                                    PipelineConfig(chunk_width=1), 0)
+                                    PipelineConfig(data=DataSettings(chunk_width=1)), 0)
         assert model is None and result.curve is None
         assert isinstance(result.error, DataError)
         assert str(result.error) == "no training samples with an observed trait value"
 
     def test_model_width_comes_from_the_batch(self):
-        cfg = PipelineConfig(rnn=RnnSettings(hidden=3, epochs=2))  # chunk_width stays 20
+        cfg = PipelineConfig(rnn=RnnSettings(hidden=3, epochs=2))  # data.chunk_width stays 20
         model, result = train_trait(deep_recall_task(8, 30, seed=9), self.SPLIT, cfg, 0)
         assert result.error is None and (model.n_in, model.n_hidden) == (1, 3)
 
@@ -345,22 +351,63 @@ class TestExportReport:
         assert m1 == m2
 
 
+_POSITIVE = st.floats(1e-9, 1e3)
+_KEY_VALUES = {  # a valid value of every config key but the FILE_KEYS
+    "mf.features": st.integers(1, 10**4), "mf.alpha": _POSITIVE, "mf.beta": st.floats(0.0, 1e3),
+    "mf.epochs": st.integers(0, 10**6),
+    "mf.init_range": st.tuples(st.floats(-1e3, 0.0), st.floats(1e-3, 1e3)),
+    "mf.mode": st.sampled_from(MF_MODES),
+    "rnn.cell": st.sampled_from(rnn.CELLS), "rnn.hidden": st.integers(1, 10**3),
+    "rnn.learning_rate": _POSITIVE, "rnn.epochs": st.integers(0, 10**6),
+    "rnn.clip_norm": st.none() | st.just("default") | _POSITIVE,
+    "data.chunk_width": st.integers(1, 10**3),
+    "data.ratios": st.tuples(st.floats(0.01, 0.49), st.floats(0.01, 0.49)).map(
+        lambda r: (*r, 1.0 - r[0] - r[1])),
+    "seed": st.integers(-2**63, 2**64), "traits": st.lists(st.integers(0, 99), min_size=1,
+                                                           max_size=4).map(tuple),
+    "success_tolerance": st.floats(0.0, 1e3),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A PipelineConfig with a drawn value for every config key."""
+    sections = {"": {}, "mf": {}, "rnn": {}, "data": {}}
+    for key, value in draw(st.fixed_dictionaries(_KEY_VALUES)).items():
+        section, _, name = key.rpartition(".")
+        sections[section][name] = value
+    return PipelineConfig(mf=MfConfig(**sections["mf"]), rnn=RnnSettings(**sections["rnn"]),
+                          data=DataSettings(**sections["data"]), **sections[""])
+
+
 class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(chunk_width=0)
+            DataSettings(chunk_width=0)
+        with pytest.raises(ConfigError):
+            DataSettings(ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
             PipelineConfig(traits=())
         with pytest.raises(ConfigError):
             PipelineConfig(success_tolerance=-1.0)
 
     def test_to_config_writes_the_config_file_layout(self):
-        doc = _small_config().to_config()
+        doc = json.loads(json.dumps(_small_config().to_config()))
         assert set(flatten_config(doc)) == set(CONFIG_KEYS) - set(FILE_KEYS)
         assert doc["mf"]["features"] == 6
         assert doc["rnn"]["cell"] == "relu_identity"
         assert doc["data"] == {"chunk_width": 8, "ratios": [0.8, 0.1, 0.1]}
         assert doc["traits"] == [0] and doc["seed"] == 11
+
+    def test_key_strategies_name_every_config_key(self):
+        assert set(_KEY_VALUES) == set(CONFIG_KEYS) - set(FILE_KEYS)
+
+    @given(_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_config_round_trips_through_its_json_file(self, cfg):
+        flat = flatten_config(json.loads(json.dumps(cfg.to_config())))
+        assert set(flat) == set(CONFIG_KEYS) - set(FILE_KEYS)
+        assert resolve_config(flat) == cfg
 
     def test_readme_config_block_resolves(self):
         # every key the README documents must still be a config key of its type
