@@ -1,9 +1,10 @@
 """Genotype and phenotype datasets: parsing, encoding, splits, synthesis.
 
-Genotype calls are encoded 0 (AA), 1 (AB), 2 (BB). Missing calls are
-written as 5 on disk, and parsed and synthetic matrices keep 5 in
-``codes`` at the holes. The boolean ``observed`` mask decides which cells
-are data; a hole's code is never used as data.
+Genotype calls are encoded 0 (AA), 1 (AB), 2 (BB), and a missing call
+is the sentinel 5, on disk and in ``GenotypeMatrix.codes``. A missing
+trait value is NaN in ``PhenotypeTable.values`` and "NA" on disk. The
+value is the only record of a missing entry: each table's ``observed``
+mask is derived from it and read-only.
 """
 
 from __future__ import annotations
@@ -26,23 +27,27 @@ _CALL_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": MISSING_SENTINEL,
                "0": 0, "1": 1, "2": 2, str(MISSING_SENTINEL): MISSING_SENTINEL}
 
 
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False  # a write into a derived mask would change nothing
+    return mask
+
+
 @dataclass
 class GenotypeMatrix:
-    """Integer genotype codes with an observation mask.
-
-    ``codes`` is samples x snps; wherever ``observed`` is False the stored
-    code is the missing sentinel and must not be read as data.
-    """
+    """Integer genotype codes, samples x snps, with the missing sentinel at each hole."""
 
     codes: np.ndarray
-    observed: np.ndarray
     snp_ids: list[str] | None = None
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.int16)
-        self.observed = np.asarray(self.observed, dtype=bool)
-        if self.codes.shape != self.observed.shape or self.codes.ndim != 2:
-            raise DataError(f"codes {self.codes.shape} and mask {self.observed.shape} must be equal 2-D shapes")
+        if self.codes.ndim != 2:
+            raise DataError(f"codes must be 2-D, got shape {self.codes.shape}")
+
+    @property
+    def observed(self) -> np.ndarray:
+        """True where the call is data: every code but the sentinel (read-only)."""
+        return _read_only(self.codes != MISSING_SENTINEL)
 
     @property
     def samples(self) -> int:
@@ -55,24 +60,23 @@ class GenotypeMatrix:
     def fully_observed(self) -> bool:
         return bool(self.observed.all())
 
-    def copy(self) -> "GenotypeMatrix":
-        ids = list(self.snp_ids) if self.snp_ids is not None else None
-        return GenotypeMatrix(self.codes.copy(), self.observed.copy(), ids)
-
 
 @dataclass
 class PhenotypeTable:
-    """Continuous trait measurements per sample, with a missing-value mask."""
+    """Continuous trait measurements, samples x traits, with NaN at each missing measurement."""
 
     values: np.ndarray
-    observed: np.ndarray
     trait_names: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.observed = np.asarray(self.observed, dtype=bool)
-        if self.values.shape != self.observed.shape or self.values.ndim != 2:
-            raise DataError(f"values {self.values.shape} and mask {self.observed.shape} must be equal 2-D shapes")
+        if self.values.ndim != 2:
+            raise DataError(f"values must be 2-D, got shape {self.values.shape}")
+
+    @property
+    def observed(self) -> np.ndarray:
+        """True where the trait was measured: every value but NaN (read-only)."""
+        return _read_only(~np.isnan(self.values))
 
     @property
     def samples(self) -> int:
@@ -182,8 +186,8 @@ def parse_genotype_csv(path) -> GenotypeMatrix:
     """Parse a genotype CSV: header of SNP ids, one row of calls per sample.
 
     Cells may be numeric codes {0,1,2,5} or tokens {AA,AB,BB,Null}, in any
-    case and padding. The observed mask is False exactly where the sentinel
-    or Null occurred. Ragged rows and empty files are rejected.
+    case and padding; Null becomes the sentinel. Ragged rows and empty files
+    are rejected.
     """
     raw = Path(path).read_bytes()
     canonical = _parse_canonical(raw)
@@ -200,7 +204,7 @@ def parse_genotype_csv(path) -> GenotypeMatrix:
         calls.extend(row)
         n_rows += 1
     codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, len(snp_ids))
-    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
+    return GenotypeMatrix(codes, snp_ids)
 
 
 def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
@@ -223,16 +227,15 @@ def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
     if not (((codes <= 2) | (codes == MISSING_SENTINEL)).all()
             and (cells[:, 1:-1:2] == ord(",")).all() and (cells[:, -1] == ord("\n")).all()):
         return None
-    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, [h.decode().strip() for h in ids])
+    return GenotypeMatrix(codes, [h.decode().strip() for h in ids])
 
 
 def genotype_to_csv(g: GenotypeMatrix, path) -> None:
-    """Write a GenotypeMatrix back to CSV, unobserved cells as the sentinel."""
+    """Write a GenotypeMatrix back to CSV, one code per cell (holes keep the sentinel)."""
     ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
-    body = np.where(g.observed, g.codes, MISSING_SENTINEL)
-    lo, hi = int(body.min(initial=0)), int(body.max(initial=0))  # str() once per code in lo..hi
+    lo, hi = int(g.codes.min(initial=0)), int(g.codes.max(initial=0))  # str() once per code in lo..hi
     strings = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-    write_csv(path, ids, (strings[np.subtract(row, lo, dtype=np.intp)].tolist() for row in body))
+    write_csv(path, ids, (strings[np.subtract(row, lo, dtype=np.intp)].tolist() for row in g.codes))
 
 
 def parse_phenotype_csv(path) -> PhenotypeTable:
@@ -244,9 +247,7 @@ def parse_phenotype_csv(path) -> PhenotypeTable:
     rows = _csv_rows(Path(path).read_bytes(), str(path), "phenotype")
     names = [h.strip() for h in next(rows)[1]]
     values = [[_phenotype_value(cell, r, c) for c, cell in enumerate(cells)] for r, cells in rows]
-    values = np.array(values, dtype=np.float64).reshape(len(values), len(names))
-    observed = ~np.isnan(values)
-    return PhenotypeTable(np.where(observed, values, 0.0), observed, names)
+    return PhenotypeTable(np.array(values, dtype=np.float64).reshape(len(values), len(names)), names)
 
 
 def _phenotype_value(cell: str, r: int, c: int) -> float:
@@ -266,16 +267,8 @@ def _phenotype_value(cell: str, r: int, c: int) -> float:
 def phenotype_to_csv(p: PhenotypeTable, path) -> None:
     """Write a PhenotypeTable to CSV, missing cells as NA."""
     names = p.trait_names if p.trait_names is not None else [f"trait{j}" for j in range(p.traits)]
-    write_csv(path, names, ([repr(v) if seen else "NA" for v, seen in zip(values, observed)]
-                            for values, observed in zip(p.values.tolist(), p.observed.tolist())))
-
-
-def check_ratios(ratios) -> tuple[float, ...]:
-    """``ratios`` as floats; a ConfigError unless they are three positive numbers summing to 1."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must be three positive numbers summing to 1, got {ratios}")
-    return ratios
+    write_csv(path, names, (["NA" if math.isnan(v) else repr(v) for v in values]
+                            for values in p.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -288,23 +281,23 @@ class DataSettings:
     def __post_init__(self):
         if self.chunk_width < 1:
             raise ConfigError(f"chunk_width must be >= 1, got {self.chunk_width}")
-        check_ratios(self.ratios)
+        ratios = tuple(float(r) for r in self.ratios)
+        if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"ratios must be three positive numbers summing to 1, got {ratios}")
 
+    def split(self, n_samples: int, seed: int) -> SplitIndices:
+        """Shuffle 0..n-1 deterministically by seed and slice into three splits.
 
-def split_dataset(n_samples: int, ratios, seed: int) -> SplitIndices:
-    """Shuffle 0..n-1 deterministically by seed and slice into three splits.
-
-    Each split gets floor(ratio * n) samples; every leftover sample goes
-    to train.
-    """
-    ratios = check_ratios(ratios)
-    perm = Rng(seed).permutation(n_samples)
-    n_val = math.floor(ratios[1] * n_samples)
-    n_test = math.floor(ratios[2] * n_samples)
-    n_train = n_samples - n_val - n_test
-    return SplitIndices(train=perm[:n_train],
-                        validation=perm[n_train:n_train + n_val],
-                        test=perm[n_train + n_val:])
+        Each split gets floor(ratio * n) samples; every leftover sample goes
+        to train.
+        """
+        perm = Rng(seed).permutation(n_samples)
+        n_val = math.floor(self.ratios[1] * n_samples)
+        n_test = math.floor(self.ratios[2] * n_samples)
+        n_train = n_samples - n_val - n_test
+        return SplitIndices(train=perm[:n_train],
+                            validation=perm[n_train:n_train + n_val],
+                            test=perm[n_train + n_val:])
 
 
 def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: float,
@@ -335,9 +328,7 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
         lo, hi = raw.min(), raw.max()
         raw = (raw - lo) * (2.0 / (hi - lo))
     codes = np.clip(np.rint(raw), 0, 2).astype(np.int16)
-    truth = GenotypeMatrix(codes, np.ones_like(codes, dtype=bool))
-    holed = _mask_holes(truth, missing_frac, missing_mode, rng)
-    return holed, truth
+    return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 
 def _check_synth_shape(samples: int, snps: int, rank: int, rank_name: str) -> None:
@@ -347,19 +338,19 @@ def _check_synth_shape(samples: int, snps: int, rank: int, rank_name: str) -> No
         raise ConfigError(f"{rank_name} must be in [1, {min(samples, snps)}], got {rank}")
 
 
-def _mask_holes(truth: GenotypeMatrix, missing_frac: float, missing_mode: str,
+def _mask_holes(truth: np.ndarray, missing_frac: float, missing_mode: str,
                 rng: Rng) -> GenotypeMatrix:
+    """A copy of the ``truth`` codes with the sentinel at holes drawn from ``rng``."""
     if not 0.0 <= missing_frac < 1.0:
         raise ConfigError(f"missing_frac must be in [0, 1), got {missing_frac}")
     if missing_mode not in ("entry", "snp_block"):
         raise ConfigError(f"unknown missing_mode {missing_mode!r}")
-    samples, snps = truth.samples, truth.snps
+    samples, snps = truth.shape
     holed = truth.copy()
     if missing_mode == "entry":
         k = math.ceil(missing_frac * samples * snps)
         holes = rng.permutation(samples * snps)[:k]
-        holed.codes.reshape(-1)[holes] = MISSING_SENTINEL
-        holed.observed.reshape(-1)[holes] = False
+        holed.reshape(-1)[holes] = MISSING_SENTINEL
     else:
         n_affected = math.ceil(missing_frac * snps)
         affected = rng.permutation(snps)[:n_affected]
@@ -367,9 +358,8 @@ def _mask_holes(truth: GenotypeMatrix, missing_frac: float, missing_mode: str,
         for j, rate in zip(affected, rates):
             n_hit = math.ceil(rate * samples)
             hit = rng.permutation(samples)[:n_hit]
-            holed.codes[hit, j] = MISSING_SENTINEL
-            holed.observed[hit, j] = False
-    return holed
+            holed[hit, j] = MISSING_SENTINEL
+    return GenotypeMatrix(holed)
 
 
 def synth_population_genotypes(samples: int, snps: int, groups: int, missing_frac: float,
@@ -388,9 +378,7 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
     assign = np.floor(rng.uniform(samples, 0, groups)).astype(np.int64)
     protos = rng.uniform((groups, snps), 0.0, 2.0)
     codes = np.clip(np.rint(protos[assign]), 0, 2).astype(np.int16)
-    truth = GenotypeMatrix(codes, np.ones_like(codes, dtype=bool))
-    holed = _mask_holes(truth, missing_frac, missing_mode, rng)
-    return holed, truth
+    return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 
 def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
@@ -399,7 +387,7 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
 
     Each trait draws its own subset of 8 SNPs and weights, so the resulting
     phenotypes are learnable from the genotypes. ``missing_per_trait``
-    samples per trait are masked out, mimicking partially measured traits.
+    samples per trait are NaN, mimicking partially measured traits.
     """
     if traits < 1:
         raise ConfigError(f"traits must be >= 1, got {traits}")
@@ -411,7 +399,6 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
     k = min(8, truth.snps)
     check_alloc(u * traits)
     values = np.zeros((u, traits))
-    observed = np.ones((u, traits), dtype=bool)
     g = truth.codes.astype(np.float64)
     for t in range(traits):
         cols = rng.permutation(truth.snps)[:k]
@@ -419,9 +406,8 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
         values[:, t] = g[:, cols] @ w / math.sqrt(k) + noise * rng.gaussian(u)
         if missing_per_trait:
             miss = rng.permutation(u)[:missing_per_trait]
-            observed[miss, t] = False
-            values[miss, t] = 0.0
-    return PhenotypeTable(values, observed, [f"trait{t + 1}" for t in range(traits)])
+            values[miss, t] = np.nan
+    return PhenotypeTable(values, [f"trait{t + 1}" for t in range(traits)])
 
 
 def check_traits(traits, phenos: PhenotypeTable) -> None:

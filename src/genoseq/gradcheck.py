@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import mf, rnn
-from .data import GenotypeMatrix
+from .data import MISSING_SENTINEL, GenotypeMatrix
 from .errors import ConfigError
 from .linalg import Rng, derive_seed
 
@@ -75,7 +75,8 @@ def _draw_mf(rng: Rng):
     observed = rng.uniform((u, v)) > 0.2
     if not observed.any():
         observed[0, 0] = True
-    g = GenotypeMatrix(codes, observed)
+    codes[~observed] = MISSING_SENTINEL
+    g = GenotypeMatrix(codes)
     beta = float(rng.uniform(1, 0.0, 0.1)[0])
     p0 = rng.uniform((u, f_lat), -1.0, 1.0)
     q0 = rng.uniform((v, f_lat), -1.0, 1.0)

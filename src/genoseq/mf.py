@@ -97,7 +97,7 @@ def _masked_residual(g: GenotypeMatrix, fp: FactorPair, workspace: dict) -> np.n
     np.subtract(g.codes, d, out=d)
     if "holes" not in workspace:  # int32 where it fits: an intp index zeroes about 0.25 ms
         # faster per call at 604x1980, but four paper-scale fits in one process peak 6 MB higher
-        dtype = np.int32 if g.observed.size < 2**31 else np.intp
+        dtype = np.int32 if g.codes.size < 2**31 else np.intp
         workspace["holes"] = np.flatnonzero(~g.observed).astype(dtype, copy=False)
     d.reshape(-1)[workspace["holes"]] = 0.0
     return d
@@ -194,7 +194,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0,
         sse, objective = mf_cost(g, new, cfg.beta, workspace)
     if not np.isfinite(objective):
         raise DivergenceError("factorization diverged; reduce alpha", epoch=epoch)
-    n_obs = g.observed.size - workspace["holes"].size
+    n_obs = g.codes.size - workspace["holes"].size
     mse = sse / n_obs if n_obs else 0.0
     return new, CostRecord(epoch, mse, sse, objective)
 
@@ -226,7 +226,7 @@ def impute(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
 
 def _filled(g: GenotypeMatrix, recon: GenotypeMatrix) -> GenotypeMatrix:
     """``g`` with its holes taken from the rounded reconstruction ``recon``."""
-    return GenotypeMatrix(np.where(g.observed, g.codes, recon.codes), recon.observed, recon.snp_ids)
+    return GenotypeMatrix(np.where(g.observed, g.codes, recon.codes), recon.snp_ids)
 
 
 def fit_impute(g: GenotypeMatrix, cfg: MfConfig, seed: int,
@@ -255,7 +255,7 @@ def rounded_reconstruction(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:
     recon = fp.p @ fp.q.T  # rounded and clamped in place, then cast
     recon = np.clip(np.rint(recon, out=recon), 0, 2, out=recon).astype(g.codes.dtype)
     ids = list(g.snp_ids) if g.snp_ids is not None else None
-    return GenotypeMatrix(recon, np.ones_like(recon, dtype=bool), ids)
+    return GenotypeMatrix(recon, ids)
 
 
 def imputation_accuracy(truth: GenotypeMatrix, imputed: GenotypeMatrix, holes: np.ndarray):

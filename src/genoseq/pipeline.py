@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mf, rnn
 from .data import (DataSettings, SequenceBatch, SplitIndices, build_sequences, check_traits,
-                   parse_genotype_csv, parse_phenotype_csv, split_dataset, write_csv, write_json)
+                   parse_genotype_csv, parse_phenotype_csv, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 from .rnn import RnnSettings
@@ -68,7 +68,7 @@ class PipelineConfig:
 
     def split(self, n_samples: int) -> SplitIndices:
         """The train/validation/test split of ``n_samples``, with its stage seed."""
-        return split_dataset(n_samples, self.data.ratios, self.seeds()["split"])
+        return self.data.split(n_samples, self.seeds()["split"])
 
 
 def _config_keys() -> dict[str, tuple]:

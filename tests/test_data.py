@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from genoseq.data import (GenotypeMatrix, MISSING_SENTINEL, SequenceBatch, build_sequences,
-                          _parse_canonical, genotype_sequences, genotype_to_csv,
-                          parse_genotype_csv, parse_phenotype_csv, phenotype_to_csv,
-                          split_dataset, synth_lowrank_genotypes, synth_phenotypes,
+from genoseq.data import (DataSettings, GenotypeMatrix, MISSING_SENTINEL, PhenotypeTable,
+                          SequenceBatch, build_sequences, _parse_canonical, genotype_sequences,
+                          genotype_to_csv, parse_genotype_csv, parse_phenotype_csv,
+                          phenotype_to_csv, synth_lowrank_genotypes, synth_phenotypes,
                           synth_population_genotypes)
 from genoseq.errors import ConfigError, DataError, ParseError
 from genoseq.linalg import Rng
@@ -76,6 +77,23 @@ class TestGenotypeCsv:
         assert again.codes.tobytes() == holed.codes.tobytes()
         assert again.observed.tobytes() == holed.observed.tobytes()
 
+    @given(hnp.arrays(np.int16, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                      elements=st.sampled_from([0, 1, 2, MISSING_SENTINEL])))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_keeps_every_code_and_hole(self, tmp_path, codes):
+        genotype_to_csv(GenotypeMatrix(codes), tmp_path / "g.csv")
+        again = parse_genotype_csv(tmp_path / "g.csv")
+        assert again.codes.dtype == np.int16 and again.codes.shape == codes.shape
+        assert again.codes.tobytes() == codes.tobytes()
+        np.testing.assert_array_equal(again.observed, codes != MISSING_SENTINEL)
+
+    def test_observed_is_derived_and_read_only(self):
+        g = GenotypeMatrix([[MISSING_SENTINEL, 1], [2, 0]])
+        with pytest.raises(ValueError, match="read-only"):
+            g.observed[0, 0] = True
+        np.testing.assert_array_equal(g.observed, [[False, True], [True, True]])
+
 
 REFERENCE_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": 5, "0": 0, "1": 1, "2": 2, "5": 5}
 
@@ -105,7 +123,7 @@ def _parse_reference(path) -> GenotypeMatrix:
             row.append(REFERENCE_CODES[cell.strip().upper()])
         rows.append(row)
     codes = np.array(rows, dtype=np.int16).reshape(len(rows), n_snps)
-    return GenotypeMatrix(codes, codes != MISSING_SENTINEL, snp_ids)
+    return GenotypeMatrix(codes, snp_ids)
 
 
 def _outcome(parse, source: bytes, path=INPUT):
@@ -197,24 +215,19 @@ class TestGenotypeCodec:
     def test_error_or_result_matches_reference(self, source):
         assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
 
-    @given(hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
-           st.data())
+    @given(hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_write_matches_str_of_every_cell(self, tmp_path, codes, data):
-        observed = data.draw(hnp.arrays(bool, codes.shape))
-        g = GenotypeMatrix(codes, observed)
-        genotype_to_csv(g, tmp_path / "g.csv")
-        body = np.where(observed, codes, MISSING_SENTINEL).tolist()
+    def test_write_matches_str_of_every_cell(self, tmp_path, codes):
+        genotype_to_csv(GenotypeMatrix(codes), tmp_path / "g.csv")
         header = ",".join(f"snp{j}" for j in range(codes.shape[1]))
-        lines = [header] + [",".join(map(str, row)) for row in body]
+        lines = [header] + [",".join(map(str, row)) for row in codes.tolist()]
         expected = "".join(line + "\n" for line in lines)
         assert (tmp_path / "g.csv").read_bytes() == expected.encode()
 
     def test_write_extreme_codes(self, tmp_path):
         codes = np.array([[-32768, 32767, -1], [0, 10, -200]], dtype=np.int16)
-        genotype_to_csv(GenotypeMatrix(codes, np.ones_like(codes, dtype=bool), ["a", "b", "c"]),
-                        tmp_path / "g.csv")
+        genotype_to_csv(GenotypeMatrix(codes, ["a", "b", "c"]), tmp_path / "g.csv")
         assert (tmp_path / "g.csv").read_text() == "a,b,c\n-32768,32767,-1\n0,10,-200\n"
 
     @pytest.mark.parametrize("header", [False, True], ids=["body", "header"])
@@ -281,36 +294,53 @@ class TestPhenotypeCsv:
             p.values[np.where(p.observed)].tolist()
         assert again.observed.tobytes() == p.observed.tobytes()
 
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_keeps_every_value_and_hole(self, tmp_path, values):
+        phenotype_to_csv(PhenotypeTable(values), tmp_path / "p.csv")
+        again = parse_phenotype_csv(tmp_path / "p.csv")
+        assert again.values.shape == values.shape
+        np.testing.assert_array_equal(np.isnan(again.values), np.isnan(values))
+        assert again.values[~np.isnan(values)].tobytes() == values[~np.isnan(values)].tobytes()
+
+    def test_observed_is_derived_and_read_only(self):
+        p = PhenotypeTable([[1.5, math.nan], [-2.0, 0.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            p.observed[0, 1] = True
+        np.testing.assert_array_equal(p.observed, [[True, False], [True, True]])
+
 
 class TestSplitDataset:
     def test_eighty_ten_ten(self):
-        s = split_dataset(10, (0.8, 0.1, 0.1), seed=1)
+        s = DataSettings(ratios=(0.8, 0.1, 0.1)).split(10, seed=1)
         assert (len(s.train), len(s.validation), len(s.test)) == (8, 1, 1)
 
     def test_remainder_goes_to_train(self):
         # floor(0.8*5)=4, floor(0.1*5)=0 twice; the leftover sample joins train
-        s = split_dataset(5, (0.8, 0.1, 0.1), seed=1)
+        s = DataSettings(ratios=(0.8, 0.1, 0.1)).split(5, seed=1)
         assert (len(s.train), len(s.validation), len(s.test)) == (5, 0, 0)
 
     def test_deterministic(self):
-        a = split_dataset(100, (0.8, 0.1, 0.1), seed=9)
-        b = split_dataset(100, (0.8, 0.1, 0.1), seed=9)
+        a = DataSettings(ratios=(0.8, 0.1, 0.1)).split(100, seed=9)
+        b = DataSettings(ratios=(0.8, 0.1, 0.1)).split(100, seed=9)
         assert a.train.tolist() == b.train.tolist()
         assert a.test.tolist() == b.test.tolist()
 
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(ConfigError):
-            split_dataset(10, (0.8, 0.1, 0.2), seed=1)
-        with pytest.raises(ConfigError):
-            split_dataset(10, (1.0, 0.0, 0.0), seed=1)
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.2), (1.0, 0.0, 0.0)])
+    def test_bad_ratios_rejected_when_the_settings_are_built(self, ratios):
+        with pytest.raises(ConfigError) as exc:
+            DataSettings(ratios=ratios)
+        assert str(exc.value) == f"ratios must be three positive numbers summing to 1, got {ratios}"
 
     def test_partition_property_many_draws(self):
         # union covers everything, pairwise disjoint, across many (n, seed) draws
-        rng = Rng(77)
+        rng, data_settings = Rng(77), DataSettings(ratios=(0.6, 0.2, 0.2))
         for _ in range(1000):
             n = rng.randint(3, 203)
             seed = int(rng.raw(1)[0])
-            s = split_dataset(n, (0.6, 0.2, 0.2), seed)
+            s = data_settings.split(n, seed)
             merged = np.concatenate([s.train, s.validation, s.test])
             assert len(merged) == n
             assert len(np.unique(merged)) == n
@@ -402,7 +432,7 @@ def _small_dataset(u=6, v=7, missing_trait_rows=()):
     _, truth = synth_lowrank_genotypes(u, v, rank=2, missing_frac=0.0, seed=11)
     phenos = synth_phenotypes(truth, traits=2, seed=12)
     for r in missing_trait_rows:
-        phenos.observed[r, 0] = False
+        phenos.values[r, 0] = np.nan
     return truth, phenos
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import genoseq.gradcheck as gc
-from genoseq.data import GenotypeMatrix, synth_lowrank_genotypes, synth_population_genotypes
+from genoseq.data import (MISSING_SENTINEL, GenotypeMatrix, synth_lowrank_genotypes,
+                          synth_population_genotypes)
 from genoseq.errors import ConfigError, DataError, ShapeError
 from genoseq.linalg import Rng
 import genoseq.mf
@@ -13,14 +14,7 @@ from genoseq.mf import (MF_MODES, CostCurve, CostRecord, FactorPair, MfConfig, f
                         mf_gradients, mf_init, rounded_reconstruction)
 
 
-def _geno(codes, observed=None):
-    codes = np.asarray(codes)
-    if observed is None:
-        observed = np.ones_like(codes, dtype=bool)
-    return GenotypeMatrix(codes, observed)
-
-
-ONE_CELL = _geno([[2]])
+ONE_CELL = GenotypeMatrix([[2]])
 ONE_CELL_FP = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
 
 
@@ -73,24 +67,24 @@ class TestMfReconstruct:
     def test_rank_one_hand_products(self):
         # products [[2, 1], [1, 0.5]]; 0.5 rounds half to even
         fp = FactorPair(np.array([[1.0], [0.5]]), np.array([[2.0], [1.0]]))
-        recon = rounded_reconstruction(_geno(np.zeros((2, 2))), fp)
+        recon = rounded_reconstruction(GenotypeMatrix(np.zeros((2, 2))), fp)
         np.testing.assert_array_equal(recon.codes, [[2, 1], [1, 0]])
 
     def test_zero_factor_annihilates(self):
         fp = FactorPair(np.ones((3, 2)), np.zeros((4, 2)))
-        recon = rounded_reconstruction(_geno(np.ones((3, 4))), fp)
+        recon = rounded_reconstruction(GenotypeMatrix(np.ones((3, 4))), fp)
         np.testing.assert_array_equal(recon.codes, np.zeros((3, 4)))
 
     def test_entry_is_feature_dot_product(self):
         rng = Rng(3)
         fp = FactorPair(rng.uniform((4, 6), 0.0, 0.5), rng.uniform((5, 6)))
-        recon = rounded_reconstruction(_geno(np.zeros((4, 5))), fp)
+        recon = rounded_reconstruction(GenotypeMatrix(np.zeros((4, 5))), fp)
         assert recon.codes[2, 3] == np.clip(np.rint(np.dot(fp.p[2], fp.q[3])), 0, 2)
 
 
 class TestMfCost:
     def test_fully_masked_is_pure_regularization(self):
-        g = _geno([[1, 2], [0, 1]], observed=np.zeros((2, 2), dtype=bool))
+        g = GenotypeMatrix([[5, 5], [5, 5]])
         fp = FactorPair(np.ones((2, 2)), np.ones((2, 2)))
         sse, objective = mf_cost(g, fp, beta=0.1)
         assert sse == 0.0
@@ -99,7 +93,7 @@ class TestMfCost:
     def test_perfect_fit_zero_objective(self):
         fp = FactorPair(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
         # quantize factors so the product is exactly the codes
-        g = GenotypeMatrix(np.array([[1, 3], [2, 6]]) // 1, np.ones((2, 2), dtype=bool))
+        g = GenotypeMatrix([[1, 3], [2, 6]])
         sse, objective = mf_cost(g, fp, beta=0.0)
         assert sse == 0.0 and objective == 0.0
 
@@ -112,13 +106,13 @@ class TestMfCost:
 class TestMfGradients:
     def test_perfect_fit_without_regularization_is_stationary(self):
         fp = FactorPair(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
-        g = _geno([[1, 3], [2, 6]])
+        g = GenotypeMatrix([[1, 3], [2, 6]])
         dp, dq = mf_gradients(g, fp, beta=0.0)
         np.testing.assert_array_equal(dp, np.zeros((2, 1)))
         np.testing.assert_array_equal(dq, np.zeros((2, 1)))
 
     def test_fully_masked_leaves_regularizer_only(self):
-        g = _geno([[1, 2], [0, 1]], observed=np.zeros((2, 2), dtype=bool))
+        g = GenotypeMatrix([[5, 5], [5, 5]])
         rng = Rng(8)
         fp = FactorPair(rng.uniform((2, 3)), rng.uniform((2, 3)))
         dp, dq = mf_gradients(g, fp, beta=0.7)
@@ -130,22 +124,22 @@ class TestMfGradients:
         assert gc.check("mf", trials=20, seed=101) < 1e-6
 
     def test_mask_independence_bitwise(self):
+        # the reference never reads a hole's code, so equal bytes mean the sentinel reaches
+        # neither the cost nor the gradients
         holed, _ = synth_lowrank_genotypes(6, 7, rank=2, missing_frac=0.3, seed=3)
+        assert (holed.codes == MISSING_SENTINEL).any()
         fp = mf_init(6, 7, MfConfig(features=2), seed=5)
-        base_cost = mf_cost(holed, fp, 0.02)
-        base_grads = mf_gradients(holed, fp, 0.02)
-        poisoned = holed.copy()
-        poisoned.codes[~poisoned.observed] = 77
-        assert mf_cost(poisoned, fp, 0.02) == base_cost
-        dp, dq = mf_gradients(poisoned, fp, 0.02)
-        assert dp.tobytes() == base_grads[0].tobytes()
-        assert dq.tobytes() == base_grads[1].tobytes()
+        assert mf_cost(holed, fp, 0.02) == _reference_cost(holed, fp, 0.02)
+        dp, dq = mf_gradients(holed, fp, 0.02)
+        ref_dp, ref_dq = _reference_gradients(holed, fp, 0.02)
+        assert dp.tobytes() == ref_dp.tobytes()
+        assert dq.tobytes() == ref_dq.tobytes()
 
 
 class TestMfEpoch:
     def test_vanishing_step_leaves_factors_unchanged(self):
         # the alpha -> 0 limit: a step below one ulp is the identity
-        g = _geno([[1, 2], [0, 1]])
+        g = GenotypeMatrix([[1, 2], [0, 1]])
         fp = mf_init(2, 2, MfConfig(features=2), seed=1)
         new, _ = mf_epoch(g, fp, MfConfig(features=2, alpha=1e-300))
         assert new.p.tobytes() == fp.p.tobytes()
@@ -159,7 +153,7 @@ class TestMfEpoch:
 
     def test_stationary_point_fixed(self):
         fp = FactorPair(np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
-        g = _geno([[1, 3], [2, 6]])
+        g = GenotypeMatrix([[1, 3], [2, 6]])
         new, _ = mf_epoch(g, fp, MfConfig(features=1, alpha=0.1, beta=0.0))
         np.testing.assert_allclose(new.p, fp.p, atol=1e-15)
         np.testing.assert_allclose(new.q, fp.q, atol=1e-15)
@@ -186,7 +180,7 @@ def _per_entry_reference(g, fp, cfg):
 
 
 def _masked(samples, snps, mask, seed):
-    """A random genotype matrix with about 30% holes, then the named mask edit."""
+    """A random genotype matrix with about 30% holes, then the named edit of where they are."""
     rng = np.random.default_rng(seed)
     observed = rng.random((samples, snps)) > 0.3
     if mask == "masked_row":
@@ -198,7 +192,9 @@ def _masked(samples, snps, mask, seed):
         observed[rng.integers(samples), rng.integers(snps)] = True
     elif mask == "no_holes":
         observed[:] = True
-    return GenotypeMatrix(rng.integers(0, 3, (samples, snps)), observed)
+    codes = rng.integers(0, 3, (samples, snps))
+    codes[~observed] = MISSING_SENTINEL
+    return GenotypeMatrix(codes)
 
 
 class TestPerEntrySweep:
@@ -228,9 +224,11 @@ class TestPerEntrySweep:
 
 
 def _reference_residual(g, p, q):
+    """G - p@q.T over the cells whose code is not the sentinel, zero at the others."""
+    holes = g.codes == MISSING_SENTINEL
     d = p @ q.T
-    np.subtract(g.codes, d, out=d)
-    np.copyto(d, 0.0, where=~g.observed)
+    np.subtract(np.where(holes, 0, g.codes), d, out=d)  # no hole's code is read
+    np.copyto(d, 0.0, where=holes)
     return d
 
 
@@ -241,11 +239,15 @@ def _reference_cost(g, fp, beta):
     return sse, sse + 0.5 * beta * (np.sum(fp.p * fp.p) + np.sum(fp.q * fp.q))
 
 
+def _reference_gradients(g, fp, beta):
+    """(dp, dq) in the plain expressions."""
+    d = _reference_residual(g, fp.p, fp.q)
+    return -2.0 * (d @ fp.q) + beta * fp.p, -2.0 * (d.T @ fp.p) + beta * fp.q
+
+
 def _full_batch_reference(g, fp, cfg):
     """One full_batch epoch in the plain expressions: (new factors, sse, objective)."""
-    d = _reference_residual(g, fp.p, fp.q)
-    dp = -2.0 * (d @ fp.q) + cfg.beta * fp.p
-    dq = -2.0 * (d.T @ fp.p) + cfg.beta * fp.q
+    dp, dq = _reference_gradients(g, fp, cfg.beta)
     new = FactorPair(fp.p - cfg.alpha * dp, fp.q - cfg.alpha * dq)
     return (new, *_reference_cost(g, new, cfg.beta))
 
@@ -256,7 +258,6 @@ class TestFullBatchEpoch:
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_reference_bitwise(self, shape, mask):
         g = _masked(*shape, mask, seed=shape[0])
-        g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
         cfg = MfConfig(features=5, alpha=0.005, beta=0.02)
         fp = ref = mf_init(*shape, cfg, seed=7)
         n_obs = int(g.observed.sum())
@@ -305,7 +306,7 @@ class TestFullBatchEpoch:
 class TestFullBatchFit:
     def test_full_batch_fit_matches_oracle_loop_bitwise(self):
         g = _masked(23, 31, "masked_row", seed=4)
-        g.observed[:, 5] = False
+        g.codes[:, 5] = MISSING_SENTINEL
         cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=12)
         fp, curve = mf_fit(g, cfg, seed=9)
         ref, records = mf_init(23, 31, cfg, seed=9), []
@@ -323,7 +324,6 @@ class TestFullBatchFit:
     def test_fit_matches_references_and_standalone_epochs_bitwise(self, mode, mask):
         # mf_fit hands each epoch the index it built once; an epoch called alone builds its own
         g = _masked(13, 9, mask, seed=5)
-        g.codes[~g.observed] = 32000  # a poisoned sentinel shows any leak from the holes
         cfg = MfConfig(features=4, alpha=0.005, beta=0.02, epochs=6, mode=mode)
         fp, curve = mf_fit(g, cfg, seed=2)
         ref = alone = mf_init(13, 9, cfg, seed=2)
@@ -379,7 +379,7 @@ def _rank_one_codes():
     # {0,1} sample vector and a {0,1,2} SNP vector
     a = np.array([1, 0, 1, 1, 0, 1, 1, 0, 1, 1])[:, None]
     b = np.array([2, 1, 0, 2, 1, 0, 2, 1, 0, 2])[None, :]
-    return _geno(a @ b)
+    return GenotypeMatrix(a @ b)
 
 
 class TestMfFit:
@@ -389,7 +389,7 @@ class TestMfFit:
         assert curve.final_sse() < 1e-3
 
     def test_zero_epochs_returns_init_and_empty_curve(self):
-        g = _geno([[1, 2], [0, 1]])
+        g = GenotypeMatrix([[1, 2], [0, 1]])
         cfg = MfConfig(features=2, epochs=0)
         fp, curve = mf_fit(g, cfg, seed=3)
         init = mf_init(2, 2, cfg, seed=3)
@@ -406,7 +406,7 @@ class TestMfFit:
         assert finals[1] <= finals[0]
 
     def test_no_observed_entries_rejected(self):
-        g = _geno([[1]], observed=np.zeros((1, 1), dtype=bool))
+        g = GenotypeMatrix([[5]])
         with pytest.raises(DataError):
             mf_fit(g, MfConfig(features=1), seed=0)
 
@@ -432,7 +432,7 @@ class TestMfFit:
         fp_a = FactorPair(fp0.p.copy(), fp0.q.copy())
         g_a = holed
         fp_b = FactorPair(fp0.p[perm].copy(), fp0.q.copy())
-        g_b = GenotypeMatrix(holed.codes[perm], holed.observed[perm])
+        g_b = GenotypeMatrix(holed.codes[perm])
         for epoch in range(25):
             fp_a, _ = mf_epoch(g_a, fp_a, cfg, epoch)
             fp_b, _ = mf_epoch(g_b, fp_b, cfg, epoch)
@@ -460,7 +460,9 @@ class TestMemory:
     def _geno(self):
         rng = np.random.default_rng(5)
         observed = rng.random((self.SAMPLES, self.SNPS)) > 0.01
-        return GenotypeMatrix(rng.integers(0, 3, observed.shape).astype(np.int16), observed)
+        codes = rng.integers(0, 3, observed.shape).astype(np.int16)
+        codes[~observed] = MISSING_SENTINEL
+        return GenotypeMatrix(codes)
 
     def test_full_batch_fit_holds_two_factor_pairs_and_one_residual(self):
         g = self._geno()
@@ -480,19 +482,19 @@ class TestMemory:
 
 class TestImpute:
     def test_rounding_and_clamping(self):
-        g = _geno([[5, 5, 5]], observed=np.array([[False, False, False]]))
+        g = GenotypeMatrix([[5, 5, 5]])
         fp = FactorPair(np.array([[1.0]]), np.array([[1.4], [-0.3], [2.7]]))
         out = impute(g, fp)
         np.testing.assert_array_equal(out.codes, [[1, 0, 2]])
         assert out.observed.all()
 
     def test_observed_cells_take_precedence(self):
-        g = _geno([[2]])
+        g = GenotypeMatrix([[2]])
         fp = FactorPair(np.array([[0.9]]), np.array([[1.0]]))
         assert impute(g, fp).codes[0, 0] == 2
 
     def test_rounded_reconstruction_ignores_observations(self):
-        g = _geno([[2]])
+        g = GenotypeMatrix([[2]])
         fp = FactorPair(np.array([[0.9]]), np.array([[1.0]]))
         assert rounded_reconstruction(g, fp).codes[0, 0] == 1
 
@@ -513,15 +515,15 @@ class TestImputationAccuracy:
         assert full_pct == 100.0
 
     def test_three_of_four_holes_correct(self):
-        truth = _geno([[0, 1], [2, 1]])
-        imputed = _geno([[0, 1], [2, 0]])
+        truth = GenotypeMatrix([[0, 1], [2, 1]])
+        imputed = GenotypeMatrix([[0, 1], [2, 0]])
         holes = np.array([[True, True], [True, True]])
         missing_pct, full_pct = imputation_accuracy(truth, imputed, holes)
         assert missing_pct == 75.0 and full_pct == 75.0
 
     def test_shape_mismatch(self):
-        a = _geno([[1]])
-        b = _geno([[1, 2]])
+        a = GenotypeMatrix([[1]])
+        b = GenotypeMatrix([[1, 2]])
         with pytest.raises(ShapeError):
             imputation_accuracy(a, b, np.zeros((1, 1), dtype=bool))
 

@@ -121,7 +121,7 @@ class TestRunPipeline:
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
     def test_split_hygiene(self, tmp_path):
-        from genoseq.data import build_sequences, parse_genotype_csv, parse_phenotype_csv, split_dataset
+        from genoseq.data import build_sequences, parse_genotype_csv, parse_phenotype_csv
         from genoseq.linalg import derive_seed
         from genoseq.mf import impute, mf_fit
 
@@ -131,7 +131,7 @@ class TestRunPipeline:
         p = parse_phenotype_csv(pheno)
         factors, _ = mf_fit(g, cfg.mf, seed=derive_seed(cfg.seed, "mf"))
         filled = impute(g, factors)
-        split = split_dataset(filled.samples, cfg.data.ratios, derive_seed(cfg.seed, "split"))
+        split = cfg.data.split(filled.samples, derive_seed(cfg.seed, "split"))
         batch = build_sequences(filled, p, 0, cfg.data.chunk_width)
         train_batch = batch.subset_by_samples(split.train)
         test_set = set(split.test.tolist())
@@ -140,7 +140,7 @@ class TestRunPipeline:
     def test_reported_seeds_reproduce_the_fit_split_and_initial_models(self, tmp_path,
                                                                         monkeypatch):
         from genoseq import pipeline, rnn
-        from genoseq.data import parse_genotype_csv, split_dataset
+        from genoseq.data import parse_genotype_csv
         from genoseq.mf import mf_fit
 
         splits, inits = [], []
@@ -157,7 +157,7 @@ class TestRunPipeline:
         assert list(report.seeds) == ["master", "split", "mf", "rnn/trait0", "rnn/trait1"]
         _, curve = mf_fit(parse_genotype_csv(geno), cfg.mf, seed=report.seeds["mf"])
         assert curve.to_rows() == report.mf_curve.to_rows()
-        split = split_dataset(50, cfg.data.ratios, report.seeds["split"])
+        split = cfg.data.split(50, report.seeds["split"])
         assert len(splits) == 2
         for used in splits:
             for part in ("train", "validation", "test"):
@@ -223,8 +223,7 @@ class TestRunPipeline:
         # learning rate makes both observed traits diverge mid-training
         holed, truth = synth_lowrank_genotypes(40, 48, rank=3, missing_frac=0.08, seed=17)
         phenos = synth_phenotypes(truth, traits=2, seed=18, noise=0.3, missing_per_trait=2)
-        phenos = PhenotypeTable(np.column_stack([phenos.values, np.zeros(40)]),
-                                np.column_stack([phenos.observed, np.zeros(40, dtype=bool)]))
+        phenos = PhenotypeTable(np.column_stack([phenos.values, np.full(40, np.nan)]))
         geno_path, pheno_path = tmp_path / "g.csv", tmp_path / "p.csv"
         genotype_to_csv(holed, geno_path)
         phenotype_to_csv(phenos, pheno_path)
