@@ -145,20 +145,21 @@ def cmd_predict(args, values: dict) -> int:
     if pheno_path is not None:
         phenos = parse_phenotype_csv(_require_file(pheno_path, "phenotype"))
         batch = build_sequences(geno, phenos, trait, params.n_in)
-        preds = rnn.predict(params, batch.inputs)
-        sample_ids = batch.sample_indices
+        inputs, sample_ids = batch.inputs, batch.sample_indices
     else:
-        inputs = genotype_sequences(geno, params.n_in)
+        inputs, sample_ids = genotype_sequences(geno, params.n_in), np.arange(geno.samples)
+    with np.errstate(over="ignore", invalid="ignore"):
         preds = rnn.predict(params, inputs)
-        sample_ids = np.arange(geno.samples)
+        metrics = {"correlation": rnn.pearson_correlation(preds, batch.targets),
+                   "mse": rnn.loss_mse(preds, batch.targets), "n": len(batch)} if pheno_path else {}
+    if not np.isfinite([*preds[:, 0], metrics.get("mse", 0.0)]).all():
+        raise DataError(f"the checkpoint {ckpt_path} gives non-finite predictions or mse")
 
     out = _out_dir(values)
     write_csv(out / "predictions.csv", ("sample", "prediction"),
               ((str(int(idx)), repr(float(p))) for idx, p in zip(sample_ids, preds[:, 0])))
 
-    if pheno_path is not None:
-        metrics = {"correlation": rnn.pearson_correlation(preds, batch.targets),
-                   "mse": rnn.loss_mse(preds, batch.targets), "n": len(batch)}
+    if metrics:
         write_json(metrics, out / "predict_metrics.json")
         print(f"predicted {len(preds)} samples; wrote 2 files to {out}")
     else:
@@ -170,8 +171,7 @@ def cmd_benchmark(args, values: dict) -> int:
     if "rnn.cell" in values:
         raise ConfigError("benchmark compares the cells named by --cells; remove rnn.cell")
     # the cell comparison trains at a higher default learning rate than train
-    cfg = pipeline.resolve_config(
-        values, pipeline.PipelineConfig(rnn=pipeline.RnnSettings(learning_rate=0.1)))
+    cfg = pipeline.resolve_config({"rnn.learning_rate": 0.1, **values})
     config = cfg.to_config()
     del config["rnn"]["cell"]  # rejected above: --cells names the compared cells
     cells = args.cells if args.cells else list(rnn.CELLS)

@@ -88,15 +88,6 @@ class PhenotypeTable:
 
 
 @dataclass
-class SplitIndices:
-    """Disjoint train/validation/test sample indices covering 0..n-1."""
-
-    train: np.ndarray
-    validation: np.ndarray
-    test: np.ndarray
-
-
-@dataclass
 class SequenceBatch:
     """Fixed-width chunked input sequences plus per-sample targets.
 
@@ -285,19 +276,19 @@ class DataSettings:
         if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"ratios must be three positive numbers summing to 1, got {ratios}")
 
-    def split(self, n_samples: int, seed: int) -> SplitIndices:
-        """Shuffle 0..n-1 deterministically by seed and slice into three splits.
+    def split(self, n_samples: int, seed: int) -> dict[str, np.ndarray]:
+        """Shuffle 0..n-1 deterministically by seed and slice it into three splits.
 
-        Each split gets floor(ratio * n) samples; every leftover sample goes
-        to train.
+        Returns {"train": …, "validation": …, "test": …}, in that order:
+        disjoint sample indices covering 0..n-1. Validation and test each get
+        floor(ratio * n) samples; every leftover sample goes to train.
         """
         perm = Rng(seed).permutation(n_samples)
         n_val = math.floor(self.ratios[1] * n_samples)
         n_test = math.floor(self.ratios[2] * n_samples)
         n_train = n_samples - n_val - n_test
-        return SplitIndices(train=perm[:n_train],
-                            validation=perm[n_train:n_train + n_val],
-                            test=perm[n_train + n_val:])
+        return {"train": perm[:n_train], "validation": perm[n_train:n_train + n_val],
+                "test": perm[n_train + n_val:]}
 
 
 def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: float,

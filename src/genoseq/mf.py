@@ -233,8 +233,8 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, seed: int,
                truth: GenotypeMatrix | None = None):
     """Fit, fill the holes once, and score against ``truth`` when given.
 
-    Returns (imputed matrix, cost curve, accuracy); accuracy is None without a
-    truth, else (missing_pct of the imputation, full_pct of the rounded reconstruction).
+    Returns (imputed matrix, cost curve, accuracy); accuracy is None without a truth, else
+    (missing_pct, full_pct) of the rounded reconstruction, whose holes the imputation took.
     A truth of another shape than ``g``, or with holes, is rejected before the fit.
     """
     if truth is not None and (truth.codes.shape != g.codes.shape or not truth.fully_observed()):
@@ -242,11 +242,7 @@ def fit_impute(g: GenotypeMatrix, cfg: MfConfig, seed: int,
     factors, curve = mf_fit(g, cfg, seed)
     recon = rounded_reconstruction(g, factors)
     imputed = _filled(g, recon)
-    accuracy = None
-    if truth is not None:
-        holes = ~g.observed
-        accuracy = (imputation_accuracy(truth, imputed, holes)[0],
-                    imputation_accuracy(truth, recon, holes)[1])
+    accuracy = imputation_accuracy(truth, recon, ~g.observed) if truth is not None else None
     return imputed, curve, accuracy
 
 

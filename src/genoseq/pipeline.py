@@ -26,8 +26,8 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hi
 import numpy as np
 
 from . import mf, rnn
-from .data import (DataSettings, SequenceBatch, SplitIndices, build_sequences, check_traits,
-                   parse_genotype_csv, parse_phenotype_csv, write_csv, write_json)
+from .data import (DataSettings, SequenceBatch, build_sequences, check_traits, parse_genotype_csv,
+                   parse_phenotype_csv, write_csv, write_json)
 from .errors import ConfigError, DataError, DivergenceError, GenoseqError
 from .linalg import derive_seed
 from .rnn import RnnSettings
@@ -66,7 +66,7 @@ class PipelineConfig:
         labels = ("split", "mf") + tuple(f"rnn/trait{t}" for t in self.traits)
         return {"master": self.seed, **{label: derive_seed(self.seed, label) for label in labels}}
 
-    def split(self, n_samples: int) -> SplitIndices:
+    def split(self, n_samples: int) -> dict[str, np.ndarray]:
         """The train/validation/test split of ``n_samples``, with its stage seed."""
         return self.data.split(n_samples, self.seeds()["split"])
 
@@ -131,15 +131,14 @@ def _fits(hint, value) -> bool:
     return isinstance(value, hint)
 
 
-def resolve_config(values: dict, base: PipelineConfig | None = None) -> PipelineConfig:
-    """The run config: ``values``, by CONFIG_KEYS name, over ``base`` (default PipelineConfig()).
+def resolve_config(values: dict) -> PipelineConfig:
+    """The run config: ``values``, by CONFIG_KEYS name, over the defaults of PipelineConfig().
 
     A value must fit its field's type: an int fits a float, a bool no number,
     NaN and infinity no float, and a list of the right length fits (and
     becomes) a tuple. File keys are only checked; names that are no config
     key (other flags) are ignored.
     """
-    base = base or PipelineConfig()
     parts = {section: {} for section in ("", *_SECTIONS)}
     for key, (hint, written) in CONFIG_KEYS.items():
         if key not in values:
@@ -150,8 +149,9 @@ def resolve_config(values: dict, base: PipelineConfig | None = None) -> Pipeline
         section, _, name = key.rpartition(".")
         if key not in FILE_KEYS:
             parts[section][name] = tuple(value) if isinstance(value, list) else value
-    sections = {section: replace(getattr(base, section), **parts[section]) for section in _SECTIONS}
-    return replace(base, **sections, **parts[""])
+    default = PipelineConfig()
+    sections = {s: replace(getattr(default, s), **parts[s]) for s in _SECTIONS}
+    return replace(default, **sections, **parts[""])
 
 
 class SplitMetrics(NamedTuple):
@@ -163,7 +163,6 @@ class SplitMetrics(NamedTuple):
 @dataclass
 class TraitResult:
     trait: int
-    cell: str
     error: GenoseqError | None = None  # why the trait failed; None when it trained
     curve: rnn.TrainingCurve | None = None
     metrics: dict = field(default_factory=dict)  # split name -> SplitMetrics
@@ -172,14 +171,15 @@ class TraitResult:
 
 @dataclass
 class RunReport:
-    """Everything one pipeline run produced, recomputable from config+seeds.
+    """Everything one pipeline run produced, recomputable from its ``cfg``.
 
-    ``stage_seconds`` is informational only and excluded from exports so
-    repeated runs serialize byte-identically.
+    The report holds the run's PipelineConfig, and its export writes the
+    config, the stage seeds and each trait's cell from it. ``stage_seconds``
+    is informational only and excluded from exports so repeated runs
+    serialize byte-identically.
     """
 
-    config: dict
-    seeds: dict
+    cfg: PipelineConfig
     mf_curve: mf.CostCurve | None = None
     mf_accuracy: tuple | None = None
     trait_results: list[TraitResult] = field(default_factory=list)
@@ -187,11 +187,11 @@ class RunReport:
     stage_seconds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        doc = {"version": REPORT_VERSION, "config": self.config, "seeds": self.seeds,
-               "split_sizes": self.split_sizes,
+        doc = {"version": REPORT_VERSION, "config": self.cfg.to_config(),
+               "seeds": self.cfg.seeds(), "split_sizes": self.split_sizes,
                "mf": mf.fit_report(self.mf_curve, self.mf_accuracy), "traits": []}
         for tr in self.trait_results:
-            entry = {"trait": tr.trait, "cell": tr.cell,
+            entry = {"trait": tr.trait, "cell": self.cfg.rnn.cell,
                      "status": "ok" if tr.error is None else "failed", "n_samples": tr.n_samples}
             if tr.error is not None:
                 entry["error"] = str(tr.error)
@@ -221,21 +221,19 @@ def evaluate_split(model: rnn.RnnParams, batch: SequenceBatch, success_tolerance
     return SplitMetrics(corr, mse, success_pct)
 
 
-def train_trait(batch: SequenceBatch, split: SplitIndices, cfg: PipelineConfig,
+def train_trait(batch: SequenceBatch, split: dict[str, np.ndarray], cfg: PipelineConfig,
                 trait: int) -> tuple[rnn.RnnParams | None, TraitResult]:
     """Train one trait's model and score it on every split; returns (model, result).
 
-    ``batch`` holds the samples with the trait observed, ``split`` assigns
-    them to train, validation and test, and ``trait`` is one of
-    ``cfg.traits``. A trait that cannot be trained returns no model and a
-    result whose ``error`` says why: a DataError when no training sample
-    has the trait, or the DivergenceError of a training that diverged,
-    whose partial curve the result keeps.
+    ``batch`` holds the samples with the trait observed, ``split`` maps
+    each split name to its sample indices (see DataSettings.split), and
+    ``trait`` is one of ``cfg.traits``. A trait that cannot be trained
+    returns no model and a result whose ``error`` says why: a DataError
+    when no training sample has the trait, or the DivergenceError of a
+    training that diverged, whose partial curve the result keeps.
     """
-    parts = {name: batch.subset_by_samples(idx) for name, idx in
-             (("train", split.train), ("validation", split.validation), ("test", split.test))}
-    result = TraitResult(trait=trait, cell=cfg.rnn.cell,
-                         n_samples={name: len(part) for name, part in parts.items()})
+    parts = {name: batch.subset_by_samples(idx) for name, idx in split.items()}
+    result = TraitResult(trait=trait, n_samples={name: len(part) for name, part in parts.items()})
     if len(parts["train"]) == 0:
         result.error = DataError("no training samples with an observed trait value")
         return None, result
@@ -262,7 +260,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     (synthetic runs). A divergence while training one trait marks that
     trait's entry failed and the remaining traits still run.
     """
-    report = RunReport(config=cfg.to_config(), seeds=cfg.seeds())
+    report = RunReport(cfg)
     t0 = time.perf_counter()
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
@@ -273,14 +271,12 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     check_traits(cfg.traits, phenos)
 
     t0 = time.perf_counter()
-    geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.mf, report.seeds["mf"],
+    geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.mf, cfg.seeds()["mf"],
                                                               truth)
     report.stage_seconds["impute"] = time.perf_counter() - t0
 
     split = cfg.split(geno.samples)
-    report.split_sizes = {"train": int(split.train.size),
-                          "validation": int(split.validation.size),
-                          "test": int(split.test.size)}
+    report.split_sizes = {name: int(idx.size) for name, idx in split.items()}
 
     t0 = time.perf_counter()
     for trait in cfg.traits:

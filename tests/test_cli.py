@@ -406,6 +406,32 @@ class TestPredict:
         assert len(err) == 1 and err[0].startswith("genoseq: ")
         assert not (tmp_path / "preds").exists()
 
+    @pytest.mark.parametrize("huge, with_pheno", [
+        (("w_ho", "b_h"), True), (("w_ho", "b_h"), False), (("w_ho",), True)],
+        ids=["inf_predictions", "inf_predictions_without_pheno", "inf_mse"])
+    def test_overflow_exits_1_without_outputs(self, tmp_path, capsys, huge, with_pheno):
+        # every weight is finite, so the checkpoint loads; with w_ho alone the
+        # predictions stay below 1e308 but their squared errors overflow
+        data, imputed = _imputed(tmp_path)
+        model_dir = tmp_path / "model"
+        _run("train", "--geno", str(imputed), "--pheno", str(data / "pheno.csv"),
+             "--cell", "relu_identity", "--epochs", "2", "--chunk-width", "8",
+             "--out", str(model_dir))
+        ckpt = model_dir / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        for name in huge:
+            doc["tensors"][name]["data"] = ["1e308"] * len(doc["tensors"][name]["data"])
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "preds"
+        pheno = ("--pheno", str(data / "pheno.csv")) if with_pheno else ()
+        rc = _run("predict", "--checkpoint", str(ckpt), "--geno", str(imputed), *pheno,
+                  "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"genoseq: the checkpoint {ckpt} gives non-finite predictions or mse"]
+        assert not out.exists()
+
     def test_more_than_one_trait_exits_1(self, tmp_path, capsys):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -549,6 +575,23 @@ class TestBenchmark:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("genoseq: ") and "--cells" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("config_lr, flags, expected", [
+        (None, (), 0.1), (0.02, (), 0.02), (0.02, ("--lr", "0.03"), 0.03)],
+        ids=["default", "config", "config_and_flag"])
+    def test_learning_rate_default_yields_to_config_and_flag(self, tmp_path, config_lr, flags,
+                                                             expected):
+        # the comparison's own default is 0.1; a config file beats it and --lr beats both
+        if config_lr is not None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"rnn": {"learning_rate": config_lr}}))
+            flags = ("--config", str(config), *flags)
+        out = tmp_path / "bench"
+        rc = _run("benchmark", "--task", "lag", "--length", "5", "--sequences", "2",
+                  "--epochs", "1", "--cells", "lstm", "relu_identity", *flags, "--out", str(out))
+        assert rc == 0
+        doc = json.loads((out / "benchmark.json").read_text())
+        assert doc["config"]["rnn"]["learning_rate"] == expected
 
     def test_relu_beats_tanh_on_deep_memory_task(self, tmp_path):
         # frozen ordering from a pinned run: 5.09 vs 8.10 final loss

@@ -315,18 +315,20 @@ class TestPhenotypeCsv:
 class TestSplitDataset:
     def test_eighty_ten_ten(self):
         s = DataSettings(ratios=(0.8, 0.1, 0.1)).split(10, seed=1)
-        assert (len(s.train), len(s.validation), len(s.test)) == (8, 1, 1)
+        assert list(s) == ["train", "validation", "test"]
+        assert (len(s["train"]), len(s["validation"]), len(s["test"])) == (8, 1, 1)
 
     def test_remainder_goes_to_train(self):
         # floor(0.8*5)=4, floor(0.1*5)=0 twice; the leftover sample joins train
         s = DataSettings(ratios=(0.8, 0.1, 0.1)).split(5, seed=1)
-        assert (len(s.train), len(s.validation), len(s.test)) == (5, 0, 0)
+        assert list(s) == ["train", "validation", "test"]
+        assert (len(s["train"]), len(s["validation"]), len(s["test"])) == (5, 0, 0)
 
     def test_deterministic(self):
         a = DataSettings(ratios=(0.8, 0.1, 0.1)).split(100, seed=9)
         b = DataSettings(ratios=(0.8, 0.1, 0.1)).split(100, seed=9)
-        assert a.train.tolist() == b.train.tolist()
-        assert a.test.tolist() == b.test.tolist()
+        assert a["train"].tolist() == b["train"].tolist()
+        assert a["test"].tolist() == b["test"].tolist()
 
     @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.2), (1.0, 0.0, 0.0)])
     def test_bad_ratios_rejected_when_the_settings_are_built(self, ratios):
@@ -341,7 +343,7 @@ class TestSplitDataset:
             n = rng.randint(3, 203)
             seed = int(rng.raw(1)[0])
             s = data_settings.split(n, seed)
-            merged = np.concatenate([s.train, s.validation, s.test])
+            merged = np.concatenate([s["train"], s["validation"], s["test"]])
             assert len(merged) == n
             assert len(np.unique(merged)) == n
 

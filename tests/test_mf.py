@@ -9,8 +9,8 @@ from genoseq.data import (MISSING_SENTINEL, GenotypeMatrix, synth_lowrank_genoty
 from genoseq.errors import ConfigError, DataError, ShapeError
 from genoseq.linalg import Rng
 import genoseq.mf
-from genoseq.mf import (MF_MODES, CostCurve, CostRecord, FactorPair, MfConfig, fit_report,
-                        impute, imputation_accuracy, mf_cost, mf_epoch, mf_fit,
+from genoseq.mf import (MF_MODES, CostCurve, CostRecord, FactorPair, MfConfig, fit_impute,
+                        fit_report, impute, imputation_accuracy, mf_cost, mf_epoch, mf_fit,
                         mf_gradients, mf_init, rounded_reconstruction)
 
 
@@ -520,6 +520,18 @@ class TestImputationAccuracy:
         holes = np.array([[True, True], [True, True]])
         missing_pct, full_pct = imputation_accuracy(truth, imputed, holes)
         assert missing_pct == 75.0 and full_pct == 75.0
+
+    @pytest.mark.parametrize("missing_frac", [0.2, 0.0], ids=["holed", "hole_free"])
+    def test_fit_impute_scores_as_the_imputation_and_the_reconstruction_do(self, missing_frac):
+        # missing_pct is the imputation's, full_pct the rounded reconstruction's
+        holed, truth = synth_lowrank_genotypes(12, 10, rank=2, missing_frac=missing_frac, seed=4)
+        cfg = MfConfig(features=2, alpha=0.005, epochs=20)
+        imputed, _, accuracy = fit_impute(holed, cfg, 3, truth)
+        recon = rounded_reconstruction(holed, mf_fit(holed, cfg, 3)[0])
+        holes = ~holed.observed
+        assert accuracy == (imputation_accuracy(truth, imputed, holes)[0],
+                            imputation_accuracy(truth, recon, holes)[1])
+        assert (accuracy[0] is None) == (missing_frac == 0.0)
 
     def test_shape_mismatch(self):
         a = GenotypeMatrix([[1]])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from genoseq import rnn
 from genoseq.cli import main
 
-from genoseq.data import (DataSettings, PhenotypeTable, SplitIndices, genotype_to_csv,
+from genoseq.data import (DataSettings, PhenotypeTable, genotype_to_csv,
                           phenotype_to_csv, synth_lowrank_genotypes, synth_phenotypes)
 from genoseq.errors import ConfigError, DataError, DivergenceError
 from genoseq.mf import MF_MODES, MfConfig
@@ -102,7 +102,7 @@ class TestRunPipeline:
         for m in result.metrics.values():
             assert np.isfinite(m.mse)
         assert set(report.stage_seconds) >= {"parse", "impute", "train"}
-        assert report.seeds["master"] == 11
+        assert report.to_json_dict()["seeds"]["master"] == 11
 
     def test_two_traits_two_models(self, tmp_path):
         geno, pheno, truth = _write_dataset(tmp_path, trait_missing=3)
@@ -133,8 +133,8 @@ class TestRunPipeline:
         filled = impute(g, factors)
         split = cfg.data.split(filled.samples, derive_seed(cfg.seed, "split"))
         batch = build_sequences(filled, p, 0, cfg.data.chunk_width)
-        train_batch = batch.subset_by_samples(split.train)
-        test_set = set(split.test.tolist())
+        train_batch = batch.subset_by_samples(split["train"])
+        test_set = set(split["test"].tolist())
         assert not (set(train_batch.sample_indices.tolist()) & test_set)
 
     def test_reported_seeds_reproduce_the_fit_split_and_initial_models(self, tmp_path,
@@ -153,19 +153,21 @@ class TestRunPipeline:
         geno, pheno, _ = _write_dataset(tmp_path)
         cfg = _small_config(traits=(0, 1), rnn_epochs=2)
         report = run_pipeline(geno, pheno, cfg)
+        seeds = report.to_json_dict()["seeds"]
 
-        assert list(report.seeds) == ["master", "split", "mf", "rnn/trait0", "rnn/trait1"]
-        _, curve = mf_fit(parse_genotype_csv(geno), cfg.mf, seed=report.seeds["mf"])
+        assert list(seeds) == ["master", "split", "mf", "rnn/trait0", "rnn/trait1"]
+        _, curve = mf_fit(parse_genotype_csv(geno), cfg.mf, seed=seeds["mf"])
         assert curve.to_rows() == report.mf_curve.to_rows()
-        split = cfg.data.split(50, report.seeds["split"])
+        split = cfg.data.split(50, seeds["split"])
         assert len(splits) == 2
         for used in splits:
-            for part in ("train", "validation", "test"):
-                assert getattr(used, part).tolist() == getattr(split, part).tolist()
+            assert list(used) == list(split)
+            for part, idx in split.items():
+                assert used[part].tolist() == idx.tolist()
         assert len(inits) == 2
         for trait, used in zip(cfg.traits, inits):
             fresh = rnn.rnn_init(cfg.rnn.cell, cfg.data.chunk_width, cfg.rnn.hidden, 1,
-                                 report.seeds[f"rnn/trait{trait}"])
+                                 seeds[f"rnn/trait{trait}"])
             for name, value in fresh.tensors().items():
                 assert used.tensors()[name].tobytes() == value.tobytes(), (trait, name)
 
@@ -250,7 +252,7 @@ class TestRunPipeline:
 
 
 class TestTrainTrait:
-    SPLIT = SplitIndices(np.arange(6), np.arange(6, 7), np.arange(7, 8))
+    SPLIT = {"train": np.arange(6), "validation": np.arange(6, 7), "test": np.arange(7, 8)}
 
     def test_divergence_is_returned_without_the_training_frames(self):
         cfg = PipelineConfig(rnn=RnnSettings(cell="lstm", hidden=6, learning_rate=1e8,
@@ -262,7 +264,7 @@ class TestTrainTrait:
         assert result.error.__traceback__ is None and result.error.__context__ is None
 
     def test_no_training_sample_is_a_data_error(self):
-        split = SplitIndices(np.arange(0), np.arange(0, 4), np.arange(4, 8))
+        split = {"train": np.arange(0), "validation": np.arange(0, 4), "test": np.arange(4, 8)}
         model, result = train_trait(deep_recall_task(8, 30, seed=9), split,
                                     PipelineConfig(data=DataSettings(chunk_width=1)), 0)
         assert model is None and result.curve is None
