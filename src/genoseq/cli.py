@@ -218,7 +218,7 @@ def cmd_gradcheck(args, values: dict) -> int:
     if not 0 < args.threshold < float("inf"):
         raise ConfigError(f"threshold must be a finite number > 0, got {args.threshold}")
     scopes = args.cells if args.cells else None
-    results = gradcheck.run_all(args.trials, seed, scopes)
+    results = gradcheck.run_all(args.trials, seed, scopes, args.threshold)
     passed = {scope: err < args.threshold for scope, err in results.items()}
     for scope, err in results.items():
         print(f"{scope:14s} max_rel_err={err:.3e}  {'ok' if passed[scope] else 'FAIL'}")

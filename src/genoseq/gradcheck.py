@@ -1,9 +1,9 @@
 """Finite-difference oracles for the analytic gradients.
 
-Central differences with step h perturb one parameter at a time; the
-resulting numeric gradient is compared against the analytic one by
-max relative error over components whose magnitude clears a floor
-(tiny components are dominated by roundoff and say nothing useful).
+Every scope is a loss over named arrays; central differences with step h
+perturb one entry at a time, in the arrays' order. The numeric gradient
+is compared against the analytic one by max relative error over
+components whose magnitude clears a floor (tiny ones say nothing useful).
 
 For relu cells, instances whose pre-activations sit within a guard band
 of the kink are re-drawn: the derivative is discontinuous there and a
@@ -36,25 +36,29 @@ def central_difference(f, theta: np.ndarray) -> np.ndarray:
     return grad
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, noise_floor: float) -> float:
-    """Largest |a - n| / max(|a|, |n|) over components of magnitude above 1e-8.
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, noise_floor: float,
+                       threshold: float = DEFAULT_THRESHOLD) -> float:
+    """Largest min(|a - n| / max(|a|, |n|), threshold * |a - n| / noise_floor).
 
-    ``noise_floor`` is the absolute resolution of the numeric oracle
-    itself (roundoff in f(x+h) - f(x-h) divided by 2h). Discrepancies
-    below it cannot be attributed to the analytic gradient and are not
-    counted; any genuine gradient bug sits orders of magnitude above it.
-    A NaN or infinite component on either side is an error of inf.
+    Only components of magnitude max(|a|, |n|) above 1e-8 count.
+    ``noise_floor`` is the absolute resolution of the numeric oracle itself
+    (roundoff in f(x+h) - f(x-h) divided by 2h): a discrepancy below it
+    cannot be attributed to the analytic gradient. So a component reaches
+    ``threshold`` exactly when |a - n| >= threshold * max(|a|, |n|) and
+    |a - n| >= noise_floor. A NaN or infinite component on either side is
+    an error of inf.
     """
     a = np.asarray(analytic).reshape(-1)
     n = np.asarray(numeric).reshape(-1)
     if not (np.isfinite(a).all() and np.isfinite(n).all()):
         return float("inf")
-    diff = np.abs(a - n)
     scale = np.maximum(np.abs(a), np.abs(n))
-    keep = (scale > 1e-8) & (diff > noise_floor)
+    keep = scale > 1e-8
     if not keep.any():
         return 0.0
-    return float(np.max(diff[keep] / scale[keep]))
+    with np.errstate(over="ignore"):  # an overflow reads inf, a failure
+        diff = np.abs(a - n)[keep]
+        return float(np.max(np.minimum(diff / scale[keep], threshold * (diff / noise_floor))))
 
 
 def fd_noise_floor(f_magnitude: float) -> float:
@@ -64,7 +68,7 @@ def fd_noise_floor(f_magnitude: float) -> float:
 
 
 def _draw_mf(rng: Rng):
-    """A random factorization objective of both factors: (objective, theta0, analytic gradient).
+    """A random factorization objective of both factors, as (loss, params, analytic gradient).
 
     Samples and snps are <= 8, features <= 3 and ~20% of the cells are unobserved.
     """
@@ -78,31 +82,20 @@ def _draw_mf(rng: Rng):
     codes[~observed] = MISSING_SENTINEL
     g = GenotypeMatrix(codes)
     beta = float(rng.uniform(1, 0.0, 0.1)[0])
-    p0 = rng.uniform((u, f_lat), -1.0, 1.0)
-    q0 = rng.uniform((v, f_lat), -1.0, 1.0)
-
-    def objective(theta):
-        p = theta[:u * f_lat].reshape(u, f_lat)
-        q = theta[u * f_lat:].reshape(v, f_lat)
-        return mf.mf_cost(g, mf.FactorPair(p, q), beta)[1]
-
-    theta0 = np.concatenate([p0.reshape(-1), q0.reshape(-1)])
-    dp, dq = mf.mf_gradients(g, mf.FactorPair(p0, q0), beta)
-    return objective, theta0, np.concatenate([dp.reshape(-1), dq.reshape(-1)])
+    params = {"p": rng.uniform((u, f_lat), -1.0, 1.0), "q": rng.uniform((v, f_lat), -1.0, 1.0)}
+    dp, dq = mf.mf_gradients(g, mf.FactorPair(**params), beta)
+    return lambda t: mf.mf_cost(g, mf.FactorPair(**t), beta)[1], params, {"p": dp, "q": dq}
 
 
-def _pack(tensors: dict[str, np.ndarray]) -> np.ndarray:
-    """Parameters or gradients as one vector, in the order _unpack reads them."""
-    return np.concatenate([tensors[k].reshape(-1) for k in rnn.TENSORS])
+def _pack(arrays: dict[str, np.ndarray], names) -> np.ndarray:
+    """The named arrays as one vector, in the order of ``names``."""
+    return np.concatenate([arrays[k].reshape(-1) for k in names])
 
 
-def _unpack(params: rnn.RnnParams, theta: np.ndarray) -> rnn.RnnParams:
-    tensors = {}
-    offset = 0
-    for name, value in params.tensors().items():
-        tensors[name] = theta[offset:offset + value.size].reshape(value.shape)
-        offset += value.size
-    return replace(params, **tensors)
+def _unpack(like: dict[str, np.ndarray], theta: np.ndarray) -> dict[str, np.ndarray]:
+    """``theta`` cut into arrays shaped and named as in ``like``, in its order."""
+    parts = np.split(theta, np.cumsum([v.size for v in like.values()])[:-1])
+    return {k: part.reshape(v.shape) for (k, v), part in zip(like.items(), parts)}
 
 
 def _random_instance(cell: str, rng: Rng):
@@ -123,7 +116,7 @@ def _random_instance(cell: str, rng: Rng):
 
 
 def _draw_rnn(cell: str, rng: Rng):
-    """A small random instance of one cell's loss, as (loss, theta0, analytic gradient)."""
+    """A small random instance of one cell's loss, as (loss, params, analytic gradient)."""
     params, x, targets = _random_instance(cell, rng)
     if cell == "relu_identity":
         # redraw while any pre-activation sits on the relu kink
@@ -133,32 +126,31 @@ def _draw_rnn(cell: str, rng: Rng):
             attempts += 1
             if attempts > 200:
                 raise RuntimeError("could not draw a kink-free relu instance")
-
-    def loss_at(theta):
-        candidate = _unpack(params, theta)
-        return rnn.loss_mse(rnn.rnn_forward(candidate, x).outputs, targets)
-
-    return loss_at, _pack(params.tensors()), _pack(rnn.bptt_gradients(params, (x, targets)))
+    return (lambda t: rnn.loss_mse(rnn.rnn_forward(replace(params, **t), x).outputs, targets),
+            params.tensors(), rnn.bptt_gradients(params, (x, targets)))
 
 
-def check(scope: str, trials: int, seed: int) -> float:
+def check(scope: str, trials: int, seed: int, threshold: float = DEFAULT_THRESHOLD) -> float:
     """Max relative error of one scope's analytic gradient vs central differences.
 
     ``scope`` is "mf" or a cell name; trial i draws its instance from the
-    seed derived with the label ``gradcheck/{scope}/{i}``.
+    seed derived with the label ``gradcheck/{scope}/{i}``. The error is
+    :func:`max_relative_error`'s at ``threshold``.
     """
     worst = 0.0
     for trial in range(trials):
         rng = Rng(derive_seed(seed, f"gradcheck/{scope}/{trial}"))
-        f, theta0, analytic = _draw_mf(rng) if scope == "mf" else _draw_rnn(scope, rng)
-        numeric = central_difference(f, theta0)
-        floor = fd_noise_floor(f(theta0))
-        worst = max(worst, max_relative_error(analytic, numeric, noise_floor=floor))
+        loss, params, grads = _draw_mf(rng) if scope == "mf" else _draw_rnn(scope, rng)
+        numeric = central_difference(lambda theta: loss(_unpack(params, theta)),
+                                     _pack(params, params))
+        floor = fd_noise_floor(loss(params))
+        worst = max(worst, max_relative_error(_pack(grads, params), numeric, floor, threshold))
     return worst
 
 
-def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
-    """Run every requested oracle; returns {scope: max relative error}.
+def run_all(trials: int, seed: int, scopes=None,
+            threshold: float = DEFAULT_THRESHOLD) -> dict[str, float]:
+    """Run every requested oracle at ``threshold``; returns {scope: max relative error}.
 
     Scopes are "mf" plus the cell names; None means all of them.
     """
@@ -172,4 +164,4 @@ def run_all(trials: int, seed: int, scopes=None) -> dict[str, float]:
             raise ConfigError(f"unknown gradcheck scope {s!r}; choose from {all_scopes}")
     if len(set(scopes)) != len(scopes):
         raise ConfigError(f"gradient check names a scope more than once: {list(scopes)}")
-    return {s: check(s, trials, seed) for s in scopes}
+    return {s: check(s, trials, seed, threshold) for s in scopes}

@@ -52,6 +52,8 @@ class MfConfig:
         a, b = self.init_range
         if not a < b:
             raise ConfigError(f"init_range requires a < b, got [{a}, {b}]")
+        if float(b) - float(a) == float("inf"):  # finite bounds can still be too far apart
+            raise ConfigError(f"init_range requires a finite width b - a, got [{a}, {b}]")
         if self.mode not in MF_MODES:
             raise ConfigError(f"mode must be one of {MF_MODES}, got {self.mode!r}")
 

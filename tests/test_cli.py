@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genoseq import mf, rnn
 from genoseq.cli import main
 from genoseq.data import (genotype_to_csv, parse_genotype_csv, parse_phenotype_csv,
                           synth_lowrank_genotypes)
@@ -137,6 +140,18 @@ class TestImpute:
         rc = _run("impute", "--geno", str(bad), "--epochs", "2", "--out", str(out))
         _one_line_exit_1(rc, capsys, bad, out)
 
+    def test_init_range_wider_than_a_float_exits_1_before_reading_input(self, tmp_path, capsys):
+        # each bound is finite, but b - a overflows: no step is taken, so it is no divergence
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"mf": {"init_range": [-1e308, 1e308]}}))
+        out = tmp_path / "imp"
+        rc = _run("impute", "--config", str(config), "--geno", str(tmp_path / "nope.csv"),
+                  "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: init_range requires a finite width b - a, got [-1e+308, 1e+308]"]
+        assert not out.exists()
+
     def test_per_entry_divergence_is_one_line(self, tmp_path, capsys):
         # the numpy overflow warnings of the diverging sweep must not leak
         data = _synth(tmp_path)
@@ -189,6 +204,16 @@ def _imputed(tmp_path):
     _run("impute", "--geno", str(data / "geno_holed.csv"), "--features", "4",
          "--epochs", "150", "--seed", "7", "--out", str(out))
     return data, out / "imputed.csv"
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The README walkthrough's phenotypes and imputed genotypes (seed 42, 100x200, F=8)."""
+    root = tmp_path_factory.mktemp("walkthrough")
+    data = _synth(root, seed="42", samples="100", snps="200")
+    assert _run("impute", "--geno", str(data / "geno_holed.csv"), "--features", "8",
+                "--epochs", "1500", "--seed", "42", "--out", str(root / "run")) == 0
+    return data / "pheno.csv", root / "run" / "imputed.csv"
 
 
 class TestTrain:
@@ -280,6 +305,32 @@ class TestTrain:
         rc = _run("train", "--geno", str(imputed), "--pheno", str(bad), "--epochs", "2",
                   "--out", str(out))
         _one_line_exit_1(rc, capsys, bad, out)
+
+    def test_non_finite_loss_exits_2_with_one_line(self, tmp_path, capsys, walkthrough):
+        pheno, imputed = walkthrough
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--geno", str(imputed), "--pheno", str(pheno), "--lr", "1e308",
+                  "--seed", "42", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: divergence: training loss became non-finite (epoch 0)"]
+        assert not out.exists()
+
+    def test_trait_with_no_observed_value_exits_1(self, tmp_path, capsys, walkthrough):
+        pheno, imputed = walkthrough
+        lines = pheno.read_text().splitlines()
+        unlabelled = tmp_path / "pheno_na.csv"
+        unlabelled.write_text("\n".join([lines[0]] + ["NA," + line.split(",", 1)[1]
+                                                      for line in lines[1:]]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--geno", str(imputed), "--pheno", str(unlabelled), "--seed", "42",
+                  "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: no training samples with an observed trait value"]
+        assert not out.exists()
 
     def test_holed_genotype_rejected(self, tmp_path, capsys):
         data = _synth(tmp_path)
@@ -612,7 +663,8 @@ class TestGradcheck:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # mf + three cells
-        assert all("max_rel_err" in line for line in lines)
+        # a healthy gradient reads its own small error, not zero
+        assert all(0 < float(line.split("max_rel_err=")[1].split()[0]) < 1e-5 for line in lines)
 
     def test_cells_flag_restricts_scope(self, capsys):
         rc = _run("gradcheck", "--trials", "3", "--cells", "lstm", "--seed", "1")
@@ -633,6 +685,26 @@ class TestGradcheck:
         assert captured.err.splitlines() == [
             "genoseq: gradient check names a scope more than once: ['mf', 'mf']"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("scope", ["mf", "simple_tanh", "lstm", "relu_identity"])
+    @pytest.mark.parametrize("skew,fails", [(1 + 2e-5, True), (1 + 5e-6, False)])
+    def test_scaled_gradient_fails_only_past_the_threshold(self, capsys, monkeypatch, scope,
+                                                           skew, fails):
+        # a gradient off by 1 + r reads about r, so 2e-5 fails the default 1e-5 and 5e-6 passes
+        exact_mf, exact_rnn = mf.mf_gradients, rnn.bptt_gradients
+        monkeypatch.setattr(mf, "mf_gradients",
+                            lambda *args: tuple(g * skew for g in exact_mf(*args)))
+        monkeypatch.setattr(rnn, "bptt_gradients",
+                            lambda *args: {k: g * skew for k, g in exact_rnn(*args).items()})
+        rc = _run("gradcheck", "--trials", "3", "--cells", scope, "--seed", "1")
+        captured = capsys.readouterr()
+        value = float(captured.out.split("max_rel_err=")[1].split()[0])
+        assert value == pytest.approx(skew - 1, rel=0.05)
+        if fails:
+            assert rc == 1 and captured.out.rstrip().endswith("FAIL")
+            assert captured.err.splitlines() == ["gradient check failed at threshold 1e-05"]
+        else:
+            assert rc == 0 and captured.out.rstrip().endswith("ok") and captured.err == ""
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_threshold_outside_finite_positive_exits_1_with_one_line(self, capsys, threshold):
@@ -932,6 +1004,10 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 64) | st.floats()
                  | st.text(max_size=6) | st.sampled_from(["default", "per_entry", "lstm", "nan"]))
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
                             | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+# finite floats at the ends of the range, alone or as a pair such as mf.init_range
+_EXTREME_FLOATS = st.sampled_from([1e308, -1e308, 1e-320])
+_SECTION_VALUES = (_JSON_VALUES | _EXTREME_FLOATS
+                   | st.lists(_EXTREME_FLOATS | st.floats(-1.0, 1.0), min_size=2, max_size=2))
 _TOP_NAMES = sorted({key.split(".")[0] for key in CONFIG_KEYS})
 _SECTION_NAMES = sorted({key.split(".", 1)[1] for key in CONFIG_KEYS if "." in key})
 
@@ -952,8 +1028,8 @@ def _json_text(draw, doc):
 def _config_text(draw):
     """A config document: known and unknown keys and sections holding values of any JSON type."""
     name = st.sampled_from(_TOP_NAMES) | st.text(max_size=5)
-    section = st.dictionaries(st.sampled_from(_SECTION_NAMES) | st.text(max_size=5), _JSON_VALUES,
-                              max_size=3)
+    section = st.dictionaries(st.sampled_from(_SECTION_NAMES) | st.text(max_size=5),
+                              _SECTION_VALUES, max_size=3)
     doc = draw(st.dictionaries(name, section | _JSON_VALUES, max_size=4) | _JSON_VALUES)
     return _json_text(draw, doc)
 
@@ -997,44 +1073,59 @@ def fuzz_inputs(tmp_path_factory):
     return root / "holed.csv", root / "truth.csv", (root / "ckpt.json").read_text()
 
 
+def _run_by_the_contract(argv, out):
+    """``main(argv)``'s exit code, once its stderr and ``out`` keep the exit-code contract.
+
+    On a nonzero exit stderr is one ``genoseq: `` line, exit 2 comes only with a
+    divergence line, and a run that exits 1 or 2 leaves no file in ``out``.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):  # hypothesis rejects the function-scoped capsys
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        assert len(lines) == 1 and lines[0].startswith("genoseq: "), lines
+    assert (rc == 2) == (rc != 0 and lines[0].startswith("genoseq: divergence: ")), lines
+    if rc in (1, 2):
+        assert list(out.glob("*")) == []
+    return rc
+
+
 class TestFuzz:
     @given(_genotype_bytes())
     @settings(max_examples=150, deadline=None)
     def test_impute_on_any_genotype_bytes_exits_with_a_documented_code(self, source):
         with tempfile.TemporaryDirectory() as tmp:
-            geno = Path(tmp) / "geno.csv"
+            geno, out = Path(tmp) / "geno.csv", Path(tmp) / "out"
             geno.write_bytes(source)
-            rc = main(["impute", "--geno", str(geno), "--out", str(Path(tmp) / "out"),
-                       "--epochs", "1"])
-        assert rc in (0, 1, 2, 3)
+            _run_by_the_contract(["impute", "--geno", str(geno), "--out", str(out),
+                                  "--epochs", "1"], out)
 
     @given(_phenotype_bytes(6))
     @settings(max_examples=100, deadline=None)
     def test_train_on_any_phenotype_bytes_exits_with_a_documented_code(self, fuzz_inputs, source):
         with tempfile.TemporaryDirectory() as tmp:
-            pheno = Path(tmp) / "pheno.csv"
+            pheno, out = Path(tmp) / "pheno.csv", Path(tmp) / "out"
             pheno.write_bytes(source)
-            rc = main(["train", "--geno", str(fuzz_inputs[1]), "--pheno", str(pheno),
-                       "--out", str(Path(tmp) / "out"), "--epochs", "1"])
-        assert rc in (0, 1, 2, 3)
+            _run_by_the_contract(["train", "--geno", str(fuzz_inputs[1]), "--pheno", str(pheno),
+                                  "--out", str(out), "--epochs", "1"], out)
 
     @given(_config_text())
     @settings(max_examples=120, deadline=None)
     def test_impute_on_any_config_exits_with_a_documented_code(self, fuzz_inputs, text):
         with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "cfg.json"
+            config, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
             config.write_text(text)
-            rc = main(["impute", "--config", str(config), "--geno", str(fuzz_inputs[0]),
-                       "--out", str(Path(tmp) / "out"), "--epochs", "1"])
-        assert rc in (0, 1, 2, 3)
+            _run_by_the_contract(["impute", "--config", str(config), "--geno", str(fuzz_inputs[0]),
+                                  "--out", str(out), "--epochs", "1"], out)
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_predict_on_any_checkpoint_exits_with_a_documented_code(self, fuzz_inputs, data):
         _, geno, valid = fuzz_inputs
         with tempfile.TemporaryDirectory() as tmp:
-            checkpoint = Path(tmp) / "ckpt.json"
+            checkpoint, out = Path(tmp) / "ckpt.json", Path(tmp) / "out"
             checkpoint.write_text(data.draw(_checkpoint_text(valid)))
-            rc = main(["predict", "--checkpoint", str(checkpoint), "--geno", str(geno),
-                       "--out", str(Path(tmp) / "out")])
-        assert rc in (0, 1, 2, 3)
+            _run_by_the_contract(["predict", "--checkpoint", str(checkpoint), "--geno", str(geno),
+                                  "--out", str(out)], out)

@@ -38,6 +38,9 @@ class TestMfConfig:
             MfConfig(init_range=(1.0, 0.0))
         with pytest.raises(ConfigError):
             MfConfig(mode="minibatch")
+        with pytest.raises(ConfigError, match="finite width"):
+            MfConfig(init_range=(-1e308, 1e308))  # each bound is finite, but b - a overflows
+        assert MfConfig(init_range=(0.0, 1e200)).init_range == (0.0, 1e200)
 
 
 class TestMfInit:

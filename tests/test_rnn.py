@@ -311,6 +311,15 @@ class TestKernelsMatchPerStepReference:
         monkeypatch.setattr(rnn, "bptt_gradients", poisoned)
         assert gc.check("simple_tanh", trials=3, seed=303) >= gc.DEFAULT_THRESHOLD
 
+    @pytest.mark.parametrize("threshold", [1e-5, 1e-300, 1e-320])
+    def test_error_reaches_the_threshold_only_at_the_noise_floor(self, threshold):
+        # |a - n| of 5e-4 and 2e-3 are both far past any threshold relative to |a| = 1,
+        # but only the second clears the oracle's noise floor of 1e-3
+        def err(n):
+            return gc.max_relative_error(np.array([1.0]), np.array([n]), 1e-3, threshold)
+
+        assert 0 < err(1.0005) < threshold <= err(1.002)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_component_is_an_infinite_error(self, bad):
         # no RuntimeWarning either: the suite turns those into errors
