@@ -8,10 +8,10 @@ A flag that overrides a config key stores its value under that key's name
 from one --seed, fanned out per stage by name, so a fixed seed makes every
 file output bit-reproducible on the same BLAS library and thread count.
 
-Exit codes: 0 success, 1 usage/config/parse errors (a size too large to
-allocate among them), 2 numerical divergence, 3 output I/O failures.
-Diagnostics go to standard error and are controlled by the GENOSEQ_LOG
-environment variable (error|warn|info|debug).
+Exit codes, each set by `main` alone: 0 success, 1 usage/config/parse
+errors (a size too large to allocate among them) or a failed gradient
+check, 2 numerical divergence, 3 a failed read or write. Diagnostics go
+to stderr under the GENOSEQ_LOG environment variable (error|warn|info|debug).
 """
 
 from __future__ import annotations
@@ -43,15 +43,12 @@ EXIT_IO = 3
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
-class _UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1, not 2."""
+    """argparse that raises a usage problem as a GenoseqError, which `main` reports (exit 1)."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise GenoseqError(message)
 
 
 def _setup_logging():
@@ -75,7 +72,7 @@ def _out_dir(values: dict) -> Path:
     return out
 
 
-def cmd_impute(args, values: dict) -> int:
+def cmd_impute(args, values: dict) -> None:
     cfg = pipeline.resolve_config(values)
     geno_path = _require_file(values.get("geno"), "genotype")
 
@@ -91,7 +88,6 @@ def cmd_impute(args, values: dict) -> int:
     write_json({"config": cfg.to_config(), "seeds": {"master": cfg.seed, "mf": seed},
                 **mf.fit_report(curve, accuracy)}, out / "fit_report.json")
     print(f"imputed {int((~geno.observed).sum())} cells; wrote 3 files to {out}")
-    return EXIT_OK
 
 
 def _single_trait(cfg) -> int:
@@ -102,7 +98,7 @@ def _single_trait(cfg) -> int:
     return cfg.traits[0]
 
 
-def cmd_train(args, values: dict) -> int:
+def cmd_train(args, values: dict) -> None:
     cfg = pipeline.resolve_config(values)
     trait = _single_trait(cfg)
     geno_path = _require_file(values.get("geno"), "genotype")
@@ -125,10 +121,9 @@ def cmd_train(args, values: dict) -> int:
     write_json({"config": cfg.to_config(), "trait": trait, "metrics": metrics},
                 out / "train_report.json")
     print(f"trained {cfg.rnn.cell} on trait {trait}; wrote 3 files to {out}")
-    return EXIT_OK
 
 
-def cmd_predict(args, values: dict) -> int:
+def cmd_predict(args, values: dict) -> None:
     cfg = pipeline.resolve_config(values)
     trait = _single_trait(cfg)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
@@ -164,10 +159,9 @@ def cmd_predict(args, values: dict) -> int:
         print(f"predicted {len(preds)} samples; wrote 2 files to {out}")
     else:
         print(f"predicted {len(preds)} samples; wrote 1 file to {out}")
-    return EXIT_OK
 
 
-def cmd_benchmark(args, values: dict) -> int:
+def cmd_benchmark(args, values: dict) -> None:
     if "rnn.cell" in values:
         raise ConfigError("benchmark compares the cells named by --cells; remove rnn.cell")
     # the cell comparison trains at a higher default learning rate than train
@@ -187,10 +181,9 @@ def cmd_benchmark(args, values: dict) -> int:
     order = " < ".join(comparison.ordering)
     print(f"benchmark {args.task}(length={args.length}): final-loss order {order}; "
           f"wrote {len(cells) + 1} files to {out}")
-    return EXIT_OK
 
 
-def cmd_synth(args, values: dict) -> int:
+def cmd_synth(args, values: dict) -> None:
     seed = pipeline.resolve_config(values).seed
     gen_seed = derive_seed(seed, "synth/geno")
     generate = (synth_lowrank_genotypes if args.generator == "lowrank"
@@ -210,10 +203,9 @@ def cmd_synth(args, values: dict) -> int:
     write_json(meta, out / "synth_meta.json")
     print(f"wrote synthetic dataset ({args.samples}x{args.snps}, "
           f"{int((~holed.observed).sum())} holes) to {out}")
-    return EXIT_OK
 
 
-def cmd_gradcheck(args, values: dict) -> int:
+def cmd_gradcheck(args, values: dict) -> None:
     seed = pipeline.resolve_config(values).seed
     if not 0 < args.threshold < float("inf"):
         raise ConfigError(f"threshold must be a finite number > 0, got {args.threshold}")
@@ -223,9 +215,7 @@ def cmd_gradcheck(args, values: dict) -> int:
     for scope, err in results.items():
         print(f"{scope:14s} max_rel_err={err:.3e}  {'ok' if passed[scope] else 'FAIL'}")
     if not all(passed.values()):
-        print(f"gradient check failed at threshold {args.threshold:g}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise GenoseqError(f"gradient check failed at threshold {args.threshold:g}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,22 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
-
-    try:
+        args = build_parser().parse_args(argv)
         config = (pipeline.flatten_config(read_json(_require_file(args.config, "config"),
                                                     "config file")) if args.config else {})
         if config:
             log.debug("loaded config with keys %s", sorted(config))
-        flags = {k: v for k, v in vars(args).items() if v is not None}
-        return args.func(args, {**config, **flags})
+        values = {**config, **{k: v for k, v in vars(args).items() if v is not None}}
+        out = values.get("out", ".")
+        if isinstance(out, str):  # an --out that cannot become a directory fails before the work
+            existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+            if not existing.is_dir():
+                raise NotADirectoryError(f"not a directory: {existing}")
+        args.func(args, values)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except DivergenceError as e:
         print(f"genoseq: divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -336,6 +325,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"genoseq: i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -702,7 +703,7 @@ class TestGradcheck:
         assert value == pytest.approx(skew - 1, rel=0.05)
         if fails:
             assert rc == 1 and captured.out.rstrip().endswith("FAIL")
-            assert captured.err.splitlines() == ["gradient check failed at threshold 1e-05"]
+            assert captured.err.splitlines() == ["genoseq: gradient check failed at threshold 1e-05"]
         else:
             assert rc == 0 and captured.out.rstrip().endswith("ok") and captured.err == ""
 
@@ -723,17 +724,21 @@ class TestSharedBehavior:
         assert _run(cmd, "--help") == 0
         assert "--seed" in capsys.readouterr().out
 
-    def test_invalid_flag_exits_1(self):
-        assert _run("synth", "--bogus") == 1
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "abc"], ["impute", "--alpha", "x"], ["benchmark", "--task", "nope"],
+        ["predict"], ["gradcheck", "--trials", "x"], ["train", "--bogus"], ["synth", "--bogus"],
+        ["bogus"], []], ids=["train_epochs_abc", "impute_alpha_x", "benchmark_task_nope",
+                             "predict_no_checkpoint", "gradcheck_trials_x", "train_bogus_flag",
+                             "synth_bogus_flag", "bogus_command", "no_command"])
+    def test_usage_error_exits_1_with_one_line(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # the default --out, which must stay empty
+        assert _run_by_the_contract(argv, tmp_path) == 1
 
     @pytest.mark.parametrize("cmd", [("train",), ("predict", "--checkpoint", "model.json")])
     def test_normalization_flag_is_unrecognized(self, cmd, capsys):
         assert _run(*cmd, "--normalization", "scaled") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unrecognized arguments: --normalization" in err[0]
-
-    def test_no_command_exits_1(self):
-        assert _run() == 1
 
     def test_config_file_with_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -939,12 +944,40 @@ class TestSharedBehavior:
                        "while decoding a JSON array from a unicode string"]
         assert not (tmp_path / "o").exists()
 
-    def test_output_io_failure_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("command, out", [("synth", "not_a_dir"), ("impute", "not_a_dir"),
+                                              ("synth", "not_a_dir/sub")],
+                             ids=["synth", "impute", "under_a_file"])
+    def test_output_io_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, out):
+        # an --out that cannot become a directory is reported before the work, not after it
+        data = _synth(tmp_path)
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file in the way")
-        rc = _run("synth", "--samples", "5", "--snps", "6", "--rank", "2",
-                  "--missing-frac", "0", "--out", str(blocker))
-        assert rc == 3
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the factorization ran before --out was checked")
+
+        monkeypatch.setattr(mf, "mf_fit", no_fit)
+        inputs = {"synth": ["--samples", "5", "--snps", "6", "--rank", "2", "--missing-frac", "0"],
+                  "impute": ["--geno", str(data / "geno_holed.csv")]}[command]
+        capsys.readouterr()
+        assert _run(command, *inputs, "--out", str(tmp_path / out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"genoseq: i/o error: not a directory: {blocker}"]
+        assert blocker.read_text() == "file in the way"
+
+    def test_failed_read_exits_3_without_outputs(self, tmp_path, capsys, monkeypatch):
+        data = _synth(tmp_path)
+
+        def failed_read(self):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(Path, "read_bytes", failed_read)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run("impute", "--geno", str(data / "geno_holed.csv"), "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: i/o error: [Errno 5] Input/output error"]
+        assert not out.exists()
 
 
 GOOD_CELLS = ["0", "1", "2", "5"]

@@ -61,6 +61,30 @@ def unused_definitions(sources: dict[str, str], readers: list[str]) -> list[str]
     return [f"{name}:{line}: {what}" for name, line, what in sorted(found)]
 
 
+def off_path_exits(source: str) -> list[str]:
+    """Writes to stderr outside a top-level ``main``, and ``cmd_*`` functions that return a value.
+
+    A write is ``print(..., file=sys.stderr)`` or ``sys.stderr.write(...)``;
+    passing ``sys.stderr`` as an argument, as logging's ``stream=`` does, is not.
+    """
+    tree = ast.parse(source)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    in_main = {id(node) for f in functions if f.name == "main" for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in in_main:
+            continue
+        if getattr(node.func, "id", None) == "print" and any(
+                kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords):
+            found.append((node.lineno, "print to sys.stderr"))
+        elif ast.unparse(node.func) == "sys.stderr.write":
+            found.append((node.lineno, "sys.stderr.write"))
+    found += [(node.lineno, f"{f.name} returns a value") for f in functions
+              if f.name.startswith("cmd_") for node in ast.walk(f)
+              if isinstance(node, ast.Return) and node.value is not None]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def test_module_list_is_the_package():
     assert {p.stem for p in MODULES} >= {"cli", "data", "mf", "pipeline", "rnn"}
 
@@ -88,6 +112,21 @@ def test_file_io_is_caught():
                                "line 4: open()", "line 5: write_bytes()"]
     data = next(p for p in MODULES if p.name == "data.py")
     assert file_io(data.read_text(encoding="utf-8"))  # the one module that does the I/O
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_main_picks_an_exit(path):
+    # commands finish or raise; cli.main alone turns the outcome into an exit code and one line
+    assert off_path_exits(path.read_text(encoding="utf-8")) == []
+
+
+def test_off_path_exit_is_caught():
+    source = ("import logging, sys\nlogging.basicConfig(stream=sys.stderr)\n"
+              "def cmd_run(args):\n    print('failed', file=sys.stderr)\n    return 1\n"
+              "def helper():\n    sys.stderr.write('x')\n    return 2\n"
+              "def main():\n    print('genoseq: x', file=sys.stderr)\n    return 1\n")
+    assert off_path_exits(source) == ["line 4: print to sys.stderr",
+                                      "line 5: cmd_run returns a value", "line 7: sys.stderr.write"]
 
 
 def test_every_definition_is_used_by_the_package_or_the_acceptance_gate():
