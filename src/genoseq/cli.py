@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Commands: impute, train, predict, benchmark, synth, gradcheck. A single
-JSON config file can preset anything; explicit flags win over the config.
-A flag that overrides a config key stores its value under that key's name
-(``--epochs`` of train is ``rnn.epochs``), and both reach one resolver,
-:func:`genoseq.pipeline.resolve_config`. Every piece of randomness derives
-from one --seed, fanned out per stage by name, so a fixed seed makes every
-file output bit-reproducible on the same BLAS library and thread count.
+Commands: impute, train, predict, benchmark, synth, gradcheck. A single JSON
+config file can preset anything; explicit flags win over the config. A flag
+that overrides a config key stores its value under that key's name
+(``--epochs`` of train is ``rnn.epochs``). `main` merges a command's preset,
+the config file and the flags, then resolves them once, before the command
+runs, with :func:`genoseq.pipeline.resolve_config`. Every piece of randomness
+derives from one --seed, fanned out per stage by name, so a fixed seed makes
+every file output bit-reproducible on the same BLAS library and thread count.
 
 Exit codes, each set by `main` alone: 0 success, 1 usage/config/parse
 errors (a size too large to allocate among them) or a failed gradient
@@ -72,8 +73,7 @@ def _out_dir(values: dict) -> Path:
     return out
 
 
-def cmd_impute(args, values: dict) -> None:
-    cfg = pipeline.resolve_config(values)
+def cmd_impute(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     geno_path = _require_file(values.get("geno"), "genotype")
 
     geno = parse_genotype_csv(geno_path)
@@ -98,8 +98,7 @@ def _single_trait(cfg) -> int:
     return cfg.traits[0]
 
 
-def cmd_train(args, values: dict) -> None:
-    cfg = pipeline.resolve_config(values)
+def cmd_train(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     trait = _single_trait(cfg)
     geno_path = _require_file(values.get("geno"), "genotype")
     pheno_path = _require_file(values.get("pheno"), "phenotype")
@@ -123,8 +122,7 @@ def cmd_train(args, values: dict) -> None:
     print(f"trained {cfg.rnn.cell} on trait {trait}; wrote 3 files to {out}")
 
 
-def cmd_predict(args, values: dict) -> None:
-    cfg = pipeline.resolve_config(values)
+def cmd_predict(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     trait = _single_trait(cfg)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     geno_path = _require_file(values.get("geno"), "genotype")
@@ -161,11 +159,9 @@ def cmd_predict(args, values: dict) -> None:
         print(f"predicted {len(preds)} samples; wrote 1 file to {out}")
 
 
-def cmd_benchmark(args, values: dict) -> None:
+def cmd_benchmark(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     if "rnn.cell" in values:
         raise ConfigError("benchmark compares the cells named by --cells; remove rnn.cell")
-    # the cell comparison trains at a higher default learning rate than train
-    cfg = pipeline.resolve_config({"rnn.learning_rate": 0.1, **values})
     config = cfg.to_config()
     del config["rnn"]["cell"]  # rejected above: --cells names the compared cells
     cells = args.cells if args.cells else list(rnn.CELLS)
@@ -183,14 +179,13 @@ def cmd_benchmark(args, values: dict) -> None:
           f"wrote {len(cells) + 1} files to {out}")
 
 
-def cmd_synth(args, values: dict) -> None:
-    seed = pipeline.resolve_config(values).seed
-    gen_seed = derive_seed(seed, "synth/geno")
+def cmd_synth(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
+    gen_seed = derive_seed(cfg.seed, "synth/geno")
     generate = (synth_lowrank_genotypes if args.generator == "lowrank"
                 else synth_population_genotypes)
     holed, truth = generate(args.samples, args.snps, args.rank, args.missing_frac, gen_seed,
                             args.missing_mode)
-    phenos = synth_phenotypes(truth, traits=args.n_traits, seed=derive_seed(seed, "synth/pheno"),
+    phenos = synth_phenotypes(truth, traits=args.n_traits, seed=derive_seed(cfg.seed, "synth/pheno"),
                               missing_per_trait=args.trait_missing)
     out = _out_dir(values)
     genotype_to_csv(holed, out / "geno_holed.csv")
@@ -199,18 +194,17 @@ def cmd_synth(args, values: dict) -> None:
     meta = {"generator": args.generator, "samples": args.samples, "snps": args.snps,
             "rank": args.rank, "missing_frac": args.missing_frac,
             "missing_mode": args.missing_mode, "traits": args.n_traits,
-            "trait_missing": args.trait_missing, "seed": seed}
+            "trait_missing": args.trait_missing, "seed": cfg.seed}
     write_json(meta, out / "synth_meta.json")
     print(f"wrote synthetic dataset ({args.samples}x{args.snps}, "
           f"{int((~holed.observed).sum())} holes) to {out}")
 
 
-def cmd_gradcheck(args, values: dict) -> None:
-    seed = pipeline.resolve_config(values).seed
+def cmd_gradcheck(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     if not 0 < args.threshold < float("inf"):
         raise ConfigError(f"threshold must be a finite number > 0, got {args.threshold}")
     scopes = args.cells if args.cells else None
-    results = gradcheck.run_all(args.trials, seed, scopes, args.threshold)
+    results = gradcheck.run_all(args.trials, cfg.seed, scopes, args.threshold)
     passed = {scope: err < args.threshold for scope, err in results.items()}
     for scope, err in results.items():
         print(f"{scope:14s} max_rel_err={err:.3e}  {'ok' if passed[scope] else 'FAIL'}")
@@ -273,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", dest="rnn.hidden", type=int)
     p.add_argument("--lr", dest="rnn.learning_rate", type=float, help="learning rate (default 0.1)")
     p.add_argument("--epochs", dest="rnn.epochs", type=int)
-    p.set_defaults(func=cmd_benchmark)
+    # the cell comparison trains at a higher default learning rate than train
+    p.set_defaults(func=cmd_benchmark, presets={"rnn.learning_rate": 0.1})
 
     p = sub.add_parser("synth", help="emit a synthetic genotype/phenotype dataset")
     shared(p)
@@ -307,13 +302,14 @@ def main(argv=None) -> int:
                                                     "config file")) if args.config else {})
         if config:
             log.debug("loaded config with keys %s", sorted(config))
-        values = {**config, **{k: v for k, v in vars(args).items() if v is not None}}
+        values = {**getattr(args, "presets", {}), **config,
+                  **{k: v for k, v in vars(args).items() if v is not None}}
         out = values.get("out", ".")
         if isinstance(out, str):  # an --out that cannot become a directory fails before the work
             existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
             if not existing.is_dir():
                 raise NotADirectoryError(f"not a directory: {existing}")
-        args.func(args, values)
+        args.func(args, values, pipeline.resolve_config(values))
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except DivergenceError as e:

@@ -50,6 +50,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.traits:
             raise ConfigError("at least one trait index is required")
+        if len(set(self.traits)) != len(self.traits):
+            raise ConfigError(f"traits names a trait index more than once: {list(self.traits)}")
         if self.success_tolerance < 0:
             raise ConfigError(f"success_tolerance must be >= 0, got {self.success_tolerance}")
 
@@ -113,7 +115,7 @@ def flatten_config(doc) -> dict:
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON or flag value fits a field's type hint; a float must be finite."""
+    """Whether a JSON or flag value fits a type hint; a float is finite, a str holds no NUL."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         return any(_fits(h, value) for h in args)
@@ -128,7 +130,7 @@ def _fits(hint, value) -> bool:
         return hint is bool
     if hint is float:  # a finite float, or an int that converts to one
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, hint)
+    return isinstance(value, hint) and not (isinstance(value, str) and "\x00" in value)
 
 
 def resolve_config(values: dict) -> PipelineConfig:

@@ -208,6 +208,16 @@ def _imputed(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The 30x40 synthetic dataset of _synth and a checkpoint trained on it for two epochs."""
+    root = tmp_path_factory.mktemp("small_run")
+    data = _synth(root)
+    assert _run("train", "--geno", str(data / "geno_truth.csv"), "--pheno",
+                str(data / "pheno.csv"), "--epochs", "2", "--out", str(root / "model")) == 0
+    return data, root / "model" / "checkpoint.json"
+
+
+@pytest.fixture(scope="module")
 def walkthrough(tmp_path_factory):
     """The README walkthrough's phenotypes and imputed genotypes (seed 42, 100x200, F=8)."""
     root = tmp_path_factory.mktemp("walkthrough")
@@ -759,26 +769,40 @@ class TestSharedBehavior:
         assert report["config"]["mf"]["epochs"] == 40    # flag wins
         assert len(report["curve"]) == 40
 
+    @pytest.mark.parametrize("command", ["impute", "train", "predict", "benchmark", "synth",
+                                         "gradcheck"])
     @pytest.mark.parametrize("doc", [
         {"mf": {"features": "8"}}, {"rnn": {"hidden": "16"}}, {"data": {"ratios": 5}},
         {"mf": {"init_range": 3}}, {"traits": 7}, {"mf": {"epochs": True}},
         {"rnn": {"clip_norm": "off"}}, {"threads": 2}, {"mf": {"seed": 3}},
         {"data": {"normalization": "scaled"}}, {"genotype_mode": "imputed"},
         {"rnn": {"batch_mode": "full_batch"}}, {"mf": {"cost_tolerance": 0.5}},
+        {"out": "a\u0000b"}, {"traits": [0, 0]},
     ], ids=["features_str", "hidden_str", "ratios_int", "init_range_int", "traits_int",
             "epochs_bool", "clip_norm_str", "threads", "mf_seed", "normalization",
-            "genotype_mode", "batch_mode", "cost_tolerance"])
-    def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, doc):
-        data, imputed = _imputed(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+            "genotype_mode", "batch_mode", "cost_tolerance", "out_nul", "traits_repeated"])
+    def test_bad_config_value_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                    small_run, doc, command):
+        # each command line alone is a valid small run, so a command that read its input
+        # or wrote an output before the config was resolved would show here
+        data, checkpoint = small_run
+        holed, truth, pheno = (str(data / f) for f in ("geno_holed.csv", "geno_truth.csv",
+                                                       "pheno.csv"))
+        argv = {"impute": ["--geno", holed],
+                "train": ["--geno", truth, "--pheno", pheno, "--epochs", "2"],
+                "predict": ["--checkpoint", str(checkpoint), "--geno", truth, "--pheno", pheno],
+                "benchmark": ["--length", "5", "--sequences", "2", "--epochs", "1"],
+                "synth": ["--samples", "5", "--snps", "6", "--rank", "2"],
+                "gradcheck": ["--trials", "1"]}[command]
+        monkeypatch.chdir(tmp_path)
+        base = {"out": "out", "mf": {"features": 4, "epochs": 2}}
+        (tmp_path / "cfg.json").write_text(json.dumps({**base, **doc}))
         capsys.readouterr()
-        rc = _run("train", "--config", str(cfg), "--geno", str(imputed),
-                  "--pheno", str(data / "pheno.csv"), "--epochs", "2",
-                  "--out", str(tmp_path / "model"))
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("genoseq: ")
+        assert _run(command, "--config", "cfg.json", *argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genoseq: ") and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["impute", "train", "benchmark"])
     def test_exported_config_reruns_to_equal_exports(self, tmp_path, command):

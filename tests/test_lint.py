@@ -85,6 +85,16 @@ def off_path_exits(source: str) -> list[str]:
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
+def resolver_calls(source: str, caller: str | None) -> list[str]:
+    """Calls of ``resolve_config``, as a function or a method, outside a top-level ``caller``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == caller
+               for node in ast.walk(f)}
+    return [f"line {node.lineno}: resolve_config()" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "resolve_config"]
+
+
 def test_module_list_is_the_package():
     assert {p.stem for p in MODULES} >= {"cli", "data", "mf", "pipeline", "rnn"}
 
@@ -127,6 +137,23 @@ def test_off_path_exit_is_caught():
               "def main():\n    print('genoseq: x', file=sys.stderr)\n    return 1\n")
     assert off_path_exits(source) == ["line 4: print to sys.stderr",
                                       "line 5: cmd_run returns a value", "line 7: sys.stderr.write"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_resolves_the_config(path):
+    # main resolves a run's config once and hands it to the command, which cannot skip or redo it
+    caller = "main" if path.name == "cli.py" else None
+    assert resolver_calls(path.read_text(encoding="utf-8"), caller) == []
+
+
+def test_resolver_call_is_caught():
+    source = ("from . import pipeline\nfrom .pipeline import resolve_config\n"
+              "def cmd_run(args, values):\n    cfg = pipeline.resolve_config(values)\n"
+              "def main(values):\n    resolve_config(values)\n")
+    assert resolver_calls(source, "main") == ["line 4: resolve_config()"]
+    assert resolver_calls(source, None) == ["line 4: resolve_config()", "line 6: resolve_config()"]
+    cli = next(p for p in MODULES if p.name == "cli.py")
+    assert resolver_calls(cli.read_text(encoding="utf-8"), None)  # main's one call
 
 
 def test_every_definition_is_used_by_the_package_or_the_acceptance_gate():

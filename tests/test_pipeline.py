@@ -365,7 +365,7 @@ _KEY_VALUES = {  # a valid value of every config key but the FILE_KEYS
     "data.ratios": st.tuples(st.floats(0.01, 0.49), st.floats(0.01, 0.49)).map(
         lambda r: (*r, 1.0 - r[0] - r[1])),
     "seed": st.integers(-2**63, 2**64), "traits": st.lists(st.integers(0, 99), min_size=1,
-                                                           max_size=4).map(tuple),
+                                                           max_size=4, unique=True).map(tuple),
     "success_tolerance": st.floats(0.0, 1e3),
 }
 
@@ -389,6 +389,8 @@ class TestPipelineConfig:
             DataSettings(ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
             PipelineConfig(traits=())
+        with pytest.raises(ConfigError, match="more than once"):
+            PipelineConfig(traits=(0, 1, 0))
         with pytest.raises(ConfigError):
             PipelineConfig(success_tolerance=-1.0)
 
