@@ -8,7 +8,8 @@ dict (see :func:`buffer`) to write into.
 Randomness comes from :class:`Rng`, a counter-mode SplitMix64 generator.
 The i-th raw output is a pure function of (seed, i), so every draw is
 reproducible bit-for-bit across platforms and numpy versions, and repeated
-calls with the same seed replay the same stream.
+calls with the same seed replay the same stream. Draws are made
+``_BLOCK`` outputs at a time, so a draw holds its result and O(block) more.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_BLOCK = 1 << 15  # outputs per block: its uint64 temporaries (256 KiB each) stay in cache
 
 
 def check_alloc(count: int) -> int:
@@ -34,12 +36,13 @@ def check_alloc(count: int) -> int:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: avalanche a uint64 array in place-free style."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer: avalanche the uint64 array ``z`` in place, and return it."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class Rng:
@@ -58,32 +61,35 @@ class Rng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
-        idx = np.arange(self._counter + 1, self._counter + check_alloc(n) + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + check_alloc(n) + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64(self._seed + idx * _GOLDEN)
+        z *= _GOLDEN
+        z += self._seed
+        return _mix64(z)
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Uniform float64 draws on [lo, hi) using the top 53 bits per output."""
-        n = math.prod(map(int, shape)) if not np.isscalar(shape) else int(shape)
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        out = lo + (hi - lo) * u
-        return out.reshape(shape) if not np.isscalar(shape) else out
+        out = np.empty(check_alloc(math.prod(map(int, np.atleast_1d(shape)))))
+        for start in range(0, out.size, _BLOCK):
+            block = out[start:start + _BLOCK]
+            block[...] = self.raw(block.size) >> np.uint64(11)
+            block *= _INV_2_53
+            block *= hi - lo
+            block += lo
+        return out.reshape(shape)
 
     def gaussian(self, shape, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
-        """Gaussian draws via Box-Muller on consecutive uniform pairs."""
-        n = math.prod(map(int, shape)) if not np.isscalar(shape) else int(shape)
+        """Gaussian draws via Box-Muller, pairing the first half of the uniforms with the second."""
+        n = check_alloc(math.prod(map(int, np.atleast_1d(shape))))
         pairs = (n + 1) // 2
-        raw = self.raw(2 * pairs)
-        # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        u1 = self.uniform(pairs) + _INV_2_53  # (k + 1) * 2^-53, exact: in (0, 1], a finite log
+        u2 = self.uniform(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.empty(2 * pairs)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        out = mean + stddev * z[:n]
-        return out.reshape(shape) if not np.isscalar(shape) else out
+        return (mean + stddev * z[:n]).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

@@ -466,10 +466,11 @@ def pearson_correlation(pred, actual) -> float | None:
         return None
     pc = p - p.mean()
     ac = a - a.mean()
-    sp = float(np.sqrt(np.sum(pc * pc)))
-    sa = float(np.sqrt(np.sum(ac * ac)))
-    if sp == 0.0 or sa == 0.0:
-        return None
+    with np.errstate(over="ignore"):
+        sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
+        if not (0.0 < sp < np.inf and 0.0 < sa < np.inf):  # the squares over- or underflowed
+            pc, ac = pc / np.abs(pc).max(), ac / np.abs(ac).max()  # a largest magnitude of 1
+            sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
     r = float(np.dot(pc, ac) / (sp * sa))
     # exactly affine inputs can land a few ulps inside the bounds from
     # roundoff; snap so perfect relations report exactly +/-1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,24 @@ class TestRng:
 
     def test_different_seeds_differ(self):
         assert Rng(1).raw(8).tobytes() != Rng(2).raw(8).tobytes()
+
+    # Golden values of draws that span several blocks of the stream and end inside one, so a
+    # change of block size or of the float conversion moves a digest
+    @pytest.mark.parametrize("draw, digest", [
+        (lambda rng: rng.uniform(3 * 2**16 + 5, -1.0, 2.0),
+         "63cc07b21cba377a0bf5c6cc9d32f3378ba0ab33267866ec8cfb1326c102406d"),
+        (lambda rng: rng.gaussian(2**16 + 3),
+         "bae17230ebf38752d1af31f90fe12512e437760a536ac6a6308502a58a8ddfe7"),
+        (lambda rng: rng.permutation(2**16 + 7),
+         "5fd678265aaa54de90f07dc4a79b8e808917c4185163050669999e8df3fee30a"),
+    ], ids=["uniform", "gaussian", "permutation"])
+    def test_draw_across_blocks_keeps_its_golden_bits(self, draw, digest):
+        assert hashlib.sha256(draw(Rng(20260808)).tobytes()).hexdigest() == digest
+
+    def test_draw_leaves_the_stream_after_its_last_output(self):
+        rng = Rng(20260808)
+        rng.uniform(3 * 2**16 + 5, -1.0, 2.0)
+        assert int(rng.raw(1)[0]) == 10176017147174894086
 
 
 class TestDeriveSeed:

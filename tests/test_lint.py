@@ -10,6 +10,7 @@ import genoseq
 MODULES = sorted(Path(genoseq.__file__).parent.glob("*.py"))
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 FILE_CALLS = ("open", "write_text", "write_bytes")
+RANDOM_SOURCES = ("numpy.random", "random", "secrets", "os.urandom")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +42,34 @@ def file_io(source: str) -> list[str]:
                       if a.name.split(".")[0] == "json"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
             found.append((node.lineno, f"from {node.module} import"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def random_sources(source: str) -> list[str]:
+    """Imports of a RANDOM_SOURCES name or of a name inside one, and uses of one as an attribute.
+
+    An attribute chain is read through the names that the imports bind, so
+    ``np.random`` is ``numpy.random`` after ``import numpy as np``.
+    """
+    def is_random(name):
+        return any(name == s or name.startswith(s + ".") for s in RANDOM_SOURCES)
+
+    tree = ast.parse(source)
+    bound, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = a.name if a.asname else a.name.split(".")[0]
+                if is_random(a.name):
+                    found.append((node.lineno, f"import {a.name}"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, f"from {node.module} import {a.name}") for a in node.names
+                      if is_random(node.module) or is_random(f"{node.module}.{a.name}")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            head, _, rest = ast.unparse(node).partition(".")
+            if f"{bound.get(head, head)}.{rest}" in RANDOM_SOURCES:
+                found.append((node.lineno, ast.unparse(node)))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -122,6 +151,23 @@ def test_file_io_is_caught():
                                "line 4: open()", "line 5: write_bytes()"]
     data = next(p for p in MODULES if p.name == "data.py")
     assert file_io(data.read_text(encoding="utf-8"))  # the one module that does the I/O
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_random_numbers_come_only_from_rng(path):
+    # linalg.Rng's counter stream is what makes every draw replay bit-for-bit from its seed
+    assert random_sources(path.read_text(encoding="utf-8")) == []
+
+
+def test_random_source_is_caught():
+    source = ("import os\nimport random\nimport numpy as np\nfrom numpy import random as npr\n"
+              "from secrets import token_bytes\nx = np.random.default_rng(0).random()\n"
+              "y = os.urandom(8)\nz = np.linalg.norm(x)\nfrom . import linalg\n")
+    assert random_sources(source) == ["line 2: import random", "line 4: from numpy import random",
+                                      "line 5: from secrets import token_bytes", "line 6: np.random",
+                                      "line 7: os.urandom"]
+    assert random_sources("import numpy.random as npr\nfrom os import urandom\n") == [
+        "line 1: import numpy.random", "line 2: from os import urandom"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

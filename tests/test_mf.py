@@ -476,6 +476,15 @@ class TestMemory:
         slack = 8 * np.getbufsize() + 12 * int((~g.observed).sum()) + 16384
         assert _traced_peak(lambda: mf_fit(g, cfg, seed=1)) <= 2 * pair + residual + slack
 
+    @pytest.mark.parametrize("draw, nbytes", [
+        (lambda: Rng(1).uniform(604 * 1980), 604 * 1980 * 8),
+        (lambda: mf_init(604, 1980, MfConfig(), 3), (604 + 1980) * MfConfig().features * 8),
+    ], ids=["uniform", "mf_init"])
+    def test_paper_scale_draw_holds_its_output_and_a_few_blocks(self, draw, nbytes):
+        # the stream is drawn block by block: a few 2^15-output uint64 temporaries (256 KiB each)
+        # live beside the result, not copies of the whole draw
+        assert _traced_peak(draw) <= nbytes + 2**20
+
     def test_rounded_reconstruction_holds_one_product_and_the_codes(self):
         g = self._geno()
         fp = mf_init(self.SAMPLES, self.SNPS, MfConfig(features=self.FEATURES), seed=2)

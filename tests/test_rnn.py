@@ -621,6 +621,14 @@ class TestPearsonCorrelation:
     def test_too_short(self):
         assert pearson_correlation([1.0], [2.0]) is None
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["squares_overflow", "squares_underflow"])
+    def test_affine_inputs_at_extreme_magnitudes(self, scale):
+        # the centred squares overflow or underflow; the rescaled vectors give the same r
+        assert pearson_correlation([scale, 2 * scale, 4 * scale], [1, 2, 4]) == 1.0
+        assert pearson_correlation([1, 2, 4], [-scale, -2 * scale, -4 * scale]) == -1.0
+        assert (pearson_correlation([scale, 2 * scale, 4 * scale], [4, 2, 1])
+                == pytest.approx(pearson_correlation([1, 2, 4], [4, 2, 1]), rel=1e-15))
+
 
 class TestIdentityMemory:
     def test_nonnegative_state_propagates_bitwise(self):
