@@ -1,7 +1,7 @@
 """Genotype and phenotype datasets: parsing, encoding, splits, synthesis.
 
 Genotype calls are encoded 0 (AA), 1 (AB), 2 (BB), and a missing call
-is the sentinel 5, on disk and in ``GenotypeMatrix.codes``. A missing
+is the sentinel 5, on disk and in ``GenotypeMatrix.codes`` (int8). A missing
 trait value is NaN in ``PhenotypeTable.values`` and "NA" on disk. The
 value is the only record of a missing entry: each table's ``observed``
 mask is derived from it and read-only.
@@ -34,13 +34,16 @@ def _read_only(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GenotypeMatrix:
-    """Integer genotype codes, samples x snps, with the missing sentinel at each hole."""
+    """Integer genotype codes as int8, samples x snps, with the missing sentinel at each hole."""
 
     codes: np.ndarray
     snp_ids: list[str] | None = None
 
     def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int16)
+        codes = np.asarray(self.codes)  # one byte per call; a code int8 cannot hold is refused
+        if codes.size and codes.dtype != np.int8 and not -128 <= codes.min() <= codes.max() <= 127:
+            raise DataError(f"genotype codes must fit in int8, got {codes.min()}..{codes.max()}")
+        self.codes = codes.astype(np.int8, copy=False)
         if self.codes.ndim != 2:
             raise DataError(f"codes must be 2-D, got shape {self.codes.shape}")
 
@@ -194,7 +197,7 @@ def parse_genotype_csv(path) -> GenotypeMatrix:
             raise ParseError(f"unrecognized genotype call {cells[c]!r}", row=r, col=c)
         calls.extend(row)
         n_rows += 1
-    codes = np.frombuffer(calls, dtype=np.uint8).astype(np.int16).reshape(n_rows, len(snp_ids))
+    codes = np.frombuffer(calls, dtype=np.int8).reshape(n_rows, len(snp_ids))
     return GenotypeMatrix(codes, snp_ids)
 
 
@@ -218,7 +221,7 @@ def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
     if not (((codes <= 2) | (codes == MISSING_SENTINEL)).all()
             and (cells[:, 1:-1:2] == ord(",")).all() and (cells[:, -1] == ord("\n")).all()):
         return None
-    return GenotypeMatrix(codes, [h.decode().strip() for h in ids])
+    return GenotypeMatrix(codes.view(np.int8), [h.decode().strip() for h in ids])
 
 
 def genotype_to_csv(g: GenotypeMatrix, path) -> None:
@@ -318,7 +321,7 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
         raw = a @ b.T
         lo, hi = raw.min(), raw.max()
         raw = (raw - lo) * (2.0 / (hi - lo))
-    codes = np.clip(np.rint(raw), 0, 2).astype(np.int16)
+    codes = np.clip(np.rint(raw), 0, 2).astype(np.int8)
     return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 
@@ -368,7 +371,7 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
     rng = Rng(seed)
     assign = np.floor(rng.uniform(samples, 0, groups)).astype(np.int64)
     protos = rng.uniform((groups, snps), 0.0, 2.0)
-    codes = np.clip(np.rint(protos[assign]), 0, 2).astype(np.int16)
+    codes = np.clip(np.rint(protos[assign]), 0, 2).astype(np.int8)
     return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 

@@ -75,7 +75,7 @@ def _draw_mf(rng: Rng):
     u = rng.randint(2, 9)
     v = rng.randint(2, 9)
     f_lat = rng.randint(1, 4)
-    codes = np.floor(rng.uniform((u, v), 0, 3)).astype(np.int16)
+    codes = np.floor(rng.uniform((u, v), 0, 3)).astype(np.int8)
     observed = rng.uniform((u, v)) > 0.2
     if not observed.any():
         observed[0, 0] = True

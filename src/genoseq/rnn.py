@@ -464,12 +464,13 @@ def pearson_correlation(pred, actual) -> float | None:
     # range, not the centered norm, which picks up mean-roundoff residue
     if p.size < 2 or p.max() == p.min() or a.max() == a.min():
         return None
-    pc = p - p.mean()
-    ac = a - a.mean()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pc, ac = p - p.mean(), a - a.mean()
         sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
-        if not (0.0 < sp < np.inf and 0.0 < sa < np.inf):  # the squares over- or underflowed
-            pc, ac = pc / np.abs(pc).max(), ac / np.abs(ac).max()  # a largest magnitude of 1
+        if not (0.0 < sp < np.inf and 0.0 < sa < np.inf):  # a mean or the squares over/underflowed
+            p, a = p / np.abs(p).max(), a / np.abs(a).max()  # largest magnitude 1: finite means
+            pc, ac = p - p.mean(), a - a.mean()
+            pc, ac = pc / np.abs(pc).max(), ac / np.abs(ac).max()  # and no squares underflow
             sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
     r = float(np.dot(pc, ac) / (sp * sa))
     # exactly affine inputs can land a few ulps inside the bounds from

@@ -77,16 +77,29 @@ class TestGenotypeCsv:
         assert again.codes.tobytes() == holed.codes.tobytes()
         assert again.observed.tobytes() == holed.observed.tobytes()
 
-    @given(hnp.arrays(np.int16, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+    @given(hnp.arrays(np.int8, st.tuples(st.integers(0, 6), st.integers(1, 6)),
                       elements=st.sampled_from([0, 1, 2, MISSING_SENTINEL])))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_round_trip_keeps_every_code_and_hole(self, tmp_path, codes):
         genotype_to_csv(GenotypeMatrix(codes), tmp_path / "g.csv")
         again = parse_genotype_csv(tmp_path / "g.csv")
-        assert again.codes.dtype == np.int16 and again.codes.shape == codes.shape
+        assert again.codes.dtype == np.int8 and again.codes.shape == codes.shape
         assert again.codes.tobytes() == codes.tobytes()
         np.testing.assert_array_equal(again.observed, codes != MISSING_SENTINEL)
+
+    @pytest.mark.parametrize("codes", [np.array([[1, 300]], np.int16), [[-129, 0]], [[1, np.nan]]],
+                             ids=["int16_300", "list_-129", "nan"])
+    def test_code_outside_int8_is_a_data_error(self, codes):
+        # 300 cast to int8 would wrap to 44 without a word
+        with pytest.raises(DataError, match="genotype codes must fit in int8"):
+            GenotypeMatrix(codes)
+
+    def test_codes_are_one_byte_and_keep_their_values(self):
+        wide = np.array([[-128, 0, 1, 2, MISSING_SENTINEL, 127]], np.int16)
+        g = GenotypeMatrix(wide)
+        assert g.codes.dtype == np.int8 and g.codes.tolist() == wide.tolist()
+        assert GenotypeMatrix(g.codes).codes is g.codes  # int8 codes are kept, not copied
 
     def test_observed_is_derived_and_read_only(self):
         g = GenotypeMatrix([[MISSING_SENTINEL, 1], [2, 0]])
@@ -215,7 +228,7 @@ class TestGenotypeCodec:
     def test_error_or_result_matches_reference(self, source):
         assert _outcome(parse_genotype_csv, source) == _outcome(_parse_reference, source)
 
-    @given(hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)))
+    @given(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_matches_str_of_every_cell(self, tmp_path, codes):
@@ -226,9 +239,9 @@ class TestGenotypeCodec:
         assert (tmp_path / "g.csv").read_bytes() == expected.encode()
 
     def test_write_extreme_codes(self, tmp_path):
-        codes = np.array([[-32768, 32767, -1], [0, 10, -200]], dtype=np.int16)
+        codes = np.array([[-128, 127, -1], [0, 10, -100]], dtype=np.int8)
         genotype_to_csv(GenotypeMatrix(codes, ["a", "b", "c"]), tmp_path / "g.csv")
-        assert (tmp_path / "g.csv").read_text() == "a,b,c\n-32768,32767,-1\n0,10,-200\n"
+        assert (tmp_path / "g.csv").read_text() == "a,b,c\n-128,127,-1\n0,10,-100\n"
 
     @pytest.mark.parametrize("header", [False, True], ids=["body", "header"])
     @pytest.mark.parametrize("parse", [parse_genotype_csv, parse_phenotype_csv])

@@ -1,6 +1,8 @@
 """Static checks of the package source, made with the stdlib ``ast`` module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import genoseq
 
 MODULES = sorted(Path(genoseq.__file__).parent.glob("*.py"))
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 FILE_CALLS = ("open", "write_text", "write_bytes")
 RANDOM_SOURCES = ("numpy.random", "random", "secrets", "os.urandom")
 
@@ -214,3 +217,30 @@ def test_unused_definition_is_caught():
               "def helper():\n    return 1\n")
     assert unused_definitions({"m.py": source}, []) == ["m.py:4: spare", "m.py:6: helper"]
     assert unused_definitions({"m.py": source}, ["Used().spare()"]) == ["m.py:6: helper"]
+
+
+FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 20))
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # reporting a failure, hypothesis imports modules that warn as they load; under the suite's
+    # filterwarnings = ["error"] an unfiltered one ends the session in INTERNALERROR and hides
+    # the falsifying example and every later result
+    (tmp_path / "test_planted.py").write_text(FAILING_HYPOTHESIS_TEST, encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(PYPROJECT), "test_planted.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1 and "1 failed, 1 passed" in run.stdout
+    assert "Falsifying example: test_fails(" in run.stdout

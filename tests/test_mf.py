@@ -456,14 +456,14 @@ def _traced_peak(call):
 
 
 class TestMemory:
-    # 160x500 with F=40: the factor q (500x40) outweighs numpy's buffer for casting the int16
+    # 160x500 with F=40: the factor q (500x40) outweighs numpy's buffer for casting the int8
     # codes to float64 in the residual (np.getbufsize() values), so a q-sized temporary shows
     SAMPLES, SNPS, FEATURES = 160, 500, 40
 
     def _geno(self):
         rng = np.random.default_rng(5)
         observed = rng.random((self.SAMPLES, self.SNPS)) > 0.01
-        codes = rng.integers(0, 3, observed.shape).astype(np.int16)
+        codes = rng.integers(0, 3, observed.shape).astype(np.int8)
         codes[~observed] = MISSING_SENTINEL
         return GenotypeMatrix(codes)
 
@@ -489,7 +489,7 @@ class TestMemory:
         g = self._geno()
         fp = mf_init(self.SAMPLES, self.SNPS, MfConfig(features=self.FEATURES), seed=2)
         cells = self.SAMPLES * self.SNPS
-        assert _traced_peak(lambda: rounded_reconstruction(g, fp)) <= cells * (8 + 2) + 4096
+        assert _traced_peak(lambda: rounded_reconstruction(g, fp)) <= cells * (8 + 1) + 4096
 
 
 class TestImpute:

@@ -629,6 +629,20 @@ class TestPearsonCorrelation:
         assert (pearson_correlation([scale, 2 * scale, 4 * scale], [4, 2, 1])
                 == pytest.approx(pearson_correlation([1, 2, 4], [4, 2, 1]), rel=1e-15))
 
+    @pytest.mark.parametrize("pred", [[1.0, 1.5, 1.7], [1.0, 1.5, -1.7, -1.7]],
+                             ids=["same_sign", "mixed_sign"])
+    def test_inputs_whose_sum_overflows(self, pred):
+        # times 1e308 the plain mean is inf or nan; scaled before centring, the r stays put
+        actual = np.arange(1.0, len(pred) + 1)
+        r = pearson_correlation(np.multiply(pred, 1e308), actual)
+        assert r == pytest.approx(pearson_correlation(pred, actual), rel=1e-15)
+
+    def test_ordinary_inputs_take_the_plain_path_bit_for_bit(self):
+        p, a = Rng(3).gaussian(50), Rng(4).gaussian(50)
+        pc, ac = p - p.mean(), a - a.mean()
+        plain = float(np.dot(pc, ac) / (np.sqrt(np.sum(pc * pc)) * np.sqrt(np.sum(ac * ac))))
+        assert pearson_correlation(p, a) == plain
+
 
 class TestIdentityMemory:
     def test_nonnegative_state_propagates_bitwise(self):
