@@ -40,10 +40,11 @@ class GenotypeMatrix:
     snp_ids: list[str] | None = None
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)  # one byte per call; a code int8 cannot hold is refused
-        if codes.size and codes.dtype != np.int8 and not -128 <= codes.min() <= codes.max() <= 127:
-            raise DataError(f"genotype codes must fit in int8, got {codes.min()}..{codes.max()}")
-        self.codes = codes.astype(np.int8, copy=False)
+        codes = np.asarray(self.codes)  # one byte per call; int8 codes are kept as they are
+        with np.errstate(invalid="ignore"):  # NaN and inf have no int8; the round trip refuses them
+            self.codes = codes.astype(np.int8, copy=False)
+        if self.codes is not codes and not np.array_equal(self.codes, codes):
+            raise DataError(f"genotype code {codes[self.codes != codes][0]} is not a whole number in int8")
         if self.codes.ndim != 2:
             raise DataError(f"codes must be 2-D, got shape {self.codes.shape}")
 

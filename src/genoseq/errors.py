@@ -14,15 +14,13 @@ class ConfigError(GenoseqError):
 
 
 class ParseError(GenoseqError):
-    """An input file is malformed. Carries the offending location when known."""
+    """An input file is malformed. The message names the offending location when known."""
 
     def __init__(self, message, row=None, col=None):
         loc = ""
         if row is not None:
             loc = f" (row {row}" + (f", column {col})" if col is not None else ")")
         super().__init__(message + loc)
-        self.row = row
-        self.col = col
 
 
 class DataError(GenoseqError):

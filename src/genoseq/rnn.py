@@ -464,14 +464,12 @@ def pearson_correlation(pred, actual) -> float | None:
     # range, not the centered norm, which picks up mean-roundoff residue
     if p.size < 2 or p.max() == p.min() or a.max() == a.min():
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a power-of-two scale is exact and keeps r's bits wherever the plain sums stay normal; a
+    # largest magnitude in [0.5, 1) keeps every sum finite and the squares that carry r normal
+    with np.errstate(invalid="ignore"):  # a non-finite input gives nan, without a warning
+        p, a = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (p, a))
         pc, ac = p - p.mean(), a - a.mean()
         sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
-        if not (0.0 < sp < np.inf and 0.0 < sa < np.inf):  # a mean or the squares over/underflowed
-            p, a = p / np.abs(p).max(), a / np.abs(a).max()  # largest magnitude 1: finite means
-            pc, ac = p - p.mean(), a - a.mean()
-            pc, ac = pc / np.abs(pc).max(), ac / np.abs(ac).max()  # and no squares underflow
-            sp, sa = float(np.sqrt(np.sum(pc * pc))), float(np.sqrt(np.sum(ac * ac)))
     r = float(np.dot(pc, ac) / (sp * sa))
     # exactly affine inputs can land a few ulps inside the bounds from
     # roundoff; snap so perfect relations report exactly +/-1

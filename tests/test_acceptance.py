@@ -6,7 +6,9 @@ checklist. Budgets and thresholds are fixed here, not tuned at runtime.
 """
 
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -76,19 +78,23 @@ def test_03_feature_count_trend():
                f"missing accuracy margin F8-F1 = {margin:.1f} points")
 
 
+def _final_losses(rep):
+    """One repetition of acceptance 4: each cell's final loss on the repetition's own batch."""
+    seed = 2000 + rep
+    batch = deep_recall_task(32, 100, derive_seed(seed, "task"))
+    settings = RnnSettings(hidden=16, learning_rate=0.01, epochs=600)
+    return compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"], settings,
+                            seed).final_losses
+
+
 @pytest.mark.slow
 def test_04_cell_ordering_trend():
-    relu_wins = lstm_wins = 0
-    finals = []
-    for rep in range(10):
-        seed = 2000 + rep
-        batch = deep_recall_task(32, 100, derive_seed(seed, "task"))
-        settings = RnnSettings(hidden=16, learning_rate=0.01, epochs=600)
-        cmp = compare_on_batch(batch, ["simple_tanh", "lstm", "relu_identity"], settings, seed)
-        f = cmp.final_losses
-        relu_wins += f["relu_identity"] < f["simple_tanh"]
-        lstm_wins += f["lstm"] < f["simple_tanh"]
-        finals.append(f)
+    # the ten repetitions are independent, so two workers share them; spawn starts each
+    # from a fresh import rather than forking a process that holds BLAS threads
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        finals = list(pool.map(_final_losses, range(10)))
+    relu_wins = sum(f["relu_identity"] < f["simple_tanh"] for f in finals)
+    lstm_wins = sum(f["lstm"] < f["simple_tanh"] for f in finals)
     assert relu_wins >= 8, f"relu_identity beat simple_tanh only {relu_wins}/10 times"
     assert lstm_wins >= 8, f"lstm beat simple_tanh only {lstm_wins}/10 times"
     _report(4, f"deep-memory task over 100 steps, 600 matched epochs: "

@@ -1,10 +1,11 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genoseq.gradcheck as gc
@@ -605,6 +606,20 @@ class TestPredict:
             predict(p, np.zeros((0, 4, 2)))
 
 
+# decimal exponents of an input's magnitude: any, or where the plain squares are subnormal,
+# or where the plain sums overflow
+_MAGNITUDE_EXPONENTS = st.one_of(st.integers(-320, 308), st.integers(-164, -152),
+                                 st.integers(300, 308))
+
+
+def _exact_r(p, a) -> float:
+    """Pearson r of two float vectors in rational arithmetic, up to its final float square root."""
+    pc, ac = ([Fraction(x) - sum(map(Fraction, v)) / len(v) for x in v] for v in (p, a))
+    dot = sum(x * y for x, y in zip(pc, ac))
+    r = math.sqrt(dot * dot / (sum(x * x for x in pc) * sum(y * y for y in ac)))
+    return r if dot >= 0 else -r
+
+
 class TestPearsonCorrelation:
     def test_self_correlation(self):
         assert pearson_correlation([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
@@ -636,6 +651,31 @@ class TestPearsonCorrelation:
         actual = np.arange(1.0, len(pred) + 1)
         r = pearson_correlation(np.multiply(pred, 1e308), actual)
         assert r == pytest.approx(pearson_correlation(pred, actual), rel=1e-15)
+
+    def test_inputs_whose_squares_are_subnormal(self):
+        # times 1e-160 the plain squares are subnormal and lose bits; scaled first, r stays put
+        r = pearson_correlation([1e-160, 2e-160, 3.5e-160], [1, 2, 3])
+        assert r == pytest.approx(pearson_correlation([1, 2, 3.5], [1, 2, 3]), abs=1e-15)
+
+    @pytest.mark.parametrize("pred", [[np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0], [np.inf, -np.inf, 2.0]],
+                             ids=["nan", "inf", "both_infinities"])
+    def test_non_finite_input_gives_nan_without_a_warning(self, pred):
+        assert math.isnan(pearson_correlation(pred, [1.0, 2.0, 3.0]))
+        assert math.isnan(pearson_correlation([1.0, 2.0, 3.0], pred))
+
+    @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                    min_size=2, max_size=12), _MAGNITUDE_EXPONENTS, _MAGNITUDE_EXPONENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_exact_r_at_any_finite_magnitude(self, pairs, p_exp, a_exp):
+        # integer grids scaled to magnitudes from 1e-323 to 1e308; the reference is the exact
+        # r of the rounded floats, so only the function's own arithmetic can miss it
+        p = [float(Fraction(k, 1000) * Fraction(10) ** p_exp) for k, _ in pairs]
+        a = [float(Fraction(k, 1000) * Fraction(10) ** a_exp) for _, k in pairs]
+        assume(len(set(p)) > 1 and len(set(a)) > 1)
+        exact = _exact_r(p, a)
+        assume(abs(abs(exact) - (1 - 1e-12)) > 1e-14)  # clear of the snap to +/-1
+        expected = math.copysign(1.0, exact) if abs(exact) > 1 - 1e-12 else exact
+        assert abs(pearson_correlation(p, a) - expected) <= 1e-15
 
     def test_ordinary_inputs_take_the_plain_path_bit_for_bit(self):
         p, a = Rng(3).gaussian(50), Rng(4).gaussian(50)
