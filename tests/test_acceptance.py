@@ -8,6 +8,7 @@ checklist. Budgets and thresholds are fixed here, not tuned at runtime.
 import json
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -90,8 +91,11 @@ def _final_losses(rep):
 @pytest.mark.slow
 def test_04_cell_ordering_trend():
     # the ten repetitions are independent, so two workers share them; spawn starts each
-    # from a fresh import rather than forking a process that holds BLAS threads
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+    # from a fresh import rather than forking a process that holds BLAS threads. A spawned
+    # worker starts with Python's default warning filters, not pytest's, so each one turns
+    # warnings into errors itself, as the pytest config does for the test process
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter, initargs=("error",)) as pool:
         finals = list(pool.map(_final_losses, range(10)))
     relu_wins = sum(f["relu_identity"] < f["simple_tanh"] for f in finals)
     lstm_wins = sum(f["lstm"] < f["simple_tanh"] for f in finals)
