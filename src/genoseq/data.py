@@ -47,6 +47,8 @@ class GenotypeMatrix:
             raise DataError(f"genotype code {codes[self.codes != codes][0]} is not a whole number in int8")
         if self.codes.ndim != 2:
             raise DataError(f"codes must be 2-D, got shape {self.codes.shape}")
+        if self.snp_ids is not None and len(self.snp_ids) != self.snps:
+            raise DataError(f"{len(self.snp_ids)} snp ids for {self.snps} columns of codes")
 
     @property
     def observed(self) -> np.ndarray:
@@ -76,6 +78,8 @@ class PhenotypeTable:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DataError(f"values must be 2-D, got shape {self.values.shape}")
+        if self.trait_names is not None and len(self.trait_names) != self.traits:
+            raise DataError(f"{len(self.trait_names)} trait names for {self.traits} columns of values")
 
     @property
     def observed(self) -> np.ndarray:
@@ -304,25 +308,21 @@ def synth_lowrank_genotypes(samples: int, snps: int, rank: int, missing_frac: fl
     rounded to codes {0,1,2}. The affine offset is itself a rank-one term,
     so it is charged against the rank budget: the factors carry rank - 1
     columns and the pre-rounding matrix has numeric rank <= rank. (For
-    rank 1 the matrix is a pure scaling of a one-column product.) The
-    holed copy masks ceil(missing_frac * cells) entries chosen uniformly
-    ("entry" mode) or concentrates missingness in a fraction of SNP
-    columns ("snp_block" mode, 1-25% of samples hit per affected SNP).
+    rank 1 both factors are uniform on [0, 1) and the matrix is a pure
+    scaling of their one-column product.) The holed copy masks
+    ceil(missing_frac * cells) entries chosen uniformly ("entry" mode) or
+    concentrates missingness in a fraction of SNP columns ("snp_block"
+    mode, 1-25% of samples hit per affected SNP).
     """
     _check_synth_shape(samples, snps, rank, "rank")
     rng = Rng(seed)
-    if rank == 1:
-        a = rng.uniform((samples, 1))
-        b = rng.uniform((snps, 1))
-        raw = a @ b.T
-        raw *= 2.0 / raw.max()
-    else:
-        a = rng.uniform((samples, rank - 1), -1.0, 1.0)
-        b = rng.uniform((snps, rank - 1), -1.0, 1.0)
-        raw = a @ b.T
-        lo, hi = raw.min(), raw.max()
-        raw = (raw - lo) * (2.0 / (hi - lo))
-    codes = np.clip(np.rint(raw), 0, 2).astype(np.int8)
+    lo, cols = (0.0, 1) if rank == 1 else (-1.0, rank - 1)
+    a, b = (rng.uniform((n, cols), lo, 1.0) for n in (samples, snps))  # a first, then b
+    raw = a @ b.T
+    if rank > 1:  # a rounded subtraction is monotone: the new maximum is exactly hi - lo
+        raw -= raw.min()
+    raw *= 2.0 / raw.max()  # [0, 2(1 + eps)] rounds into {0, 1, 2}
+    codes = np.rint(raw, out=raw).astype(np.int8)
     return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 
@@ -372,7 +372,7 @@ def synth_population_genotypes(samples: int, snps: int, groups: int, missing_fra
     rng = Rng(seed)
     assign = np.floor(rng.uniform(samples, 0, groups)).astype(np.int64)
     protos = rng.uniform((groups, snps), 0.0, 2.0)
-    codes = np.clip(np.rint(protos[assign]), 0, 2).astype(np.int8)
+    codes = np.rint(protos).astype(np.int8)[assign]  # [0, 2) rounds into {0, 1, 2}
     return _mask_holes(codes, missing_frac, missing_mode, rng), GenotypeMatrix(codes)
 
 
@@ -394,11 +394,10 @@ def synth_phenotypes(truth: GenotypeMatrix, traits: int = 2, seed: int = 0,
     k = min(8, truth.snps)
     check_alloc(u * traits)
     values = np.zeros((u, traits))
-    g = truth.codes.astype(np.float64)
     for t in range(traits):
         cols = rng.permutation(truth.snps)[:k]
-        w = rng.gaussian(k)
-        values[:, t] = g[:, cols] @ w / math.sqrt(k) + noise * rng.gaussian(u)
+        x = truth.codes[:, cols].astype(np.float64)  # a mixed-dtype matmul rounds otherwise
+        values[:, t] = x @ rng.gaussian(k) / math.sqrt(k) + noise * rng.gaussian(u)
         if missing_per_trait:
             miss = rng.permutation(u)[:missing_per_trait]
             values[miss, t] = np.nan
@@ -440,7 +439,7 @@ def genotype_sequences(g: GenotypeMatrix, chunk_width: int) -> np.ndarray:
     t_seq = math.ceil(v / chunk_width)
     check_alloc(u * t_seq * chunk_width)
     x = np.zeros((u, t_seq * chunk_width))
-    x[:, :v] = g.codes.astype(np.float64)
+    x[:, :v] = g.codes
     x *= 0.5
     return x.reshape(u, t_seq, chunk_width)
 

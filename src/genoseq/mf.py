@@ -111,13 +111,12 @@ def _scratch(d: np.ndarray, like: np.ndarray):
 
 
 def _diagonals(g: GenotypeMatrix) -> list:
-    """Observed cells as (rows, cols, float codes), one triple per anti-diagonal u+v, in order."""
+    """Observed cells as (rows, cols, int8 codes), one triple per anti-diagonal u+v, in order."""
     us, vs = np.nonzero(g.observed)
     order = np.argsort(us + vs, kind="stable")  # row-major within each diagonal
     us, vs = us[order], vs[order]
     cuts = np.flatnonzero(np.diff(us + vs)) + 1
-    return list(zip(np.split(us, cuts), np.split(vs, cuts),
-                    np.split(g.codes[us, vs].astype(np.float64), cuts)))
+    return list(zip(np.split(us, cuts), np.split(vs, cuts), np.split(g.codes[us, vs], cuts)))
 
 
 def mf_init(samples: int, snps: int, cfg: MfConfig, seed: int) -> FactorPair:
@@ -187,7 +186,7 @@ def mf_epoch(g: GenotypeMatrix, fp: FactorPair, cfg: MfConfig, epoch: int = 0,
                 workspace["diagonals"] = _diagonals(g)
             for us, vs, codes in workspace["diagonals"]:
                 pu, qv = p[us], q[vs]
-                err = codes - np.matmul(pu[:, None, :], qv[:, :, None])[:, 0, 0]
+                err = codes - np.matmul(pu[:, None, :], qv[:, :, None])[:, 0, 0]  # exact int8 cast
                 err2 = (2.0 * err)[:, None]
                 p_u = pu + cfg.alpha * (err2 * qv - cfg.beta * pu)
                 q[vs] = qv + cfg.alpha * (err2 * p_u - cfg.beta * qv)

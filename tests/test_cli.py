@@ -777,10 +777,11 @@ class TestSharedBehavior:
         {"rnn": {"clip_norm": "off"}}, {"threads": 2}, {"mf": {"seed": 3}},
         {"data": {"normalization": "scaled"}}, {"genotype_mode": "imputed"},
         {"rnn": {"batch_mode": "full_batch"}}, {"mf": {"cost_tolerance": 0.5}},
-        {"out": "a\u0000b"}, {"traits": [0, 0]},
+        {"out": "a\u0000b"}, {"traits": [0, 0]}, {"mf": 3},
     ], ids=["features_str", "hidden_str", "ratios_int", "init_range_int", "traits_int",
             "epochs_bool", "clip_norm_str", "threads", "mf_seed", "normalization",
-            "genotype_mode", "batch_mode", "cost_tolerance", "out_nul", "traits_repeated"])
+            "genotype_mode", "batch_mode", "cost_tolerance", "out_nul", "traits_repeated",
+            "mf_not_an_object"])
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
                                                     small_run, doc, command):
         # each command line alone is a valid small run, so a command that read its input

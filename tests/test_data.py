@@ -243,6 +243,12 @@ class TestGenotypeCodec:
         expected = "".join(line + "\n" for line in lines)
         assert (tmp_path / "g.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("ids", [[], ["a"], ["a", "b", "c"]])
+    def test_snp_id_count_must_match_the_columns(self, ids):
+        # genotype_to_csv would write a header that parse_genotype_csv refuses as ragged
+        with pytest.raises(DataError, match=f"{len(ids)} snp ids for 2 columns of codes"):
+            GenotypeMatrix([[0, 1]], ids)
+
     def test_write_extreme_codes(self, tmp_path):
         codes = np.array([[-128, 127, -1], [0, 10, -100]], dtype=np.int8)
         genotype_to_csv(GenotypeMatrix(codes, ["a", "b", "c"]), tmp_path / "g.csv")
@@ -323,6 +329,12 @@ class TestPhenotypeCsv:
         np.testing.assert_array_equal(np.isnan(again.values), np.isnan(values))
         assert again.values[~np.isnan(values)].tobytes() == values[~np.isnan(values)].tobytes()
 
+    @pytest.mark.parametrize("names", [[], ["t"], ["t", "u", "v"]])
+    def test_trait_name_count_must_match_the_columns(self, names):
+        # phenotype_to_csv would write a header that parse_phenotype_csv refuses as ragged
+        with pytest.raises(DataError, match=f"{len(names)} trait names for 2 columns of values"):
+            PhenotypeTable([[1.0, 2.0]], names)
+
     def test_observed_is_derived_and_read_only(self):
         p = PhenotypeTable([[1.5, math.nan], [-2.0, 0.0]])
         with pytest.raises(ValueError, match="read-only"):
@@ -400,6 +412,8 @@ class TestSynthLowrank:
         sv = np.linalg.svd(raw, compute_uv=False)
         assert (sv[rank:] < 1e-9).all()
         assert raw.min() >= 0.0 and raw.max() <= 2.0
+        _, truth = synth_lowrank_genotypes(20, 25, rank, missing_frac=0.0, seed=13)
+        assert truth.codes.tolist() == np.rint(raw).astype(int).tolist()  # one path, same codes
 
     def test_snp_block_mode(self):
         holed, truth = synth_lowrank_genotypes(50, 60, rank=3, missing_frac=0.2,

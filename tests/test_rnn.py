@@ -13,8 +13,8 @@ from genoseq import rnn
 from genoseq.data import SequenceBatch
 from genoseq.errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
 from genoseq.linalg import Rng
-from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, LSTM_FORGET_BIAS, RnnParams, RnnSettings,
-                         bptt_gradients, clip_gradients, gradient_norm,
+from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, CORRELATION_SNAP, LSTM_FORGET_BIAS, RnnParams,
+                         RnnSettings, bptt_gradients, clip_gradients, gradient_norm,
                          load_checkpoint, loss_mse, pearson_correlation, predict,
                          rnn_forward, rnn_init, save_checkpoint, sgd_step, train)
 
@@ -673,9 +673,28 @@ class TestPearsonCorrelation:
         a = [float(Fraction(k, 1000) * Fraction(10) ** a_exp) for _, k in pairs]
         assume(len(set(p)) > 1 and len(set(a)) > 1)
         exact = _exact_r(p, a)
-        assume(abs(abs(exact) - (1 - 1e-12)) > 1e-14)  # clear of the snap to +/-1
-        expected = math.copysign(1.0, exact) if abs(exact) > 1 - 1e-12 else exact
+        assume(abs(abs(exact) - (1 - CORRELATION_SNAP)) > 1e-15)  # clear of the snap's edge
+        expected = math.copysign(1.0, exact) if abs(exact) > 1 - CORRELATION_SNAP else exact
         assert abs(pearson_correlation(p, a) - expected) <= 1e-15
+
+    @given(st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=200), st.integers(1, 2**15),
+           st.sampled_from([1.0, -1.0]), st.integers(-2**20, 2**20), st.integers(-60, 60),
+           st.integers(-60, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_affine_inputs_give_exactly_one(self, x, a, sign, b, x_exp, y_exp):
+        # y = a*x + b is exact (|y| < 2^36), and so is each power-of-two scale
+        assume(len(set(x)) > 1)
+        x = np.array(x, dtype=np.float64)
+        y = sign * a * x + b
+        assert pearson_correlation(np.ldexp(x, x_exp), np.ldexp(y, y_exp)) == sign
+
+    @pytest.mark.parametrize("pred, actual", [([0, 1, 2, 3], [0, 1, 2, 3.000001]),
+                                              ([0, 1e6, 1], [0, 1e6, 2])])
+    def test_an_almost_perfect_correlation_is_not_snapped(self, pred, actual):
+        # exact r 0.99999999999997 and 0.999999999999625: thousands of ulps inside +/-1
+        for sign in (1.0, -1.0):
+            r = pearson_correlation(pred, np.multiply(sign, actual))
+            assert abs(r) < 1.0 and abs(r - _exact_r(pred, np.multiply(sign, actual))) <= 1e-15
 
     def test_ordinary_inputs_take_the_plain_path_bit_for_bit(self):
         p, a = Rng(3).gaussian(50), Rng(4).gaussian(50)

@@ -1,0 +1,115 @@
+"""``python tools/parity.py PARENT``: does a change keep a fixed command list's outputs?
+
+PARENT is a git revision (extracted with ``git archive``) or a source tree. The commands run on
+PARENT and on this working tree, each with its own ``src`` and ``benchmarks`` on PYTHONPATH and
+in its own temporary directory. Every file left behind and each command's exit code, stdout and
+stderr are compared by sha256: each difference prints a line and exits 1, else the counts print.
+"""
+
+import argparse
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cli(*argv: str) -> list[str]:
+    return ["-m", "genoseq.cli", *argv]
+
+
+INPUTS = {"per_entry.json": '{"mf": {"mode": "per_entry", "features": 8}}\n'}  # written first
+# one op of a benchmark workload at seed 1, through benchmarks/workloads.py
+_OP = ("import pathlib, sys, workloads; from genoseq.cli import main\n"
+       "w = workloads.WORKLOADS[sys.argv[1]]; work = pathlib.Path(w.name)\n"
+       "print([main(c) for c in w.commands(w.prepare(main, work, 1), work / 'out')])")
+_PIPELINE = ("from genoseq import mf, pipeline as p\n"
+             "cfg = p.PipelineConfig(mf.MfConfig(features=8, epochs=300), seed=42, traits=(0, 1))\n"
+             "print(p.export_report(p.run_pipeline('data/geno_holed.csv', 'data/pheno.csv', cfg,"
+             " 'data/geno_truth.csv'), 'pipeline'))")
+_SEED, _SMALL = ("--seed", "42"), ("--samples", "60", "--snps", "90", "--seed", "42")
+_PREDICT = ("--geno", "run/imputed.csv", "--trait", "0")
+COMMANDS = [
+    _cli("synth", "--samples", "100", "--snps", "200", "--rank", "5", "--missing-frac", "0.1",
+         *_SEED, "--out", "data"),
+    _cli("impute", "--geno", "data/geno_holed.csv", "--truth", "data/geno_truth.csv", "--features",
+         "8", "--alpha", "0.001", "--beta", "0.02", "--epochs", "1500", *_SEED, "--out", "run"),
+    *(cmd for cell in ("relu_identity", "simple_tanh", "lstm") for cmd in (
+        _cli("train", *_PREDICT, "--pheno", "data/pheno.csv", "--cell", cell, "--hidden", "16",
+             "--lr", "0.05", "--epochs", "100", "--chunk-width", "20", *_SEED, "--out", f"run/{cell}"),
+        _cli("predict", "--checkpoint", f"run/{cell}/checkpoint.json", *_PREDICT,
+             "--pheno", "data/pheno.csv", "--out", f"run/{cell}/pheno"),
+        _cli("predict", "--checkpoint", f"run/{cell}/checkpoint.json", *_PREDICT,
+             "--out", f"run/{cell}/plain"))),
+    _cli("impute", "--geno", "data/geno_holed.csv", "--epochs", "20", "--config", "per_entry.json",
+         *_SEED, "--out", "per_entry"),
+    _cli("synth", *_SMALL, "--rank", "1", "--out", "synth/rank1"),
+    _cli("synth", *_SMALL, "--missing-mode", "snp_block", "--trait-missing", "4",
+         "--out", "synth/lowrank_block"),
+    _cli("synth", "--generator", "population", "--samples", "604", "--snps", "1980",
+         "--rank", "20", *_SEED, "--out", "synth/population"),
+    _cli("synth", "--generator", "population", *_SMALL, "--missing-mode", "snp_block",
+         "--out", "synth/population_block"),
+    ["-c", _PIPELINE, "run_pipeline"],
+    _cli("benchmark", "--task", "deep", "--length", "100", "--sequences", "32", "--lr", "0.01",
+         "--epochs", "600", "--seed", "7", "--out", "bench"),
+    _cli("benchmark", "--task", "lag", "--length", "20", "--sequences", "16", "--epochs", "100",
+         "--seed", "7", "--out", "bench_preset_lr"),
+    _cli("gradcheck", "--trials", "30", "--seed", "1"),
+    *(["-c", _OP, name] for name in ("impute-paper", "cells-deep", "walkthrough")),
+]
+
+
+def run(tree: Path, work: Path) -> dict[str, str]:
+    """The sha256 of each command stream and output file of the command list run on ``tree``."""
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / d) for d in ("src", "benchmarks")))
+    for name, text in INPUTS.items():
+        (work / name).write_text(text, encoding="utf-8")
+    blobs = {}
+    for i, argv in enumerate(COMMANDS):
+        done = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True)
+        label = f"command {i} ({argv[2]})"  # the cli command, or the script's argument
+        blobs[f"{label} exit code"] = str(done.returncode).encode()
+        blobs[f"{label} stdout"] = done.stdout.replace(os.fsencode(tree), b"<tree>")
+        blobs[f"{label} stderr"] = done.stderr.replace(os.fsencode(tree), b"<tree>")
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        blobs[f"file {path.relative_to(work).as_posix()}"] = path.read_bytes()
+    return {key: hashlib.sha256(blob).hexdigest() for key, blob in blobs.items()}
+
+
+def _source_tree(parent: str, scratch: Path) -> Path:
+    if Path(parent).is_dir():
+        return Path(parent).resolve()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent], capture_output=True)
+    if archive.returncode:
+        print(f"parity: {parent!r} is neither a directory nor a git revision", file=sys.stderr)
+        sys.exit(2)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(scratch, filter="data")
+    return scratch
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git revision or source tree to compare against")
+    parent = parser.parse_args(argv).parent
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": _source_tree(parent, Path(tmp, "tree")), "change": ROOT}
+        before, after = (run(tree, Path(tmp, side)) for side, tree in trees.items())
+    differ = [k for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
+    for key in differ:
+        print(f"differs: {key}")
+    if not differ:
+        n_files = sum(key.startswith("file ") for key in after)
+        print(f"parity: {n_files} files and {len(COMMANDS)} commands matched")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
