@@ -25,6 +25,7 @@ MISSING_SENTINEL = 5
 
 _CALL_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": MISSING_SENTINEL,
                "0": 0, "1": 1, "2": 2, str(MISSING_SENTINEL): MISSING_SENTINEL}
+_CODE_CELLS = np.array([str(v) for v in range(MISSING_SENTINEL + 1)], dtype=object)
 
 
 def _read_only(mask: np.ndarray) -> np.ndarray:
@@ -34,17 +35,20 @@ def _read_only(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GenotypeMatrix:
-    """Integer genotype codes as int8, samples x snps, with the missing sentinel at each hole."""
+    """Genotype codes 0, 1, 2 as int8, samples x snps, with the missing sentinel at each hole."""
 
     codes: np.ndarray
     snp_ids: list[str] | None = None
 
     def __post_init__(self):
         codes = np.asarray(self.codes)  # one byte per call; int8 codes are kept as they are
-        with np.errstate(invalid="ignore"):  # NaN and inf have no int8; the round trip refuses them
+        with np.errstate(invalid="ignore"):  # NaN and inf have no int8; the check refuses them
             self.codes = codes.astype(np.int8, copy=False)
-        if self.codes is not codes and not np.array_equal(self.codes, codes):
-            raise DataError(f"genotype code {codes[self.codes != codes][0]} is not a whole number in int8")
+        valid = (self.codes.view(np.uint8) <= 2) | (self.codes == MISSING_SENTINEL)
+        if self.codes is not codes:  # a cast must keep every value
+            valid &= self.codes == codes
+        if not valid.all():
+            raise DataError(f"genotype code {codes[~valid][0]} is not 0, 1, 2 or {MISSING_SENTINEL}")
         if self.codes.ndim != 2:
             raise DataError(f"codes must be 2-D, got shape {self.codes.shape}")
         if self.snp_ids is not None and len(self.snp_ids) != self.snps:
@@ -69,13 +73,15 @@ class GenotypeMatrix:
 
 @dataclass
 class PhenotypeTable:
-    """Continuous trait measurements, samples x traits, with NaN at each missing measurement."""
+    """Finite trait measurements, samples x traits, with NaN at each missing measurement."""
 
     values: np.ndarray
     trait_names: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        if np.isinf(self.values).any():  # a missing value is NaN; no file holds an infinite one
+            raise DataError(f"trait value {self.values[np.isinf(self.values)][0]} is not finite")
         if self.values.ndim != 2:
             raise DataError(f"values must be 2-D, got shape {self.values.shape}")
         if self.trait_names is not None and len(self.trait_names) != self.traits:
@@ -173,12 +179,19 @@ class Curve:
     """Per-epoch records of one fit or training run; JSON reports export each one's fields."""
 
     records: list = field(default_factory=list)
+    csv_columns = ()  # the record fields a subclass's CSV export writes, in order
 
     def __len__(self) -> int:
         return len(self.records)
 
     def to_rows(self) -> list[dict]:
         return [asdict(r) for r in self.records]
+
+    def to_csv(self, path) -> None:
+        """Write each record's ``csv_columns``: an int in decimal, a float by repr, None empty."""
+        write_csv(path, self.csv_columns, (
+            ["" if v is None else str(v) if isinstance(v, int) else repr(float(v))
+             for v in (getattr(r, c) for c in self.csv_columns)] for r in self.records))
 
 
 def parse_genotype_csv(path) -> GenotypeMatrix:
@@ -232,9 +245,7 @@ def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
 def genotype_to_csv(g: GenotypeMatrix, path) -> None:
     """Write a GenotypeMatrix back to CSV, one code per cell (holes keep the sentinel)."""
     ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
-    lo, hi = int(g.codes.min(initial=0)), int(g.codes.max(initial=0))  # str() once per code in lo..hi
-    strings = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-    write_csv(path, ids, (strings[np.subtract(row, lo, dtype=np.intp)].tolist() for row in g.codes))
+    write_csv(path, ids, (_CODE_CELLS[row].tolist() for row in g.codes))
 
 
 def parse_phenotype_csv(path) -> PhenotypeTable:

@@ -5,10 +5,6 @@ class GenoseqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ShapeError(GenoseqError):
-    """Matrix dimensions are invalid or incompatible."""
-
-
 class ConfigError(GenoseqError):
     """A configuration value is out of its legal range."""
 
@@ -24,7 +20,7 @@ class ParseError(GenoseqError):
 
 
 class DataError(GenoseqError):
-    """A dataset violates a precondition (no observed entries, holes left, an empty batch)."""
+    """An input does not fit: incompatible shapes, or a dataset that violates a precondition."""
 
 
 class DivergenceError(GenoseqError):

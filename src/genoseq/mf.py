@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Curve, GenotypeMatrix, write_csv
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .data import Curve, GenotypeMatrix
+from .errors import ConfigError, DataError, DivergenceError
 from .linalg import Rng, buffer, frobenius_sq
 
 MF_MODES = ("full_batch", "per_entry")
@@ -69,7 +69,7 @@ class FactorPair:
         self.p = np.asarray(self.p, dtype=np.float64)
         self.q = np.asarray(self.q, dtype=np.float64)
         if self.p.ndim != 2 or self.q.ndim != 2 or self.p.shape[1] != self.q.shape[1]:
-            raise ShapeError(f"factor shapes incompatible: p {self.p.shape}, q {self.q.shape}")
+            raise DataError(f"factor shapes incompatible: p {self.p.shape}, q {self.q.shape}")
 
 
 @dataclass
@@ -83,14 +83,10 @@ class CostRecord:
 @dataclass
 class CostCurve(Curve):
     n_observed: int = 0  # the fitted matrix's observed entries, over which each mse averages
+    csv_columns = ("epoch", "sse", "objective")
 
     def final_sse(self) -> float:
         return self.records[-1].sse if self.records else float("nan")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("epoch", "sse", "objective"),
-                  ((str(r.epoch), repr(float(r.sse)), repr(float(r.objective)))
-                   for r in self.records))
 
 
 def _masked_residual(g: GenotypeMatrix, fp: FactorPair, workspace: dict) -> np.ndarray:
@@ -126,7 +122,7 @@ def mf_init(samples: int, snps: int, cfg: MfConfig, seed: int) -> FactorPair:
     function of (samples, snps, cfg, seed).
     """
     if samples < 1 or snps < 1:
-        raise ShapeError(f"need samples, snps >= 1, got {samples}x{snps}")
+        raise DataError(f"need samples, snps >= 1, got {samples}x{snps}")
     lo, hi = cfg.init_range
     rng = Rng(seed)
     p = rng.uniform((samples, cfg.features), lo, hi)
@@ -262,8 +258,8 @@ def imputation_accuracy(truth: GenotypeMatrix, imputed: GenotypeMatrix, holes: n
     holes the first percentage is undefined and reported as None.
     """
     if truth.codes.shape != imputed.codes.shape or truth.codes.shape != holes.shape:
-        raise ShapeError(f"shape mismatch: truth {truth.codes.shape}, imputed "
-                         f"{imputed.codes.shape}, holes {holes.shape}")
+        raise DataError(f"shape mismatch: truth {truth.codes.shape}, imputed "
+                        f"{imputed.codes.shape}, holes {holes.shape}")
     if not truth.fully_observed() or not imputed.fully_observed():
         raise DataError("accuracy needs fully observed truth and imputed matrices")
     agree = truth.codes == imputed.codes

@@ -176,9 +176,7 @@ class RunReport:
     """Everything one pipeline run produced, recomputable from its ``cfg``.
 
     The report holds the run's PipelineConfig, and its export writes the
-    config, the stage seeds and each trait's cell from it. ``stage_seconds``
-    is informational only and excluded from exports so repeated runs
-    serialize byte-identically.
+    config, the stage seeds and each trait's cell from it.
     """
 
     cfg: PipelineConfig
@@ -186,7 +184,6 @@ class RunReport:
     mf_accuracy: tuple | None = None
     trait_results: list[TraitResult] = field(default_factory=list)
     split_sizes: dict = field(default_factory=dict)
-    stage_seconds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = {"version": REPORT_VERSION, "config": self.cfg.to_config(),
@@ -231,8 +228,8 @@ def train_trait(batch: SequenceBatch, split: dict[str, np.ndarray], cfg: Pipelin
     each split name to its sample indices (see DataSettings.split), and
     ``trait`` is one of ``cfg.traits``. A trait that cannot be trained
     returns no model and a result whose ``error`` says why: a DataError
-    when no training sample has the trait, or the DivergenceError of a
-    training that diverged, whose partial curve the result keeps.
+    when no training sample has the trait, or a DivergenceError when the
+    training or a split's loss diverged; the result keeps the curve so far.
     """
     parts = {name: batch.subset_by_samples(idx) for name, idx in split.items()}
     result = TraitResult(trait=trait, n_samples={name: len(part) for name, part in parts.items()})
@@ -242,16 +239,21 @@ def train_trait(batch: SequenceBatch, split: dict[str, np.ndarray], cfg: Pipelin
     params = rnn.rnn_init(cfg.rnn.cell, batch.inputs.shape[2], cfg.rnn.hidden, 1,
                           cfg.seeds()[f"rnn/trait{trait}"])
     val = parts["validation"] if len(parts["validation"]) else None
+    train_targets = parts["train"].targets
+    target_range = float(train_targets.max() - train_targets.min())
     try:
         trained, result.curve = rnn.train(params, parts["train"], val, cfg.rnn)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mse is a divergence
+            metrics = {name: evaluate_split(trained, part, cfg.success_tolerance, target_range)
+                       for name, part in parts.items() if len(part)}
+        for name, m in metrics.items():
+            if not math.isfinite(m.mse):
+                raise DivergenceError(f"{name} split loss became non-finite", curve=result.curve)
     except DivergenceError as e:
         e.__context__ = None  # keep the error, not the frames of the training it ended
         result.error, result.curve = e.with_traceback(None), e.curve
         return None, result
-    train_targets = parts["train"].targets
-    target_range = float(train_targets.max() - train_targets.min())
-    result.metrics = {name: evaluate_split(trained, part, cfg.success_tolerance, target_range)
-                      for name, part in parts.items() if len(part)}
+    result.metrics = metrics
     return trained, result
 
 
@@ -267,7 +269,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
     truth = parse_genotype_csv(truth_path) if truth_path is not None else None
-    report.stage_seconds["parse"] = time.perf_counter() - t0
+    log.info("stage parse took %.3f s", time.perf_counter() - t0)
     if geno.samples != phenos.samples:
         raise DataError(f"genotype has {geno.samples} samples, phenotypes {phenos.samples}")
     check_traits(cfg.traits, phenos)
@@ -275,7 +277,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     t0 = time.perf_counter()
     geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.mf, cfg.seeds()["mf"],
                                                               truth)
-    report.stage_seconds["impute"] = time.perf_counter() - t0
+    log.info("stage impute took %.3f s", time.perf_counter() - t0)
 
     split = cfg.split(geno.samples)
     report.split_sizes = {name: int(idx.size) for name, idx in split.items()}
@@ -287,9 +289,7 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
         if result.error is not None:
             log.warning("trait %d failed: %s", trait, result.error)
         report.trait_results.append(result)
-    report.stage_seconds["train"] = time.perf_counter() - t0
-    for stage, secs in report.stage_seconds.items():
-        log.info("stage %s took %.3f s", stage, secs)
+    log.info("stage train took %.3f s", time.perf_counter() - t0)
     return report
 
 
@@ -340,11 +340,9 @@ def compare_on_batch(batch: SequenceBatch, cells, settings: RnnSettings,
         params.b_o[:] = batch.targets.mean(axis=0)
         try:
             _, curves[cell] = rnn.train(params, batch, None, settings)
-            finals[cell] = curves[cell].final_train_loss()
+            finals[cell] = curves[cell].records[-1].train_loss
         except DivergenceError as e:
-            curves[cell] = e.curve
-            finals[cell] = float("inf")
-            diverged[cell] = str(e)
+            curves[cell], finals[cell], diverged[cell] = e.curve, float("inf"), str(e)
     ordering = sorted(cells, key=lambda c: finals[c])
     return CellComparison(curves, finals, diverged, ordering)
 
@@ -352,8 +350,7 @@ def compare_on_batch(batch: SequenceBatch, cells, settings: RnnSettings,
 def export_report(report: RunReport, dir_path) -> dict:
     """Write report.json, mf_cost.csv, each trait's curve, metrics.csv and a hash manifest.
 
-    Returns the manifest. Stage timings are not exported, so identical runs
-    produce identical bytes and the manifest hashes match.
+    Returns the manifest. Identical runs write identical bytes, so the manifest hashes match.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)

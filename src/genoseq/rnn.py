@@ -23,8 +23,8 @@ from typing import Literal
 
 import numpy as np
 
-from .data import Curve, SequenceBatch, read_json, write_csv, write_json
-from .errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
+from .data import Curve, SequenceBatch, read_json, write_json
+from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .linalg import Rng, buffer, sigmoid
 
 CELLS = ("simple_tanh", "lstm", "relu_identity")
@@ -75,7 +75,7 @@ class RnnParams:
         for name, shape in expect.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
+                raise DataError(f"{name} must have shape {shape}, got {arr.shape}")
             setattr(self, name, arr)
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -118,14 +118,7 @@ class EpochRecord:
 
 
 class TrainingCurve(Curve):
-    def final_train_loss(self) -> float:
-        return self.records[-1].train_loss if self.records else float("nan")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("epoch", "train_loss", "val_loss"),
-                  ((str(r.epoch), repr(float(r.train_loss)),
-                    repr(float(r.val_loss)) if r.val_loss is not None else "")
-                   for r in self.records))
+    csv_columns = ("epoch", "train_loss", "val_loss")
 
 
 def rnn_init(cell: str, n_in: int, n_hidden: int, n_out: int, seed: int) -> RnnParams:
@@ -212,14 +205,14 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3:
-        raise ShapeError(f"inputs must be (batch, T, n_in), got {x.shape}")
+        raise DataError(f"inputs must be (batch, T, n_in), got {x.shape}")
     b, t_len, n_in = x.shape
     if t_len == 0:
         raise DataError("empty sequence")
     if b == 0:
         raise DataError("empty batch: no sequences to run")
     if n_in != params.n_in:
-        raise ShapeError(f"input width {n_in} does not match model n_in {params.n_in}")
+        raise DataError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
     workspace = {} if workspace is None else workspace
     states = buffer(workspace, "states", (t_len + 1, b, m))
@@ -228,7 +221,7 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
     else:
         h0 = np.asarray(h0, dtype=np.float64)
         if h0.shape not in ((m,), (b, m)):
-            raise ShapeError(f"h0 must have shape ({m},) or ({b}, {m}), got {h0.shape}")
+            raise DataError(f"h0 must have shape ({m},) or ({b}, {m}), got {h0.shape}")
         states[0] = h0
 
     xs = buffer(workspace, "x", (t_len, b, n_in))
@@ -289,7 +282,7 @@ def loss_mse(predictions, targets) -> float:
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
-        raise ShapeError(f"predictions {p.shape} and targets {t.shape} differ")
+        raise DataError(f"predictions {p.shape} and targets {t.shape} differ")
     return float(np.mean((p - t) ** 2))
 
 
@@ -387,7 +380,12 @@ def _lstm_factors(fwd: ForwardPass) -> np.ndarray:
 
 
 def gradient_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    """The global L2 norm, taken at an exact power-of-two scale where the squares overflow."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if norm == np.inf and all(np.isfinite(g).all() for g in grads.values()):
+        e = np.frexp(max(float(np.abs(g).max()) for g in grads.values()))[1]
+        norm = float(np.ldexp(gradient_norm({k: np.ldexp(g, -e) for k, g in grads.items()}), e))
+    return norm
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
@@ -405,7 +403,7 @@ def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: flo
     for name, value in params.tensors().items():
         g = grads[name]
         if g.shape != value.shape:
-            raise ShapeError(f"gradient {name} has shape {g.shape}, expected {value.shape}")
+            raise DataError(f"gradient {name} has shape {g.shape}, expected {value.shape}")
         stepped = value - learning_rate * g
         if not np.all(np.isfinite(stepped)):
             raise DivergenceError(f"parameter {name} became non-finite")
@@ -418,10 +416,10 @@ def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatc
     """Gradient-descent training loop; returns (trained params, curve).
 
     Each epoch takes one step on the whole batch and ends with a fresh loss
-    evaluation (and a validation loss when a validation batch is given).
-    The passes on the training batch share one workspace, those on validation another.
-    Deterministic for a fixed (params, data, settings); the model comes
-    from ``params``, not ``settings``.
+    evaluation (and a validation loss when a validation batch is given); a
+    non-finite parameter or loss raises DivergenceError with the epoch and
+    the curve so far. The training passes share one workspace, the validation
+    passes another. Deterministic; the model comes from ``params``, not ``settings``.
     """
     clip_norm = settings.clip_norm
     if clip_norm == "default":
@@ -440,14 +438,14 @@ def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatc
                     grads = clip_gradients(grads, clip_norm)
                 params = sgd_step(params, grads, settings.learning_rate)
                 train_loss = loss_mse(rnn_forward(params, x_train, workspace=ws).outputs, t_train)
-            if not np.isfinite(train_loss):
-                raise DivergenceError("training loss became non-finite")
+                val_loss = None if val_batch is None else loss_mse(
+                    rnn_forward(params, val_batch.inputs, workspace=val_ws).outputs,
+                    val_batch.targets)
+            for split, loss in (("training", train_loss), ("validation", val_loss)):
+                if loss is not None and not np.isfinite(loss):
+                    raise DivergenceError(f"{split} loss became non-finite")
         except DivergenceError as e:
             raise DivergenceError(str(e), epoch=epoch, curve=curve) from None
-        val_loss = None
-        if val_batch is not None:
-            val_loss = loss_mse(rnn_forward(params, val_batch.inputs, workspace=val_ws).outputs,
-                                val_batch.targets)
         curve.records.append(EpochRecord(epoch, train_loss, val_loss))
     return params, curve
 
@@ -462,7 +460,7 @@ def pearson_correlation(pred, actual) -> float | None:
     p = np.asarray(pred, dtype=np.float64).reshape(-1)
     a = np.asarray(actual, dtype=np.float64).reshape(-1)
     if p.shape != a.shape:
-        raise ShapeError(f"length mismatch: {p.shape} vs {a.shape}")
+        raise DataError(f"length mismatch: {p.shape} vs {a.shape}")
     # an exactly constant vector has no defined correlation; check the
     # range, not the centered norm, which picks up mean-roundoff residue
     if p.size < 2 or p.max() == p.min() or a.max() == a.min():

@@ -328,6 +328,19 @@ class TestTrain:
             "genoseq: divergence: training loss became non-finite (epoch 0)"]
         assert not out.exists()
 
+    def test_non_finite_split_loss_exits_2_with_one_line(self, tmp_path, capsys, walkthrough,
+                                                         monkeypatch):
+        pheno, imputed = walkthrough
+        monkeypatch.setattr(rnn, "predict", lambda params, inputs: np.full((len(inputs), 1), 1e200))
+        capsys.readouterr()
+        out = tmp_path / "model"
+        rc = _run("train", "--geno", str(imputed), "--pheno", str(pheno), "--epochs", "2",
+                  "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "genoseq: divergence: train split loss became non-finite"]
+        assert not out.exists()
+
     def test_trait_with_no_observed_value_exits_1(self, tmp_path, capsys, walkthrough):
         pheno, imputed = walkthrough
         lines = pheno.read_text().splitlines()

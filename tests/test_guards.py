@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from genoseq import data, gradcheck, mf, rnn, tasks
-from genoseq.errors import ConfigError, DataError, ShapeError
+from genoseq.errors import ConfigError, DataError
 
 
 def _params():
@@ -34,20 +34,20 @@ GUARDS = {
     "negative_mf_epochs": (lambda: mf.MfConfig(epochs=-1),
                            ConfigError, "epochs must be >= 0, got -1"),
     "factor_widths_differ": (lambda: mf.FactorPair(np.zeros((2, 3)), np.zeros((4, 2))),
-                             ShapeError, "factor shapes incompatible: p (2, 3), q (4, 2)"),
+                             DataError, "factor shapes incompatible: p (2, 3), q (4, 2)"),
     "mf_init_without_samples": (lambda: mf.mf_init(0, 5, mf.MfConfig(), 1),
-                                ShapeError, "need samples, snps >= 1, got 0x5"),
+                                DataError, "need samples, snps >= 1, got 0x5"),
     "accuracy_on_holed_matrix": (_accuracy_on_holed_matrix, DataError,
                                  "accuracy needs fully observed truth and imputed matrices"),
     "rnn_tensor_wrong_shape": (lambda: replace(_params(), w_ho=np.zeros((1, 4))),
-                               ShapeError, "w_ho must have shape (1, 3), got (1, 4)"),
+                               DataError, "w_ho must have shape (1, 3), got (1, 4)"),
     "h0_wrong_shape": (lambda: rnn.rnn_forward(_params(), np.zeros((2, 4, 2)), h0=np.zeros(4)),
-                       ShapeError, "h0 must have shape (3,) or (2, 3), got (4,)"),
+                       DataError, "h0 must have shape (3,) or (2, 3), got (4,)"),
     "gradient_wrong_shape": (lambda: rnn.sgd_step(_params(), {**_params().tensors(),
                                                               "b_h": np.zeros(4)}, 0.1),
-                             ShapeError, "gradient b_h has shape (4,), expected (3,)"),
+                             DataError, "gradient b_h has shape (4,), expected (3,)"),
     "pearson_lengths_differ": (lambda: rnn.pearson_correlation([1.0, 2.0, 3.0], [1.0, 2.0]),
-                               ShapeError, "length mismatch: (3,) vs (2,)"),
+                               DataError, "length mismatch: (3,) vs (2,)"),
     "deep_recall_too_short": (lambda: tasks.deep_recall_task(3, length=4, seed=0), ConfigError,
                               "need n_sequences >= 1 and length >= 5, got 3, 4"),
 }

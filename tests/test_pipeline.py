@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from genoseq import rnn
 from genoseq.cli import main
 
-from genoseq.data import (DataSettings, PhenotypeTable, genotype_to_csv,
+from genoseq.data import (DataSettings, PhenotypeTable, SequenceBatch, genotype_to_csv,
                           phenotype_to_csv, synth_lowrank_genotypes, synth_phenotypes)
 from genoseq.errors import ConfigError, DataError, DivergenceError
 from genoseq.mf import MF_MODES, MfConfig
@@ -88,9 +89,10 @@ class TestEvaluateSplit:
 
 
 class TestRunPipeline:
-    def test_smoke_fills_every_field(self, tmp_path):
+    def test_smoke_fills_every_field(self, tmp_path, caplog):
         geno, pheno, truth = _write_dataset(tmp_path)
-        report = run_pipeline(geno, pheno, _small_config(), truth_path=truth)
+        with caplog.at_level(logging.INFO, logger="genoseq.pipeline"):
+            report = run_pipeline(geno, pheno, _small_config(), truth_path=truth)
         assert report.mf_curve is not None and len(report.mf_curve) == 200
         missing_pct, full_pct = report.mf_accuracy
         assert 0 <= missing_pct <= 100 and 0 <= full_pct <= 100
@@ -101,8 +103,21 @@ class TestRunPipeline:
         assert set(result.metrics) == {"train", "validation", "test"}
         for m in result.metrics.values():
             assert np.isfinite(m.mse)
-        assert set(report.stage_seconds) >= {"parse", "impute", "train"}
+        stages = [re.fullmatch(r"stage (\w+) took \d+\.\d{3} s", r.getMessage())
+                  for r in caplog.records if r.levelno == logging.INFO]
+        assert [m and m[1] for m in stages] == ["parse", "impute", "train"]
         assert report.to_json_dict()["seeds"]["master"] == 11
+
+    def test_non_finite_split_loss_marks_the_trait_failed(self, tmp_path, monkeypatch):
+        geno, pheno, _ = _write_dataset(tmp_path)
+        monkeypatch.setattr(rnn, "predict", lambda params, inputs: np.full((len(inputs), 1), 1e200))
+        export_report(run_pipeline(geno, pheno, _small_config(rnn_epochs=2)), tmp_path / "out")
+        (trait,) = json.loads((tmp_path / "out" / "report.json").read_text())["traits"]
+        assert trait["status"] == "failed"
+        assert trait["error"] == "train split loss became non-finite"
+        assert trait["metrics"] == {} and len(trait["curve"]) == 2
+        metrics_csv = (tmp_path / "out" / "metrics.csv").read_text()
+        assert metrics_csv == "trait,split,correlation,mse,success_pct\n"
 
     def test_two_traits_two_models(self, tmp_path):
         geno, pheno, truth = _write_dataset(tmp_path, trait_missing=3)
@@ -262,6 +277,21 @@ class TestTrainTrait:
         assert result.curve is result.error.curve and len(result.curve) == result.error.epoch
         # a stored error must not keep the failed training's workspaces alive
         assert result.error.__traceback__ is None and result.error.__context__ is None
+
+    def test_non_finite_split_loss_is_a_divergence(self, monkeypatch):
+        # relu_identity with a 1e150 readout trains on [[1], [0]], but [[1e5], [0]] overflows
+        model = RnnParams("relu_identity", 1, 1, 1, np.ones((1, 1)), np.ones((1, 1)),
+                          np.full((1, 1), 1e150), np.zeros(1), np.zeros(1))
+        monkeypatch.setattr(rnn, "rnn_init", lambda *args: model)
+        x = np.zeros((8, 2, 1))
+        x[:, 0, 0] = 1.0
+        x[7, 0, 0] = 1e5  # the test sample
+        batch = SequenceBatch(x, np.zeros((8, 1)))
+        cfg = PipelineConfig(rnn=RnnSettings(learning_rate=1e-3, epochs=2))
+        trained, result = train_trait(batch, self.SPLIT, cfg, 0)
+        assert trained is None and result.metrics == {} and len(result.curve) == 2
+        assert isinstance(result.error, DivergenceError)
+        assert str(result.error) == "test split loss became non-finite"
 
     def test_no_training_sample_is_a_data_error(self):
         split = {"train": np.arange(0), "validation": np.arange(0, 4), "test": np.arange(4, 8)}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import genoseq.gradcheck as gc
 from genoseq import rnn
 from genoseq.data import SequenceBatch
-from genoseq.errors import ConfigError, DataError, DivergenceError, ParseError, ShapeError
+from genoseq.errors import ConfigError, DataError, DivergenceError, ParseError
 from genoseq.linalg import Rng
 from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, CORRELATION_SNAP, LSTM_FORGET_BIAS, RnnParams,
                          RnnSettings, bptt_gradients, clip_gradients, gradient_norm,
@@ -23,6 +23,16 @@ def _tiny_tanh(w_ih=1.0, w_hh=0.5, w_ho=2.0):
     return RnnParams("simple_tanh", 1, 1, 1,
                      np.array([[w_ih]]), np.array([[w_hh]]), np.array([[w_ho]]),
                      np.zeros(1), np.zeros(1))
+
+
+def _overflowing_readout():
+    """relu_identity with w_ih = w_hh = 1 and w_ho = 1e150: on the input [[1], [0]] the squares
+    of its gradient overflow, though every gradient entry is finite."""
+    return RnnParams("relu_identity", 1, 1, 1, np.array([[1.0]]), np.array([[1.0]]),
+                     np.array([[1e150]]), np.zeros(1), np.zeros(1))
+
+
+ONE_STEP = SequenceBatch(np.array([[[1.0], [0.0]]]), np.zeros((1, 1)))
 
 
 def _reference_sigmoid(z):
@@ -160,12 +170,12 @@ class TestRnnForward:
 
     def test_width_mismatch(self):
         p = rnn_init("simple_tanh", 3, 2, 1, seed=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="input width 2 does not match model n_in 3"):
             rnn_forward(p, np.ones((1, 4, 2)))
 
     def test_single_sequence_without_batch_axis_rejected(self):
         p = rnn_init("simple_tanh", 2, 2, 1, seed=1)
-        with pytest.raises(ShapeError, match=r"\(batch, T, n_in\)"):
+        with pytest.raises(DataError, match=r"\(batch, T, n_in\)"):
             rnn_forward(p, np.ones((4, 2)))
 
     def test_empty_sequence(self):
@@ -200,7 +210,7 @@ class TestLossMse:
         assert loss_mse(np.array([[1.0, 1.0]]), np.array([[0.0, 2.0]])) == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"predictions \(2, 1\) and targets \(3, 1\) differ"):
             loss_mse(np.ones((2, 1)), np.ones((3, 1)))
 
 
@@ -344,6 +354,20 @@ class TestClipGradients:
         grads = {"a": np.zeros(3)}
         assert clip_gradients(grads, 1.0) is grads
 
+    def test_overflowing_squared_norm_still_rescales_to_the_threshold(self):
+        # the squares of 3e154 and 4e154 overflow; the plain norm is inf and scales by 0
+        grads = {"a": np.array([3e154, 4e154]), "b": np.array([1.0])}
+        with np.errstate(over="ignore", invalid="ignore"):  # as in train
+            assert gradient_norm(grads) == pytest.approx(5e154, rel=1e-15)
+            out = clip_gradients(grads, 1.0)
+        np.testing.assert_allclose(out["a"], [0.6, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(out["b"], [2e-155], rtol=1e-15)
+
+    def test_overflowing_norm_with_a_non_finite_gradient_stays_inf(self):
+        grads = {"a": np.array([3e154, np.inf])}
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert gradient_norm(grads) == np.inf
+
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_post_clip_norm_never_exceeds(self, seed, clip):
@@ -443,6 +467,21 @@ class TestTrain:
                          RnnSettings(learning_rate=0.05, epochs=10, clip_norm=1.0))
         assert all(r.val_loss is not None for r in curve.records)
 
+    def test_an_overflowing_gradient_norm_still_takes_a_step(self):
+        # a clip scale of clip_norm / inf = 0 would leave every tensor as it was
+        out, curve = train(_overflowing_readout(), ONE_STEP, None,
+                           RnnSettings(learning_rate=1e-3, epochs=1))
+        assert out.w_ih[0, 0] == pytest.approx(1.0 - 1e-3 * 2 / 24 ** 0.5, rel=1e-12)
+        assert len(curve) == 1
+
+    def test_overflowing_validation_loss_is_a_divergence(self):
+        # the suite makes a RuntimeWarning an error, so none may leak from the validation pass
+        val = SequenceBatch(np.array([[[1e5], [0.0]]]), np.zeros((1, 1)))
+        with pytest.raises(DivergenceError) as exc:
+            train(_overflowing_readout(), ONE_STEP, val, RnnSettings(learning_rate=1e-3, epochs=2))
+        assert str(exc.value) == "validation loss became non-finite (epoch 0)"
+        assert exc.value.epoch == 0 and len(exc.value.curve) == 0
+
     def test_divergence_carries_epoch(self):
         batch = self._toy()
         p = rnn_init("relu_identity", 2, 3, 1, seed=1)
@@ -474,11 +513,14 @@ def _reference_train(params, train_batch, val_batch, settings):
             except DivergenceError:
                 return params, rows, clipped, epoch
             train_loss = loss_mse(rnn_forward(params, x).outputs, targets)
-        if not np.isfinite(train_loss):
-            return params, rows, clipped, epoch
-        val_loss = None
-        if val_batch is not None:
-            val_loss = loss_mse(rnn_forward(params, val_batch.inputs).outputs, val_batch.targets)
+            if not np.isfinite(train_loss):
+                return params, rows, clipped, epoch
+            val_loss = None
+            if val_batch is not None:
+                val_loss = loss_mse(rnn_forward(params, val_batch.inputs).outputs,
+                                    val_batch.targets)
+                if not np.isfinite(val_loss):
+                    return params, rows, clipped, epoch
         rows.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
     return params, rows, clipped, None
 
@@ -795,3 +837,10 @@ class TestTrainingCurveCsv:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+    def test_cells_of_each_type(self, tmp_path):
+        # an int in decimal, a float by repr (a numpy float too) and no validation loss empty
+        records = [rnn.EpochRecord(0, 0.1), rnn.EpochRecord(1, np.float64(1e-17), 2.5)]
+        rnn.TrainingCurve(records).to_csv(tmp_path / "curve.csv")
+        expected = b"epoch,train_loss,val_loss\n0,0.1,\n1,1e-17,2.5\n"
+        assert (tmp_path / "curve.csv").read_bytes() == expected

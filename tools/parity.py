@@ -60,6 +60,8 @@ COMMANDS = [
          "--epochs", "600", "--seed", "7", "--out", "bench"),
     _cli("benchmark", "--task", "lag", "--length", "20", "--sequences", "16", "--epochs", "100",
          "--seed", "7", "--out", "bench_preset_lr"),
+    _cli("benchmark", "--task", "adding", "--length", "20", "--sequences", "8", "--epochs", "20",
+         "--seed", "7", "--out", "bench_adding"),
     _cli("gradcheck", "--trials", "30", "--seed", "1"),
     *(["-c", _OP, name] for name in ("impute-paper", "cells-deep", "walkthrough")),
 ]
