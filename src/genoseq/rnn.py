@@ -153,14 +153,14 @@ class ForwardPass:
 
     The buffers are time-major, so that one timestep is a contiguous block
     and all T steps reshape to one (T·batch, ·) matrix without a copy.
-    ``x`` is (T, batch, n_in) and ``states`` holds h_0 .. h_T as
-    (T+1, batch, M). ``pre`` holds the pre-activations gate-major, as
-    (gates, T, batch, M) with one gate block for the relu and tanh cells
-    and four (i, f, o, g) for the lstm, so that each gate of each step is
-    contiguous. The lstm adds its gate activations in the same layout as
-    ``acts``, the cell states c_0 .. c_T as ``cells`` and
-    tanh(c_1) .. tanh(c_T) as ``tanh_c``. ``inputs`` and ``hidden`` are
-    batch-major views.
+    ``x`` is (T, batch, n_in). ``pre`` holds the pre-activations gate-major,
+    as (gates, T, batch, M) with one gate block for the relu and tanh cells
+    and four (i, f, o, g) for the lstm, which writes its gate activations over
+    them. A training pass keeps h_0 .. h_T in ``states`` and, for the lstm,
+    c_0 .. c_T in ``cells`` and tanh(c_1) .. tanh(c_T) in ``tanh_c``; an
+    inference pass keeps two steps of ``states`` and ``cells`` and one of
+    ``tanh_c``, step t at index t modulo that depth. ``inputs`` and
+    ``hidden`` (of a training pass) are batch-major views.
 
     ``bptt_gradients`` runs a private pass and consumes it: its backward
     writes the derivative factors and the per-step gradients into that
@@ -173,7 +173,6 @@ class ForwardPass:
     states: np.ndarray
     pre: np.ndarray
     outputs: np.ndarray
-    acts: np.ndarray | None = None
     cells: np.ndarray | None = None
     tanh_c: np.ndarray | None = None
 
@@ -193,7 +192,7 @@ def _blocks(w: np.ndarray, m: int) -> np.ndarray:
 
 
 def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
-                workspace: dict | None = None) -> ForwardPass:
+                workspace: dict | None = None, _inference: bool = False) -> ForwardPass:
     """Run the recurrence over a batch of sequences, inputs (B, T, n_in).
 
     h_0 is zero unless given. The readout is linear and evaluated at the
@@ -202,6 +201,7 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
     each step then adds only its recurrent term h_{t-1} W_hh^T.
 
     ``workspace`` (see :func:`genoseq.linalg.buffer`) lends the pass its buffers.
+    ``_inference`` keeps two steps of state, not T+1 (see :class:`ForwardPass`).
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3:
@@ -215,7 +215,8 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
         raise DataError(f"input width {n_in} does not match model n_in {params.n_in}")
     m = params.n_hidden
     workspace = {} if workspace is None else workspace
-    states = buffer(workspace, "states", (t_len + 1, b, m))
+    depth = 2 if _inference else t_len + 1
+    states = buffer(workspace, "states", (depth, b, m))
     if h0 is None:
         states[0] = 0.0
     else:
@@ -239,9 +240,9 @@ def rnn_forward(params: RnnParams, inputs, h0: np.ndarray | None = None,
         w_hh_t = params.w_hh.T
         for t in range(t_len):
             z = pre[0, t]
-            z += states[t] @ w_hh_t
-            act(z, out=states[t + 1])
-    y = states[-1] @ params.w_ho.T + params.b_o
+            z += states[t % depth] @ w_hh_t
+            act(z, out=states[(t + 1) % depth])
+    y = states[t_len % depth] @ params.w_ho.T + params.b_o
     return ForwardPass(xs, states, pre, y, *lstm_buffers)
 
 
@@ -250,31 +251,31 @@ def _relu(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _recur_lstm(params: RnnParams, pre: np.ndarray, states: np.ndarray, workspace: dict):
-    """The lstm time loop: completes ``pre`` and fills ``states``.
+    """The lstm time loop: turns ``pre`` into the gate activations and fills ``states``.
 
-    Returns the pass's gate activations, cell states and tanh(c).
+    Returns the pass's cell states and tanh(c), as deep as ``states``.
     """
     t_len, b, m = pre.shape[1:]
-    acts = buffer(workspace, "acts", (4, t_len, b, m))
-    cells = buffer(workspace, "cells", (t_len + 1, b, m))
-    tanh_c = buffer(workspace, "tanh_c", (t_len, b, m))
+    depth = states.shape[0]
+    cells = buffer(workspace, "cells", states.shape)
+    tanh_c = buffer(workspace, "tanh_c", (depth - 1, b, m))
     cells[0] = 0.0
     # W_hh^T of each gate block, contiguous for the per-step products
     w_rec = np.ascontiguousarray(_blocks(params.w_hh, m).transpose(0, 2, 1))
     for t in range(t_len):
         a = pre[:, t]
-        a += np.matmul(states[t], w_rec)
-        i, f, o, g = acts[:, t]
-        sigmoid(a[0], out=i)
-        sigmoid(a[1], out=f)
-        sigmoid(a[2], out=o)
-        np.tanh(a[3], out=g)
-        c = cells[t + 1]
-        np.multiply(f, cells[t], out=c)
+        a += np.matmul(states[t % depth], w_rec)
+        i, f, o, g = a
+        sigmoid(i, out=i)
+        sigmoid(f, out=f)
+        sigmoid(o, out=o)
+        np.tanh(g, out=g)
+        c, tc = cells[(t + 1) % depth], tanh_c[t % (depth - 1)]
+        np.multiply(f, cells[t % depth], out=c)
         c += i * g
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=states[t + 1])
-    return acts, cells, tanh_c
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=states[(t + 1) % depth])
+    return cells, tanh_c
 
 
 def loss_mse(predictions, targets) -> float:
@@ -295,12 +296,14 @@ def bptt_gradients(params: RnnParams, batch: tuple[np.ndarray, np.ndarray],
     is given (see ``rnn_forward``), and reuses that pass's buffers as scratch.
     """
     x, targets = batch
+    workspace = {} if workspace is None else workspace
     fwd = rnn_forward(params, x, workspace=workspace)
-    return _backward(params, fwd, targets)
+    return _backward(params, fwd, targets, workspace)
 
 
-def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate through a private pass, consuming its buffers.
+def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray,
+              workspace: dict) -> dict[str, np.ndarray]:
+    """Backpropagate through a private pass made in ``workspace``, consuming its buffers.
 
     The loop runs only what depends on the later steps' error: each step
     turns ``fwd.pre[:, t]`` from precomputed derivative factors into the
@@ -318,8 +321,8 @@ def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray) -> dict[
 
     grad = fwd.pre
     if params.cell == "lstm":
-        carry = _lstm_factors(fwd)
-        forget = fwd.acts[1]
+        forget = buffer(workspace, "spare", fwd.tanh_c.shape)
+        carry = _lstm_factors(fwd, forget)
         w_hh = _blocks(params.w_hh, m)
         dc = np.zeros((b, m))
         for t in range(t_len - 1, -1, -1):
@@ -350,32 +353,35 @@ def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray) -> dict[
     return {"w_ih": d_wih, "w_hh": d_whh, "w_ho": d_who, "b_h": d_bh, "b_o": d_bo}
 
 
-def _lstm_factors(fwd: ForwardPass) -> np.ndarray:
+def _lstm_factors(fwd: ForwardPass, spare: np.ndarray) -> np.ndarray:
     """The lstm's derivative factors for all T steps, written over the pass's buffers.
 
-    ``fwd.pre`` becomes, per gate block, what the step's error is
-    multiplied by: g·i(1-i), c_{t-1}·f(1-f) and i(1-g²) take dc, and
-    tanh(c_t)·o(1-o) takes dh. ``fwd.tanh_c`` becomes o(1-tanh²c_t),
-    which carries dh into dc; it is returned.
+    ``fwd.pre`` turns from the gate activations into, per gate block, what
+    the step's error is multiplied by: g·i(1-i), c_{t-1}·f(1-f) and i(1-g²)
+    take dc, and tanh(c_t)·o(1-o) takes dh. ``fwd.tanh_c`` becomes
+    o(1-tanh²c_t), which carries dh into dc; it is returned. ``spare``
+    holds a factor until its gate's slot is free, and then the forget gate.
     """
-    i, f, o, g = fwd.acts
-    fi, ff, fo, fg = fwd.pre
-    np.subtract(1.0, i, out=fi)
-    fi *= i
-    fi *= g
-    np.subtract(1.0, f, out=ff)
-    ff *= f
-    ff *= fwd.cells[:-1]
-    np.subtract(1.0, o, out=fo)
-    fo *= o
-    fo *= fwd.tanh_c
-    np.multiply(g, g, out=fg)
-    np.subtract(1.0, fg, out=fg)
-    fg *= i
+    i, f, o, g = fwd.pre
+    np.subtract(1.0, i, out=spare)
+    spare *= i
+    spare *= g
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i
+    np.copyto(i, spare)
+    np.subtract(1.0, o, out=spare)
+    spare *= o
+    spare *= fwd.tanh_c
     carry = fwd.tanh_c
     carry *= carry
     np.subtract(1.0, carry, out=carry)
     carry *= o
+    np.copyto(o, spare)
+    np.copyto(spare, f)
+    np.subtract(1.0, f, out=f)
+    f *= spare
+    f *= fwd.cells[:-1]
     return carry
 
 
@@ -383,16 +389,28 @@ def gradient_norm(grads: dict[str, np.ndarray]) -> float:
     """The global L2 norm, taken at an exact power-of-two scale where the squares overflow."""
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if norm == np.inf and all(np.isfinite(g).all() for g in grads.values()):
-        e = np.frexp(max(float(np.abs(g).max()) for g in grads.values()))[1]
-        norm = float(np.ldexp(gradient_norm({k: np.ldexp(g, -e) for k, g in grads.items()}), e))
+        scaled, e = _unit_scaled(grads)
+        norm = float(np.ldexp(gradient_norm(scaled), e))
     return norm
 
 
+def _unit_scaled(grads: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
+    """``grads`` times 2^-e, where e puts the largest magnitude in [0.5, 1), and e."""
+    e = int(np.frexp(max(float(np.abs(g).max()) for g in grads.values()))[1])
+    return {k: np.ldexp(g, -e) for k, g in grads.items()}, e
+
+
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients by clip_norm / ||g|| when the global L2 norm exceeds it."""
+    """Scale all gradients by clip_norm / ||g|| when the global L2 norm exceeds it.
+
+    A norm above the largest float is taken, and clipped, at ``gradient_norm``'s power of two.
+    """
     norm = gradient_norm(grads)
     if norm <= clip_norm:
         return grads
+    if norm == np.inf and all(np.isfinite(g).all() for g in grads.values()):
+        grads = _unit_scaled(grads)[0]
+        norm = gradient_norm(grads)
     scale = clip_norm / norm
     return {k: v * scale for k, v in grads.items()}
 
@@ -419,7 +437,7 @@ def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatc
     evaluation (and a validation loss when a validation batch is given); a
     non-finite parameter or loss raises DivergenceError with the epoch and
     the curve so far. The training passes share one workspace, the validation
-    passes another. Deterministic; the model comes from ``params``, not ``settings``.
+    (inference) passes another. Deterministic; the model comes from ``params``, not ``settings``.
     """
     clip_norm = settings.clip_norm
     if clip_norm == "default":
@@ -438,8 +456,8 @@ def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatc
                     grads = clip_gradients(grads, clip_norm)
                 params = sgd_step(params, grads, settings.learning_rate)
                 train_loss = loss_mse(rnn_forward(params, x_train, workspace=ws).outputs, t_train)
-                val_loss = None if val_batch is None else loss_mse(
-                    rnn_forward(params, val_batch.inputs, workspace=val_ws).outputs,
+                val_loss = None if val_batch is None else loss_mse(rnn_forward(
+                    params, val_batch.inputs, workspace=val_ws, _inference=True).outputs,
                     val_batch.targets)
             for split, loss in (("training", train_loss), ("validation", val_loss)):
                 if loss is not None and not np.isfinite(loss):
@@ -452,7 +470,7 @@ def train(params: RnnParams, train_batch: SequenceBatch, val_batch: SequenceBatc
 
 def predict(params: RnnParams, inputs) -> np.ndarray:
     """Final-timestep outputs per sequence of inputs (B, T, n_in); no state is shared between them."""
-    return rnn_forward(params, inputs).outputs
+    return rnn_forward(params, inputs, _inference=True).outputs
 
 
 def pearson_correlation(pred, actual) -> float | None:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -186,14 +187,14 @@ class TestRnnForward:
     def test_lstm_gates_in_unit_interval(self):
         p = rnn_init("lstm", 2, 4, 1, seed=7)
         fwd = rnn_forward(p, Rng(3).uniform((5, 20, 2), -1, 1))
-        for g in fwd.acts[:3]:  # input, forget and output gates
+        for g in fwd.pre[:3]:  # input, forget and output gates, written over their pre-activations
             assert (g > 0.0).all() and (g < 1.0).all()
 
     def test_lstm_cell_state_bounded_on_long_bounded_inputs(self):
         p = rnn_init("lstm", 2, 4, 1, seed=7)
         fwd = rnn_forward(p, Rng(5).uniform((2, 1000, 2), -1, 1))
         assert np.isfinite(fwd.cells).all()
-        f_max = fwd.acts[1].max()
+        f_max = fwd.pre[1].max()
         assert f_max < 1.0
         bound = 1.0 / (1.0 - f_max) + 1e-9
         assert np.abs(fwd.cells).max() <= bound
@@ -273,7 +274,7 @@ class TestKernelsMatchPerStepReference:
         if h0 is None:
             grads = bptt_gradients(params, (x, targets))
         else:
-            grads = rnn._backward(params, fwd, targets)
+            grads = rnn._backward(params, fwd, targets, {})
         assert grads.keys() == grads_ref.keys()
         for name, g in grads.items():
             ref = grads_ref[name]
@@ -303,8 +304,8 @@ class TestKernelsMatchPerStepReference:
         assert gc.check("lstm", trials=5, seed=303) < 1e-5
         exact = rnn._lstm_factors
 
-        def skewed(fwd):
-            carry = exact(fwd)
+        def skewed(fwd, spare):
+            carry = exact(fwd, spare)
             fwd.pre[0] *= 1.0 + 1e-4  # the input gate's factor g*i*(1-i)
             return carry
 
@@ -362,6 +363,15 @@ class TestClipGradients:
             out = clip_gradients(grads, 1.0)
         np.testing.assert_allclose(out["a"], [0.6, 0.8], rtol=1e-15)
         np.testing.assert_allclose(out["b"], [2e-155], rtol=1e-15)
+
+    def test_norm_above_the_largest_float_still_rescales_to_the_threshold(self):
+        # the norm 2.1e308 itself overflows; clip_norm / inf = 0 would zero the step
+        grads = {"a": np.array([1.5e308, 1.5e308])}
+        with np.errstate(over="ignore", invalid="ignore"):  # as in train
+            assert gradient_norm(grads) == np.inf
+            out = clip_gradients(grads, 1.0)
+        np.testing.assert_allclose(out["a"], [0.5 ** 0.5] * 2, rtol=1e-15)
+        assert gradient_norm(out) == pytest.approx(1.0, rel=1e-15)
 
     def test_overflowing_norm_with_a_non_finite_gradient_stays_inf(self):
         grads = {"a": np.array([3e154, np.inf])}
@@ -474,6 +484,16 @@ class TestTrain:
         assert out.w_ih[0, 0] == pytest.approx(1.0 - 1e-3 * 2 / 24 ** 0.5, rel=1e-12)
         assert len(curve) == 1
 
+    def test_a_gradient_norm_above_the_largest_float_still_takes_a_step(self):
+        # one step, h_1 = 1 and y = 9e153: d_wih = d_bh = 2 * y * w_ho = 1.62e308, so the norm is
+        # 2.3e308; clipped at 1.0 they are 1/sqrt(2) each
+        params = replace(_overflowing_readout(), w_ho=np.array([[9e153]]))
+        out, curve = train(params, SequenceBatch(np.ones((1, 1, 1)), np.zeros((1, 1))), None,
+                           RnnSettings(learning_rate=1e-3, epochs=1))
+        assert out.w_ih[0, 0] == pytest.approx(1.0 - 1e-3 * 0.5 ** 0.5, rel=1e-12)
+        assert out.b_h[0] == pytest.approx(-1e-3 * 0.5 ** 0.5, rel=1e-12)
+        assert len(curve) == 1
+
     def test_overflowing_validation_loss_is_a_divergence(self):
         # the suite makes a RuntimeWarning an error, so none may leak from the validation pass
         val = SequenceBatch(np.array([[[1e5], [0.0]]]), np.zeros((1, 1)))
@@ -532,8 +552,8 @@ def _split_instance(cell, seed=0):
 
 
 def _pass_arrays(fwd):
-    return {name: getattr(fwd, name) for name in ("x", "states", "pre", "outputs", "acts",
-                                                  "cells", "tanh_c")
+    return {name: getattr(fwd, name) for name in ("x", "states", "pre", "outputs", "cells",
+                                                  "tanh_c")
             if getattr(fwd, name) is not None}
 
 
@@ -648,6 +668,22 @@ class TestPredict:
             predict(p, np.zeros((0, 4, 2)))
 
 
+class TestInferencePass:
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("t_len", [1, 2, 9])  # h_T sits at index T mod 2: 1, 0 and 1
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("with_h0", [False, True], ids=["zero_h0", "given_h0"])
+    def test_outputs_equal_the_training_pass_bit_for_bit(self, cell, t_len, batch, with_h0):
+        params, x, _ = _generic_instance(cell, batch, t_len, 3, seed=t_len + batch)
+        h0 = Rng(1).uniform((batch, params.n_hidden), 0.0, 1.0) if with_h0 else None
+        full = rnn_forward(params, x, h0=h0)
+        kept = rnn_forward(params, x, h0=h0, _inference=True)
+        assert kept.states.shape[0] == 2 and full.states.shape[0] == t_len + 1
+        assert kept.outputs.tobytes() == full.outputs.tobytes()
+        if not with_h0:
+            assert predict(params, x).tobytes() == full.outputs.tobytes()
+
+
 # decimal exponents of an input's magnitude: any, or where the plain squares are subnormal,
 # or where the plain sums overflow
 _MAGNITUDE_EXPONENTS = st.one_of(st.integers(-320, 308), st.integers(-164, -152),
@@ -753,6 +789,65 @@ class TestIdentityMemory:
         fwd = rnn_forward(p, Rng(5).uniform((1, 250, 2), -1, 1), h0=h0)
         for t in range(250):
             assert fwd.hidden[0, t].tobytes() == h0.tobytes()
+
+
+def _traced_peak(call):
+    """Bytes that ``call()`` holds at its traced peak, above what was held on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # B >= M, so every (M, M) or (batch, M) array is at most one step's state
+    BATCH, T, N_IN, HIDDEN = 32, 200, 2, 8
+
+    def _instance(self, cell):
+        return _generic_instance(cell, self.BATCH, self.T, self.N_IN, self.HIDDEN)
+
+    def test_lstm_training_workspace_holds_eight_full_length_arrays(self):
+        # pre (4), states, cells, tanh_c and the backward's spare, each (T, B, M); states and
+        # cells keep one step more, h_0 and c_0; and the time-major inputs
+        params, x, targets = self._instance("lstm")
+        ws = {}
+        bptt_gradients(params, (x, targets), workspace=ws)
+        unit, step = self.T * self.BATCH * self.HIDDEN, self.BATCH * self.HIDDEN
+        total = sum(a.nbytes for a in ws.values())
+        assert total == 8 * (8 * unit + 2 * step + self.T * self.BATCH * self.N_IN)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_predict_holds_its_pre_activations_inputs_and_a_few_steps(self, cell):
+        params, x, _ = self._instance(cell)
+        predict(params, x)  # warm up
+        pre = (4 if cell == "lstm" else 1) * self.T * self.BATCH * self.HIDDEN * 8
+        # slack: numpy's buffer for the transposing copy of x, and a few (batch, M) steps
+        slack = 8 * np.getbufsize() + 8 * self.BATCH * self.HIDDEN * 8
+        assert _traced_peak(lambda: predict(params, x)) <= pre + x.nbytes + slack
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_epochs_after_the_first_make_no_buffer(self, cell, monkeypatch):
+        made = []
+        lend = rnn.buffer
+
+        def counting(workspace, name, shape):
+            before = workspace.get(name)
+            out = lend(workspace, name, shape)
+            made.append(out is not before)
+            return out
+
+        monkeypatch.setattr(rnn, "buffer", counting)
+        params, train_batch, val_batch = _split_instance(cell)
+        counts = []
+        for epochs in (1, 4):
+            made.clear()
+            train(params, train_batch, val_batch, RnnSettings(cell=cell, epochs=epochs))
+            counts.append(sum(made))
+        assert counts[0] == counts[1] > 0
 
 
 class TestCheckpoint:

@@ -34,6 +34,7 @@ _PIPELINE = ("from genoseq import mf, pipeline as p\n"
              " 'data/geno_truth.csv'), 'pipeline'))")
 _SEED, _SMALL = ("--seed", "42"), ("--samples", "60", "--snps", "90", "--seed", "42")
 _PREDICT = ("--geno", "run/imputed.csv", "--trait", "0")
+_PAPER = ("--geno", "synth/population/geno_truth.csv", "--trait", "0")
 COMMANDS = [
     _cli("synth", "--samples", "100", "--snps", "200", "--rank", "5", "--missing-frac", "0.1",
          *_SEED, "--out", "data"),
@@ -55,6 +56,12 @@ COMMANDS = [
          "--rank", "20", *_SEED, "--out", "synth/population"),
     _cli("synth", "--generator", "population", *_SMALL, "--missing-mode", "snp_block",
          "--out", "synth/population_block"),
+    # the paper's second-stage shape: 483 training rows of T=99 steps of width 20
+    *(cmd for cell in ("lstm", "relu_identity") for cmd in (
+        _cli("train", *_PAPER, "--pheno", "synth/population/pheno.csv", "--cell", cell,
+             "--epochs", "3", "--chunk-width", "20", *_SEED, "--out", f"paper/{cell}"),
+        _cli("predict", "--checkpoint", f"paper/{cell}/checkpoint.json", *_PAPER,
+             "--out", f"paper/{cell}/plain"))),
     ["-c", _PIPELINE, "run_pipeline"],
     _cli("benchmark", "--task", "deep", "--length", "100", "--sequences", "32", "--lr", "0.01",
          "--epochs", "600", "--seed", "7", "--out", "bench"),
