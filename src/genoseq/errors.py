@@ -24,11 +24,10 @@ class DataError(GenoseqError):
 
 
 class DivergenceError(GenoseqError):
-    """Optimization produced non-finite values; carries ``epoch`` and partial ``curve`` if known."""
+    """Optimization produced non-finite values; names the epoch and carries the curve when known."""
 
     def __init__(self, message, epoch=None, curve=None):
         if epoch is not None:
             message = f"{message} (epoch {epoch})"
         super().__init__(message)
-        self.epoch = epoch
         self.curve = curve

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mf, rnn
 from .data import MISSING_SENTINEL, GenotypeMatrix
-from .errors import ConfigError
+from .errors import ConfigError, GenoseqError
 from .linalg import Rng, derive_seed
 
 DEFAULT_THRESHOLD = 1e-5
@@ -125,7 +125,7 @@ def _draw_rnn(cell: str, rng: Rng):
             params, x, targets = _random_instance(cell, rng)
             attempts += 1
             if attempts > 200:
-                raise RuntimeError("could not draw a kink-free relu instance")
+                raise GenoseqError("could not draw a kink-free relu instance")
     return (lambda t: rnn.loss_mse(rnn.rnn_forward(replace(params, **t), x).outputs, targets),
             params.tensors(), rnn.bptt_gradients(params, (x, targets)))
 

@@ -385,34 +385,20 @@ def _lstm_factors(fwd: ForwardPass, spare: np.ndarray) -> np.ndarray:
     return carry
 
 
-def gradient_norm(grads: dict[str, np.ndarray]) -> float:
-    """The global L2 norm, taken at an exact power-of-two scale where the squares overflow."""
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if norm == np.inf and all(np.isfinite(g).all() for g in grads.values()):
-        scaled, e = _unit_scaled(grads)
-        norm = float(np.ldexp(gradient_norm(scaled), e))
-    return norm
-
-
-def _unit_scaled(grads: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
-    """``grads`` times 2^-e, where e puts the largest magnitude in [0.5, 1), and e."""
-    e = int(np.frexp(max(float(np.abs(g).max()) for g in grads.values()))[1])
-    return {k: np.ldexp(g, -e) for k, g in grads.items()}, e
-
-
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients by clip_norm / ||g|| when the global L2 norm exceeds it.
 
-    A norm above the largest float is taken, and clipped, at ``gradient_norm``'s power of two.
+    The norm is taken at 2^-e, where e puts the largest magnitude in [0.5, 1). That scale is
+    exact, so no sum of squares overflows, and the decision and every clipped bit are the plain
+    expressions' wherever those would neither overflow nor underflow.
     """
-    norm = gradient_norm(grads)
-    if norm <= clip_norm:
+    e = int(np.frexp(max((np.abs(g).max(initial=0.0) for g in grads.values()), default=0.0))[1])
+    scaled = {k: np.ldexp(g, -e) for k, g in grads.items()}
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in scaled.values())))
+    if np.ldexp(norm, e) <= clip_norm:
         return grads
-    if norm == np.inf and all(np.isfinite(g).all() for g in grads.values()):
-        grads = _unit_scaled(grads)[0]
-        norm = gradient_norm(grads)
     scale = clip_norm / norm
-    return {k: v * scale for k, v in grads.items()}
+    return {k: v * scale for k, v in scaled.items()}
 
 
 def sgd_step(params: RnnParams, grads: dict[str, np.ndarray], learning_rate: float) -> RnnParams:

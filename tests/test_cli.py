@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genoseq import mf, rnn
+from genoseq import gradcheck, mf, rnn
 from genoseq.cli import main
 from genoseq.data import (genotype_to_csv, parse_genotype_csv, parse_phenotype_csv,
                           synth_lowrank_genotypes)
@@ -708,6 +708,13 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "genoseq: gradient check names a scope more than once: ['mf', 'mf']"]
+        assert captured.out == ""
+
+    def test_no_kink_free_relu_instance_exits_1_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradcheck, "_RELU_KINK_GUARD", np.inf)  # every draw sits on the kink
+        assert _run("gradcheck", "--cells", "relu_identity", "--trials", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["genoseq: could not draw a kink-free relu instance"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("scope", ["mf", "simple_tanh", "lstm", "relu_identity"])

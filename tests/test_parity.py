@@ -22,8 +22,8 @@ def tree(tmp_path, monkeypatch):
 
 def test_an_unchanged_copy_matches(tree, capsys):
     assert parity.main([str(tree)]) == 0
-    # the four synth outputs and the per_entry config written before the commands
-    assert capsys.readouterr().out == "parity: 5 files and 1 commands matched\n"
+    # the four synth outputs and the two config files written before the commands
+    assert capsys.readouterr().out == "parity: 6 files and 1 commands matched\n"
 
 
 def test_a_value_one_ulp_higher_is_named(tree, capsys):

@@ -23,7 +23,9 @@ def _cli(*argv: str) -> list[str]:
     return ["-m", "genoseq.cli", *argv]
 
 
-INPUTS = {"per_entry.json": '{"mf": {"mode": "per_entry", "features": 8}}\n'}  # written first
+# written before the commands; at clip.json's bound every cell clips every walkthrough step
+INPUTS = {"per_entry.json": '{"mf": {"mode": "per_entry", "features": 8}}\n',
+          "clip.json": '{"rnn": {"clip_norm": 0.01}}\n'}
 # one op of a benchmark workload at seed 1, through benchmarks/workloads.py
 _OP = ("import pathlib, sys, workloads; from genoseq.cli import main\n"
        "w = workloads.WORKLOADS[sys.argv[1]]; work = pathlib.Path(w.name)\n"
@@ -34,6 +36,8 @@ _PIPELINE = ("from genoseq import mf, pipeline as p\n"
              " 'data/geno_truth.csv'), 'pipeline'))")
 _SEED, _SMALL = ("--seed", "42"), ("--samples", "60", "--snps", "90", "--seed", "42")
 _PREDICT = ("--geno", "run/imputed.csv", "--trait", "0")
+_TRAIN = (*_PREDICT, "--pheno", "data/pheno.csv", "--hidden", "16", "--lr", "0.05", "--epochs",
+          "100", "--chunk-width", "20", *_SEED)  # the README walkthrough's
 _PAPER = ("--geno", "synth/population/geno_truth.csv", "--trait", "0")
 COMMANDS = [
     _cli("synth", "--samples", "100", "--snps", "200", "--rank", "5", "--missing-frac", "0.1",
@@ -41,12 +45,13 @@ COMMANDS = [
     _cli("impute", "--geno", "data/geno_holed.csv", "--truth", "data/geno_truth.csv", "--features",
          "8", "--alpha", "0.001", "--beta", "0.02", "--epochs", "1500", *_SEED, "--out", "run"),
     *(cmd for cell in ("relu_identity", "simple_tanh", "lstm") for cmd in (
-        _cli("train", *_PREDICT, "--pheno", "data/pheno.csv", "--cell", cell, "--hidden", "16",
-             "--lr", "0.05", "--epochs", "100", "--chunk-width", "20", *_SEED, "--out", f"run/{cell}"),
+        _cli("train", *_TRAIN, "--cell", cell, "--out", f"run/{cell}"),
         _cli("predict", "--checkpoint", f"run/{cell}/checkpoint.json", *_PREDICT,
              "--pheno", "data/pheno.csv", "--out", f"run/{cell}/pheno"),
         _cli("predict", "--checkpoint", f"run/{cell}/checkpoint.json", *_PREDICT,
              "--out", f"run/{cell}/plain"))),
+    *(_cli("train", *_TRAIN, "--cell", cell, "--config", "clip.json", "--out", f"clip/{cell}")
+      for cell in ("simple_tanh", "lstm")),
     _cli("impute", "--geno", "data/geno_holed.csv", "--epochs", "20", "--config", "per_entry.json",
          *_SEED, "--out", "per_entry"),
     _cli("synth", *_SMALL, "--rank", "1", "--out", "synth/rank1"),
