@@ -168,9 +168,11 @@ def write_json(doc, path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV export: the header, then one line per row of already-formatted cells."""
+    """Write a CSV export: the header, quoted as csv quotes it, then one line per row of cells."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(header)  # "\r\n": csv then quotes a bare CR
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(line.getvalue()[:-2] + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 

@@ -1,7 +1,7 @@
 """Finite-difference oracles for the analytic gradients.
 
 Every scope is a loss over named arrays; central differences with step h
-perturb one entry at a time, in the arrays' order. The numeric gradient
+perturb one entry at a time in place, in the arrays' order. The numeric gradient
 is compared against the analytic one by max relative error over
 components whose magnitude clears a floor (tiny ones say nothing useful).
 
@@ -26,14 +26,21 @@ _RELU_KINK_GUARD = 1e-3
 _STEP = 1e-5  # the central-difference step h
 
 
-def central_difference(f, theta: np.ndarray) -> np.ndarray:
-    """Numeric gradient of scalar f at theta, one coordinate at a time."""
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = _STEP
-        grad[i] = (f(theta + bump) - f(theta - bump)) / (2.0 * _STEP)
-    return grad
+def central_difference(f, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Numeric gradient of scalar f at the named arrays, flat, each array's entries in C order.
+
+    Each entry x moves in place to x + h, then x - h, for one f(params) each, and back to x.
+    """
+    grad = []
+    for a in params.values():
+        for i in np.ndindex(a.shape):  # indexes ``a`` itself: a reshape may be a copy
+            x = a[i]
+            a[i] = x + _STEP
+            up = f(params)
+            a[i] = x - _STEP
+            grad.append((up - f(params)) / (2.0 * _STEP))
+            a[i] = x
+    return np.array(grad)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, noise_floor: float,
@@ -87,17 +94,6 @@ def _draw_mf(rng: Rng):
     return lambda t: mf.mf_cost(g, mf.FactorPair(**t), beta)[1], params, {"p": dp, "q": dq}
 
 
-def _pack(arrays: dict[str, np.ndarray], names) -> np.ndarray:
-    """The named arrays as one vector, in the order of ``names``."""
-    return np.concatenate([arrays[k].reshape(-1) for k in names])
-
-
-def _unpack(like: dict[str, np.ndarray], theta: np.ndarray) -> dict[str, np.ndarray]:
-    """``theta`` cut into arrays shaped and named as in ``like``, in its order."""
-    parts = np.split(theta, np.cumsum([v.size for v in like.values()])[:-1])
-    return {k: part.reshape(v.shape) for (k, v), part in zip(like.items(), parts)}
-
-
 def _random_instance(cell: str, rng: Rng):
     t_len = rng.randint(2, 7)
     n_in = rng.randint(1, 4)
@@ -141,10 +137,10 @@ def check(scope: str, trials: int, seed: int, threshold: float = DEFAULT_THRESHO
     for trial in range(trials):
         rng = Rng(derive_seed(seed, f"gradcheck/{scope}/{trial}"))
         loss, params, grads = _draw_mf(rng) if scope == "mf" else _draw_rnn(scope, rng)
-        numeric = central_difference(lambda theta: loss(_unpack(params, theta)),
-                                     _pack(params, params))
+        numeric = central_difference(loss, params)
         floor = fd_noise_floor(loss(params))
-        worst = max(worst, max_relative_error(_pack(grads, params), numeric, floor, threshold))
+        analytic = np.concatenate([grads[k].reshape(-1) for k in params])
+        worst = max(worst, max_relative_error(analytic, numeric, floor, threshold))
     return worst
 
 

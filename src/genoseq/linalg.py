@@ -1,4 +1,4 @@
-"""Random streams, seed derivation, workspace buffers, the Frobenius norm, the logistic function.
+"""Random streams, seed derivation, workspace buffers, the logistic function.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
 of float64. Public operations never mutate their arguments; they return
@@ -119,11 +119,6 @@ def buffer(workspace: dict, name: str, shape: tuple) -> Matrix:
     if name not in workspace or workspace[name].shape != shape:
         workspace[name] = np.empty(shape)
     return workspace[name]
-
-
-def frobenius_sq(a: Matrix, out: Matrix | None = None) -> float:
-    """Sum of squared entries (the squared Frobenius norm); the squares go to ``out`` when given."""
-    return float(np.sum(np.multiply(a, a, out=out)))
 
 
 def sigmoid(a: Matrix, out: Matrix | None = None) -> Matrix:

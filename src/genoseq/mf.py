@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Curve, GenotypeMatrix
 from .errors import ConfigError, DataError, DivergenceError
-from .linalg import Rng, buffer, frobenius_sq
+from .linalg import Rng, buffer
 
 MF_MODES = ("full_batch", "per_entry")
 
@@ -135,7 +135,7 @@ def mf_cost(g: GenotypeMatrix, fp: FactorPair, beta: float, workspace: dict | No
     workspace = {} if workspace is None else workspace
     d = _masked_residual(g, fp, workspace)
     sse = float(np.sum(np.multiply(d, d, out=d)))
-    norms = sum(frobenius_sq(f, _scratch(d, f)) for f in (fp.p, fp.q))
+    norms = sum(float(np.sum(np.multiply(f, f, out=_scratch(d, f)))) for f in (fp.p, fp.q))
     return sse, sse + 0.5 * beta * norms
 
 

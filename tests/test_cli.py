@@ -112,6 +112,20 @@ class TestImpute:
         imputed = parse_genotype_csv(out / "imputed.csv")
         assert imputed.observed.all()
 
+    def test_a_quoted_snp_id_survives_impute_then_train(self, tmp_path):
+        calls = ["AA", "AB", "BB", "Null"]
+        rows = [",".join(calls[(r + 2 * c) % 3 if (r + c) % 7 else 3] for c in range(3))
+                for r in range(20)]
+        geno, pheno = tmp_path / "geno.csv", tmp_path / "pheno.csv"
+        geno.write_text("\n".join(['"rs1,x",rs2,rs3', *rows]) + "\n", encoding="utf-8")
+        pheno.write_text("t\n" + "".join(f"{r / 10}\n" for r in range(20)), encoding="utf-8")
+        assert _run("impute", "--geno", str(geno), "--features", "2", "--epochs", "5",
+                    "--out", str(tmp_path / "imp")) == 0
+        imputed = tmp_path / "imp" / "imputed.csv"
+        assert parse_genotype_csv(imputed).snp_ids == ["rs1,x", "rs2", "rs3"]
+        assert _run("train", "--geno", str(imputed), "--pheno", str(pheno), "--epochs", "2",
+                    "--chunk-width", "1", "--out", str(tmp_path / "model")) == 0
+
     def test_missing_input_exits_1_without_outputs(self, tmp_path):
         out = tmp_path / "imp"
         rc = _run("impute", "--geno", str(tmp_path / "nope.csv"), "--out", str(out))

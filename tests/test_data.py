@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -352,6 +352,35 @@ class TestPhenotypeCsv:
         with pytest.raises(ValueError, match="read-only"):
             p.observed[0, 1] = True
         np.testing.assert_array_equal(p.observed, [[True, False], [True, True]])
+
+
+# names the parsers give back as written: a reader strips each name, so none starts or ends
+# in whitespace; the lone empty name is the one-column header ""
+_HEADER_NAMES = st.lists(st.text(st.sampled_from(["a", "1", " ", ",", '"', "\r", "\n", "é"]),
+                                 max_size=4).filter(lambda name: name == name.strip()),
+                         min_size=1, max_size=4)
+_TABLES = {"genotype": (lambda names: GenotypeMatrix(np.ones((2, len(names)), np.int8), names),
+                        genotype_to_csv, parse_genotype_csv, "snp_ids"),
+           "phenotype": (lambda names: PhenotypeTable(np.ones((2, len(names))), names),
+                         phenotype_to_csv, parse_phenotype_csv, "trait_names")}
+
+
+class TestHeaderNames:
+    @pytest.mark.parametrize("table", _TABLES)
+    @given(names=_HEADER_NAMES)
+    @example(names=[""])
+    @example(names=["rs1,x", "rs2", "rs3"])
+    @example(names=['q"x', "a\rb", "a\r\nb"])
+    @settings(max_examples=150, deadline=None)
+    def test_every_name_reads_back_as_written(self, table, names):
+        build, write, parse, field_name = _TABLES[table]
+        path = Path(_SCRATCH.name) / f"{table}_names.csv"
+        write(build(names), path)
+        assert getattr(parse(path), field_name) == names
+
+    def test_a_plain_name_keeps_its_bytes(self, tmp_path):
+        genotype_to_csv(GenotypeMatrix([[0, 5]], ["rs1", "snp_2 x"]), tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == b"rs1,snp_2 x\n0,5\n"
 
 
 class TestSplitDataset:

@@ -3,25 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from genoseq.linalg import Rng, buffer, derive_seed, frobenius_sq, sigmoid
-
-
-class TestFrobeniusSq:
-    def test_zeros(self):
-        assert frobenius_sq(np.zeros((2, 2))) == 0.0
-
-    def test_hand_value(self):
-        assert frobenius_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 30.0
-
-    def test_identity(self):
-        for n in (1, 4, 9):
-            assert frobenius_sq(np.eye(n)) == float(n)
-
-    def test_equals_trace_of_gram(self):
-        rng = Rng(23)
-        for _ in range(5):
-            a = rng.uniform((5, 5), -3, 3)
-            assert frobenius_sq(a) == pytest.approx(np.trace(a.T @ a), abs=1e-9)
+from genoseq.linalg import Rng, buffer, derive_seed, sigmoid
 
 
 class TestActivations:

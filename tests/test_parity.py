@@ -1,5 +1,7 @@
-"""tools/parity.py on one small synth: a copy of the tree matches, a one-ulp change is named."""
+"""tools/parity.py on one small synth: a copy of the tree matches, a one-ulp change is named;
+``--test04`` on stubbed final losses: the digest follows its recipe."""
 
+import hashlib
 import importlib.util
 import shutil
 from pathlib import Path
@@ -22,8 +24,8 @@ def tree(tmp_path, monkeypatch):
 
 def test_an_unchanged_copy_matches(tree, capsys):
     assert parity.main([str(tree)]) == 0
-    # the four synth outputs and the two config files written before the commands
-    assert capsys.readouterr().out == "parity: 6 files and 1 commands matched\n"
+    # the four synth outputs, and the two config files and the token file written before them
+    assert capsys.readouterr().out == "parity: 7 files and 1 commands matched\n"
 
 
 def test_a_value_one_ulp_higher_is_named(tree, capsys):
@@ -33,3 +35,30 @@ def test_a_value_one_ulp_higher_is_named(tree, capsys):
     data.write_text(source.replace(end, plant), encoding="utf-8")
     assert parity.main([str(tree)]) == 1
     assert capsys.readouterr().out == "differs: file d/pheno.csv\n"
+
+
+def _stub_tree(root: Path, lstm: float) -> Path:
+    """A tree whose test_04 repetition ``rep`` ends at tanh 1 + rep, lstm ``lstm`` + rep and
+    relu rep / 2, with no training."""
+    (root / "tests").mkdir(parents=True)
+    (root / "tests" / "test_acceptance.py").write_text(
+        "def _final_losses(rep):\n"
+        f"    return {{'relu_identity': rep / 2, 'lstm': {lstm} + rep,\n"
+        "            'simple_tanh': 1.0 + rep}\n",
+        encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("change_lstm, lstm_wins, code", [(0.75, 10, 0), (1.25, 0, 1)])
+def test_test04_hashes_the_final_losses_in_one_order(tmp_path, monkeypatch, capsys,
+                                                      change_lstm, lstm_wins, code):
+    monkeypatch.setattr(parity, "ROOT", _stub_tree(tmp_path / "change", change_lstm))
+    assert parity.main(["--test04", str(_stub_tree(tmp_path / "parent", 0.75))]) == code
+
+    def line(lstm, wins):
+        text = "\n".join(repr(v) for rep in range(10) for v in (1.0 + rep, lstm + rep, rep / 2))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        return f"test_04 sha256 {digest} relu<tanh 10/10 lstm<tanh {wins}/10\n"
+
+    assert capsys.readouterr().out == (f"parent: {line(0.75, 10)}"
+                                       f"change: {line(change_lstm, lstm_wins)}")

@@ -13,7 +13,7 @@ import genoseq.gradcheck as gc
 from genoseq import rnn
 from genoseq.data import SequenceBatch
 from genoseq.errors import ConfigError, DataError, DivergenceError, ParseError
-from genoseq.linalg import Rng
+from genoseq.linalg import Rng, derive_seed
 from genoseq.rnn import (CELLS, CHECKPOINT_VERSION, CORRELATION_SNAP, LSTM_FORGET_BIAS, RnnParams,
                          RnnSettings, bptt_gradients, clip_gradients, load_checkpoint,
                          loss_mse, pearson_correlation, predict, rnn_forward, rnn_init,
@@ -323,6 +323,24 @@ class TestKernelsMatchPerStepReference:
         monkeypatch.setattr(rnn, "bptt_gradients", poisoned)
         assert gc.check("simple_tanh", trials=3, seed=303) >= gc.DEFAULT_THRESHOLD
 
+    @pytest.mark.parametrize("scope", ("mf",) + CELLS)
+    def test_oracle_equals_the_flat_vector_one_and_restores_its_arrays(self, scope):
+        for trial in range(8):
+            rng = Rng(derive_seed(7, f"gradcheck/{scope}/{trial}"))
+            loss, params, _ = gc._draw_mf(rng) if scope == "mf" else gc._draw_rnn(scope, rng)
+            before = {k: v.copy() for k, v in params.items()}
+            reference = _flat_central_difference(loss, params)
+            assert gc.central_difference(loss, params).tobytes() == reference.tobytes()
+            for k, v in params.items():
+                assert v.tobytes() == before[k].tobytes()
+
+    def test_oracle_moves_the_entries_of_a_strided_array_in_c_order(self):
+        a = np.arange(1.0, 7.0).reshape(2, 3).T  # a (3, 2) view, not C-contiguous
+        weights = np.arange(6.0).reshape(3, 2)
+        numeric = gc.central_difference(lambda t: float(np.sum(weights * t["a"])), {"a": a})
+        np.testing.assert_allclose(numeric, weights.reshape(-1), rtol=1e-9, atol=1e-9)
+        assert a.tobytes() == np.arange(1.0, 7.0).reshape(2, 3).T.tobytes()
+
     @pytest.mark.parametrize("threshold", [1e-5, 1e-300, 1e-320])
     def test_error_reaches_the_threshold_only_at_the_noise_floor(self, threshold):
         # |a - n| of 5e-4 and 2e-3 are both far past any threshold relative to |a| = 1,
@@ -337,6 +355,24 @@ class TestKernelsMatchPerStepReference:
         # no RuntimeWarning either: the suite turns those into errors
         assert gc.max_relative_error(np.array([bad, 2.0]), np.array([1.0, 2.0]), 1e-9) == np.inf
         assert gc.max_relative_error(np.array([1.0, 2.0]), np.array([1.0, bad]), 1e-9) == np.inf
+
+
+def _flat_central_difference(loss, params):
+    """The oracle on one flat vector: f(theta + bump) and f(theta - bump) for a one-hot bump of
+    h per coordinate, each vector cut back into arrays shaped and named as ``params``."""
+    theta = np.concatenate([a.reshape(-1) for a in params.values()])
+    cuts = np.cumsum([a.size for a in params.values()])[:-1]
+
+    def f(t):
+        return loss({k: part.reshape(a.shape)
+                     for (k, a), part in zip(params.items(), np.split(t, cuts))})
+
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[i] = gc._STEP
+        grad[i] = (f(theta + bump) - f(theta - bump)) / (2.0 * gc._STEP)
+    return grad
 
 
 def _hypot_norm(grads):

@@ -4,6 +4,12 @@ PARENT is a git revision (extracted with ``git archive``) or a source tree. The 
 PARENT and on this working tree, each with its own ``src`` and ``benchmarks`` on PYTHONPATH and
 in its own temporary directory. Every file left behind and each command's exit code, stdout and
 stderr are compared by sha256: each difference prints a line and exits 1, else the counts print.
+
+``python tools/parity.py --test04 PARENT`` runs ``tests/test_acceptance.py::_final_losses`` over
+test_04's ten repetitions instead, in each tree's own ``src`` and ``tests`` and in two spawned
+workers, as test_04 does. For each tree it prints the sha256 of the 30 final-loss ``repr``s
+joined by newlines (repetition-major, cells in the order tanh, lstm, relu) and test_04's two win
+counts; it exits 1 when the digests differ. It takes about a minute a tree on two cores.
 """
 
 import argparse
@@ -25,7 +31,11 @@ def _cli(*argv: str) -> list[str]:
 
 # written before the commands; at clip.json's bound every cell clips every walkthrough step
 INPUTS = {"per_entry.json": '{"mf": {"mode": "per_entry", "features": 8}}\n',
-          "clip.json": '{"rnn": {"clip_norm": 0.01}}\n'}
+          "clip.json": '{"rnn": {"clip_norm": 0.01}}\n',
+          # a token-format genotype file, partly lower case, with CRLF line ends
+          "tokens.csv": "rs101,rs102,rs103,rs104\r\n" + "".join(
+              ",".join(("AA", "ab", "BB", "Null", "aa", "AB")[(r + 2 * c) % 6] for c in range(4))
+              + "\r\n" for r in range(12))}
 # one op of a benchmark workload at seed 1, through benchmarks/workloads.py
 _OP = ("import pathlib, sys, workloads; from genoseq.cli import main\n"
        "w = workloads.WORKLOADS[sys.argv[1]]; work = pathlib.Path(w.name)\n"
@@ -39,6 +49,13 @@ _PREDICT = ("--geno", "run/imputed.csv", "--trait", "0")
 _TRAIN = (*_PREDICT, "--pheno", "data/pheno.csv", "--hidden", "16", "--lr", "0.05", "--epochs",
           "100", "--chunk-width", "20", *_SEED)  # the README walkthrough's
 _PAPER = ("--geno", "synth/population/geno_truth.csv", "--trait", "0")
+# test_04's final losses: one line per repr, repetition-major, cells in the order tanh, lstm, relu
+_CELLS04 = ("simple_tanh", "lstm", "relu_identity")
+_TEST04 = ("import concurrent.futures as cf, multiprocessing as mp, warnings, test_acceptance\n"
+           "with cf.ProcessPoolExecutor(2, mp_context=mp.get_context('spawn'),"
+           " initializer=warnings.simplefilter, initargs=('error',)) as pool:\n"
+           "    for f in pool.map(test_acceptance._final_losses, range(10)):\n"
+           f"        print(*(repr(f[c]) for c in {_CELLS04}), sep='\\n')\n")
 COMMANDS = [
     _cli("synth", "--samples", "100", "--snps", "200", "--rank", "5", "--missing-frac", "0.1",
          *_SEED, "--out", "data"),
@@ -54,6 +71,8 @@ COMMANDS = [
       for cell in ("simple_tanh", "lstm")),
     _cli("impute", "--geno", "data/geno_holed.csv", "--epochs", "20", "--config", "per_entry.json",
          *_SEED, "--out", "per_entry"),
+    _cli("impute", "--geno", "tokens.csv", "--features", "2", "--epochs", "50", *_SEED,
+         "--out", "tokens"),
     _cli("synth", *_SMALL, "--rank", "1", "--out", "synth/rank1"),
     _cli("synth", *_SMALL, "--missing-mode", "snp_block", "--trait-missing", "4",
          "--out", "synth/lowrank_block"),
@@ -97,6 +116,16 @@ def run(tree: Path, work: Path) -> dict[str, str]:
     return {key: hashlib.sha256(blob).hexdigest() for key, blob in blobs.items()}
 
 
+def test04(tree: Path) -> tuple[str, int, int]:
+    """The digest of test_04's final losses on ``tree``, and its relu<tanh and lstm<tanh wins."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / d) for d in ("src", "tests")))
+    text = subprocess.run([sys.executable, "-c", _TEST04], cwd=tree, env=env, check=True,
+                          capture_output=True, text=True).stdout.rstrip("\n")
+    tanh, lstm, relu = (list(map(float, text.split("\n")[i::3])) for i in range(3))
+    return (hashlib.sha256(text.encode()).hexdigest(), sum(r < t for r, t in zip(relu, tanh)),
+            sum(m < t for m, t in zip(lstm, tanh)))
+
+
 def _source_tree(parent: str, scratch: Path) -> Path:
     if Path(parent).is_dir():
         return Path(parent).resolve()
@@ -112,9 +141,18 @@ def _source_tree(parent: str, scratch: Path) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git revision or source tree to compare against")
-    parent = parser.parse_args(argv).parent
+    parser.add_argument("--test04", action="store_true",
+                        help="compare test_04's final losses instead of the command list")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": _source_tree(parent, Path(tmp, "tree")), "change": ROOT}
+        trees = {"parent": _source_tree(args.parent, Path(tmp, "tree")), "change": ROOT}
+        if args.test04:
+            digests = set()
+            for side, tree in trees.items():
+                digest, relu, lstm = test04(tree)
+                digests.add(digest)
+                print(f"{side}: test_04 sha256 {digest} relu<tanh {relu}/10 lstm<tanh {lstm}/10")
+            return 1 if len(digests) > 1 else 0
         before, after = (run(tree, Path(tmp, side)) for side, tree in trees.items())
     differ = [k for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
     for key in differ:
