@@ -25,7 +25,6 @@ MISSING_SENTINEL = 5
 
 _CALL_CODES = {"AA": 0, "AB": 1, "BB": 2, "NULL": MISSING_SENTINEL,
                "0": 0, "1": 1, "2": 2, str(MISSING_SENTINEL): MISSING_SENTINEL}
-_CODE_CELLS = np.array([str(v) for v in range(MISSING_SENTINEL + 1)], dtype=object)
 
 
 def _read_only(mask: np.ndarray) -> np.ndarray:
@@ -247,7 +246,13 @@ def _parse_canonical(raw: bytes) -> GenotypeMatrix | None:
 def genotype_to_csv(g: GenotypeMatrix, path) -> None:
     """Write a GenotypeMatrix back to CSV, one code per cell (holes keep the sentinel)."""
     ids = g.snp_ids if g.snp_ids is not None else [f"snp{j}" for j in range(g.snps)]
-    write_csv(path, ids, (_CODE_CELLS[row].tolist() for row in g.codes))
+    # the body's bytes: each code's digit, then "," or the row's "\n" (a lone "\n" without SNPs)
+    body = np.full((g.samples, max(2 * g.snps, 1)), ord(","), np.uint8)
+    body[:, -1] = ord("\n")
+    body[:, :2 * g.snps:2] = g.codes + ord("0")
+    write_csv(path, ids, ())
+    with open(path, "ab") as fh:
+        fh.write(body)
 
 
 def parse_phenotype_csv(path) -> PhenotypeTable:

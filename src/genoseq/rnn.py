@@ -164,7 +164,7 @@ class ForwardPass:
 
     ``bptt_gradients`` runs a private pass and consumes it: its backward
     writes the derivative factors and the per-step gradients into that
-    pass's ``pre`` (and the lstm's ``tanh_c``). A pass that
+    pass's ``pre`` (and the lstm's ``tanh_c`` and ``cells``). A pass that
     ``rnn_forward`` returns without a workspace is never modified; one
     made in a workspace is overwritten by that workspace's next pass.
     """
@@ -321,8 +321,7 @@ def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray,
 
     grad = fwd.pre
     if params.cell == "lstm":
-        forget = buffer(workspace, "spare", fwd.tanh_c.shape)
-        carry = _lstm_factors(fwd, forget)
+        carry = _lstm_factors(fwd, buffer(workspace, "spare", (min(t_len, 16), b, m)))
         w_hh = _blocks(params.w_hh, m)
         dc = np.zeros((b, m))
         for t in range(t_len - 1, -1, -1):
@@ -332,7 +331,7 @@ def _backward(params: RnnParams, fwd: ForwardPass, targets: np.ndarray,
             da[2] *= dh
             da[3] *= dc
             dh = np.matmul(da, w_hh).sum(axis=0)
-            dc *= forget[t]
+            dc *= fwd.cells[t]  # f_t, which _lstm_factors wrote over c_t
     else:
         h = fwd.states[1:]
         dz_all = grad[0]
@@ -359,30 +358,34 @@ def _lstm_factors(fwd: ForwardPass, spare: np.ndarray) -> np.ndarray:
     ``fwd.pre`` turns from the gate activations into, per gate block, what
     the step's error is multiplied by: g·i(1-i), c_{t-1}·f(1-f) and i(1-g²)
     take dc, and tanh(c_t)·o(1-o) takes dh. ``fwd.tanh_c`` becomes
-    o(1-tanh²c_t), which carries dh into dc; it is returned. ``spare``
-    holds a factor until its gate's slot is free, and then the forget gate.
+    o(1-tanh²c_t), which carries dh into dc; it is returned. Each c_{t-1}, once
+    spent, takes f_t. ``len(spare)`` steps are formed at a time, so their operands
+    stay in cache, and ``spare`` holds a factor until its gate's slot is free.
     """
-    i, f, o, g = fwd.pre
-    np.subtract(1.0, i, out=spare)
-    spare *= i
-    spare *= g
-    g *= g
-    np.subtract(1.0, g, out=g)
-    g *= i
-    np.copyto(i, spare)
-    np.subtract(1.0, o, out=spare)
-    spare *= o
-    spare *= fwd.tanh_c
-    carry = fwd.tanh_c
-    carry *= carry
-    np.subtract(1.0, carry, out=carry)
-    carry *= o
-    np.copyto(o, spare)
-    np.copyto(spare, f)
-    np.subtract(1.0, f, out=f)
-    f *= spare
-    f *= fwd.cells[:-1]
-    return carry
+    for t0 in range(0, len(fwd.tanh_c), len(spare)):
+        steps = slice(t0, t0 + len(spare))
+        i, f, o, g = fwd.pre[:, steps]
+        tanh_c, c, s = fwd.tanh_c[steps], fwd.cells[:-1][steps], spare[:len(i)]
+        np.subtract(1.0, i, out=s)
+        s *= i
+        s *= g
+        g *= g
+        np.subtract(1.0, g, out=g)
+        g *= i
+        np.copyto(i, s)
+        np.subtract(1.0, o, out=s)
+        s *= o
+        s *= tanh_c
+        tanh_c *= tanh_c
+        np.subtract(1.0, tanh_c, out=tanh_c)
+        tanh_c *= o
+        np.copyto(o, s)
+        np.subtract(1.0, f, out=s)
+        s *= f
+        s *= c
+        np.copyto(c, f)
+        np.copyto(f, s)
+    return fwd.tanh_c
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:

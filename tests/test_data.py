@@ -14,7 +14,7 @@ from genoseq.data import (DataSettings, GenotypeMatrix, MISSING_SENTINEL, Phenot
                           SequenceBatch, build_sequences, _parse_canonical, genotype_sequences,
                           genotype_to_csv, parse_genotype_csv, parse_phenotype_csv,
                           phenotype_to_csv, synth_lowrank_genotypes, synth_phenotypes,
-                          synth_population_genotypes)
+                          synth_population_genotypes, write_csv)
 from genoseq.errors import ConfigError, DataError, ParseError
 from genoseq.linalg import Rng
 
@@ -252,6 +252,22 @@ class TestGenotypeCodec:
         lines = [header] + [",".join(map(str, row)) for row in codes.tolist()]
         expected = "".join(line + "\n" for line in lines)
         assert (tmp_path / "g.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("samples,snps,ids", [(604, 1980, None),
+                                                  (3, 4, ["a,b", 'q"x', "", "rs4"]),
+                                                  (1, 1, None), (0, 3, None)],
+                             ids=["paper", "quoted_names", "one_cell", "no_samples"])
+    def test_write_equals_the_per_row_form(self, tmp_path, samples, snps, ids):
+        draws = (Rng(samples).uniform((samples, snps)) * 4).astype(np.intp)
+        g = GenotypeMatrix(np.array([0, 1, 2, MISSING_SENTINEL], np.int8)[draws], ids)
+        genotype_to_csv(g, tmp_path / "g.csv")
+        names = ids if ids is not None else [f"snp{j}" for j in range(snps)]
+        write_csv(tmp_path / "rows.csv", names, ([str(v) for v in row] for row in g.codes.tolist()))
+        written = (tmp_path / "g.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        if ids is None:  # a quoted header takes the csv path
+            back = _parse_canonical(written)
+            assert back.codes.tobytes() == g.codes.tobytes() and back.snp_ids == names
 
     @pytest.mark.parametrize("ids", [[], ["a"], ["a", "b", "c"]])
     def test_snp_id_count_must_match_the_columns(self, ids):

@@ -357,6 +357,53 @@ class TestKernelsMatchPerStepReference:
         assert gc.max_relative_error(np.array([1.0, 2.0]), np.array([1.0, bad]), 1e-9) == np.inf
 
 
+def _full_length_lstm_factors(fwd, _chunk):
+    """The lstm's derivative factors formed over all T steps at once, the forget gate kept in a
+    full-length array and then copied over c_0 .. c_{T-1}: the oracle of the chunked form, which
+    takes the same arguments but leaves the chunk scratch unused."""
+    spare = np.empty_like(fwd.tanh_c)
+    i, f, o, g = fwd.pre
+    np.subtract(1.0, i, out=spare)
+    spare *= i
+    spare *= g
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i
+    np.copyto(i, spare)
+    np.subtract(1.0, o, out=spare)
+    spare *= o
+    spare *= fwd.tanh_c
+    carry = fwd.tanh_c
+    carry *= carry
+    np.subtract(1.0, carry, out=carry)
+    carry *= o
+    np.copyto(o, spare)
+    np.copyto(spare, f)
+    np.subtract(1.0, f, out=f)
+    f *= spare
+    f *= fwd.cells[:-1]
+    np.copyto(fwd.cells[:-1], spare)
+    return carry
+
+
+class TestChunkedLstmFactors:
+    # T of one step, around one chunk of 16, around two, and more than six; one sequence and many
+    @pytest.mark.parametrize("t_len", [1, 15, 16, 17, 33, 100])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_gradients_equal_the_full_length_factors_bit_for_bit(self, batch, t_len,
+                                                                 monkeypatch):
+        params, x, targets = _generic_instance("lstm", batch, t_len, 3, seed=t_len)
+        ws = {}
+        # a fresh workspace, then the same one again, holding the spent buffers of the first
+        chunked = [bptt_gradients(params, (x, targets), workspace=ws) for _ in range(2)]
+        assert ws["spare"].shape == (min(t_len, 16), batch, params.n_hidden)
+        monkeypatch.setattr(rnn, "_lstm_factors", _full_length_lstm_factors)
+        expected = bptt_gradients(params, (x, targets))
+        for grads in chunked:
+            for name, g in expected.items():
+                assert grads[name].tobytes() == g.tobytes(), name
+
+
 def _flat_central_difference(loss, params):
     """The oracle on one flat vector: f(theta + bump) and f(theta - bump) for a one-hot bump of
     h per coordinate, each vector cut back into arrays shaped and named as ``params``."""
@@ -872,15 +919,15 @@ class TestMemory:
     def _instance(self, cell):
         return _generic_instance(cell, self.BATCH, self.T, self.N_IN, self.HIDDEN)
 
-    def test_lstm_training_workspace_holds_eight_full_length_arrays(self):
-        # pre (4), states, cells, tanh_c and the backward's spare, each (T, B, M); states and
-        # cells keep one step more, h_0 and c_0; and the time-major inputs
+    def test_lstm_training_workspace_holds_seven_full_length_arrays_and_a_16_step_scratch(self):
+        # pre (4), states, cells and tanh_c, each (T, B, M); states and cells keep one step
+        # more, h_0 and c_0; the time-major inputs; and the backward's 16 steps of scratch
         params, x, targets = self._instance("lstm")
         ws = {}
         bptt_gradients(params, (x, targets), workspace=ws)
         unit, step = self.T * self.BATCH * self.HIDDEN, self.BATCH * self.HIDDEN
         total = sum(a.nbytes for a in ws.values())
-        assert total == 8 * (8 * unit + 2 * step + self.T * self.BATCH * self.N_IN)
+        assert total == 8 * (7 * unit + 2 * step + self.T * self.BATCH * self.N_IN + 16 * step)
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_predict_holds_its_pre_activations_inputs_and_a_few_steps(self, cell):

@@ -69,6 +69,8 @@ COMMANDS = [
              "--out", f"run/{cell}/plain"))),
     *(_cli("train", *_TRAIN, "--cell", cell, "--config", "clip.json", "--out", f"clip/{cell}")
       for cell in ("simple_tanh", "lstm")),
+    # 200 SNPs in chunks of 13 make T=16 steps: one whole chunk of the lstm's derivative factors
+    _cli("train", *_TRAIN, "--cell", "lstm", "--chunk-width", "13", "--out", "t16/lstm"),
     _cli("impute", "--geno", "data/geno_holed.csv", "--epochs", "20", "--config", "per_entry.json",
          *_SEED, "--out", "per_entry"),
     _cli("impute", "--geno", "tokens.csv", "--features", "2", "--epochs", "50", *_SEED,
