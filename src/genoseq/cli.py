@@ -203,8 +203,7 @@ def cmd_synth(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
 def cmd_gradcheck(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
     if not 0 < args.threshold < float("inf"):
         raise ConfigError(f"threshold must be a finite number > 0, got {args.threshold}")
-    scopes = args.cells if args.cells else None
-    results = gradcheck.run_all(args.trials, cfg.seed, scopes, args.threshold)
+    results = gradcheck.run_all(args.trials, cfg.seed, args.cells, args.threshold)
     passed = {scope: err < args.threshold for scope, err in results.items()}
     for scope, err in results.items():
         print(f"{scope:14s} max_rel_err={err:.3e}  {'ok' if passed[scope] else 'FAIL'}")

@@ -5,9 +5,9 @@ perturb one entry at a time in place, in the arrays' order. The numeric gradient
 is compared against the analytic one by max relative error over
 components whose magnitude clears a floor (tiny ones say nothing useful).
 
-For relu cells, instances whose pre-activations sit within a guard band
-of the kink are re-drawn: the derivative is discontinuous there and a
-finite difference straddling it is meaningless.
+For relu cells, an instance with a pre-activation within a guard band of
+the kink is drawn again, up to 200 times: the derivative is discontinuous
+there and a finite difference straddling it is meaningless.
 """
 
 from __future__ import annotations
@@ -94,36 +94,29 @@ def _draw_mf(rng: Rng):
     return lambda t: mf.mf_cost(g, mf.FactorPair(**t), beta)[1], params, {"p": dp, "q": dq}
 
 
-def _random_instance(cell: str, rng: Rng):
-    t_len = rng.randint(2, 7)
-    n_in = rng.randint(1, 4)
-    m = rng.randint(2, 5)
-    n_out = rng.randint(1, 3)
-    batch = rng.randint(1, 4)
-    params = rnn.rnn_init(cell, n_in, m, n_out, seed=int(rng.raw(1)[0]))
-    # check at a generic, well-conditioned point: the special init values
-    # (identity recurrence, saturated forget bias) produce near-zero
-    # gradient components that central differences cannot resolve
-    tensors = {k: rng.gaussian(v.shape, 0.0, 0.4) for k, v in params.tensors().items()}
-    params = replace(params, **tensors)
-    x = rng.uniform((batch, t_len, n_in), -1.0, 1.0)
-    targets = rng.uniform((batch, n_out), -1.0, 1.0)
-    return params, x, targets
-
-
 def _draw_rnn(cell: str, rng: Rng):
     """A small random instance of one cell's loss, as (loss, params, analytic gradient)."""
-    params, x, targets = _random_instance(cell, rng)
-    if cell == "relu_identity":
-        # redraw while any pre-activation sits on the relu kink
-        attempts = 0
-        while (np.abs(rnn.rnn_forward(params, x).pre) < _RELU_KINK_GUARD).any():
-            params, x, targets = _random_instance(cell, rng)
-            attempts += 1
-            if attempts > 200:
-                raise GenoseqError("could not draw a kink-free relu instance")
-    return (lambda t: rnn.loss_mse(rnn.rnn_forward(replace(params, **t), x).outputs, targets),
-            params.tensors(), rnn.bptt_gradients(params, (x, targets)))
+    for _ in range(201):  # one draw and up to 200 redraws
+        t_len = rng.randint(2, 7)
+        n_in = rng.randint(1, 4)
+        m = rng.randint(2, 5)
+        n_out = rng.randint(1, 3)
+        batch = rng.randint(1, 4)
+        params = rnn.rnn_init(cell, n_in, m, n_out, seed=int(rng.raw(1)[0]))
+        # check at a generic, well-conditioned point: the special init values
+        # (identity recurrence, saturated forget bias) produce near-zero
+        # gradient components that central differences cannot resolve
+        tensors = {k: rng.gaussian(v.shape, 0.0, 0.4) for k, v in params.tensors().items()}
+        params = replace(params, **tensors)
+        x = rng.uniform((batch, t_len, n_in), -1.0, 1.0)
+        targets = rng.uniform((batch, n_out), -1.0, 1.0)
+        # a relu instance is drawn again while any pre-activation sits on the kink
+        if cell == "relu_identity" and (
+                np.abs(rnn.rnn_forward(params, x).pre) < _RELU_KINK_GUARD).any():
+            continue
+        return (lambda t: rnn.loss_mse(rnn.rnn_forward(replace(params, **t), x).outputs, targets),
+                params.tensors(), rnn.bptt_gradients(params, (x, targets)))
+    raise GenoseqError("could not draw a kink-free relu instance")
 
 
 def check(scope: str, trials: int, seed: int, threshold: float = DEFAULT_THRESHOLD) -> float:

@@ -249,9 +249,8 @@ def train_trait(batch: SequenceBatch, split: dict[str, np.ndarray], cfg: Pipelin
         for name, m in metrics.items():
             if not math.isfinite(m.mse):
                 raise DivergenceError(f"{name} split loss became non-finite", curve=result.curve)
-    except DivergenceError as e:
-        e.__context__ = None  # keep the error, not the frames of the training it ended
-        result.error, result.curve = e.with_traceback(None), e.curve
+    except DivergenceError as e:  # a fresh copy keeps no frames of the training it ended
+        result.error, result.curve = DivergenceError(str(e), curve=e.curve), e.curve
         return None, result
     result.metrics = metrics
     return trained, result

@@ -504,7 +504,7 @@ def load_checkpoint(path) -> RnnParams:
         tensors = {name: _decode_array(doc["tensors"][name]) for name in TENSORS}
     except KeyError as e:
         raise ParseError(f"checkpoint lacks the entry {e}") from None
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError) as e:
         raise ParseError(f"malformed checkpoint: {e}") from None
     if not all(type(d) is int for d in dims) or not (snps is None or type(snps) is int and snps > 0):
         raise ParseError(f"malformed checkpoint dimensions {dims} or snps {snps!r}")
@@ -519,4 +519,8 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    return np.array([float(s) for s in doc["data"]], dtype=np.float64).reshape(doc["shape"])
+    data, shape = doc["data"], doc["shape"]
+    if not (type(data) is list and all(type(s) is str for s in data) and type(shape) is list
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError("a tensor needs a list of decimal strings and a list of sizes >= 0")
+    return np.array([float(s) for s in data], dtype=np.float64).reshape(shape)

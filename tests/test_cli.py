@@ -399,6 +399,14 @@ def _with_huge_int_w_ho(doc):
     return json.dumps(doc)
 
 
+def _with_b_o(key, value):
+    """A mangler that sets the one-entry b_o tensor's ``key`` to a form never saved."""
+    def mangle(doc):
+        doc["tensors"]["b_o"][key] = value
+        return json.dumps(doc)
+    return mangle
+
+
 def _with_outputs(n_out):
     """A mangler that gives the readout n_out rows, each a copy of the trained one."""
     def mangle(doc):
@@ -478,8 +486,12 @@ class TestPredict:
         _with_huge_int_w_ho,
         _with_outputs(0),
         _with_outputs(2),
+        _with_b_o("data", "7"),  # a string, which is a sequence of one character
+        _with_b_o("data", [True]),
+        _with_b_o("data", [0.25]),  # a JSON number, not a decimal string
+        _with_b_o("shape", [-1]),  # a size that numpy would infer
     ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho", "huge_int_w_ho", "zero_outputs",
-            "two_outputs"])
+            "two_outputs", "string_b_o", "bool_b_o", "number_b_o", "inferred_shape_b_o"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"
@@ -726,10 +738,13 @@ class TestGradcheck:
 
     def test_no_kink_free_relu_instance_exits_1_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(gradcheck, "_RELU_KINK_GUARD", np.inf)  # every draw sits on the kink
+        exact, guards = rnn.rnn_forward, []
+        monkeypatch.setattr(rnn, "rnn_forward", lambda *args: guards.append(1) or exact(*args))
         assert _run("gradcheck", "--cells", "relu_identity", "--trials", "1") == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["genoseq: could not draw a kink-free relu instance"]
         assert captured.out == ""
+        assert len(guards) == 201  # one draw and 200 redraws, each checked once
 
     @pytest.mark.parametrize("scope", ["mf", "simple_tanh", "lstm", "relu_identity"])
     @pytest.mark.parametrize("skew,fails", [(1 + 2e-5, True), (1 + 5e-6, False)])
