@@ -11,8 +11,10 @@ every file output bit-reproducible on the same BLAS library and thread count.
 
 Exit codes, each set by `main` alone: 0 success, 1 usage/config/parse
 errors (a size too large to allocate among them) or a failed gradient
-check, 2 numerical divergence, 3 a failed read or write. Diagnostics go
-to stderr under the GENOSEQ_LOG environment variable (error|warn|info|debug).
+check, 2 numerical divergence, 3 a failed read or write. The GENOSEQ_LOG
+environment variable (error|warn|info|debug) sets the level of the stderr log,
+whose only lines are a DEBUG line naming a config file's keys and, from
+`genoseq.pipeline.run_pipeline`, an INFO line per stage and a WARNING per failed trait.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +81,8 @@ def cmd_impute(args, values: dict, cfg: pipeline.PipelineConfig) -> None:
 
     geno = parse_genotype_csv(geno_path)
     truth = values.get("truth")
-    truth = parse_genotype_csv(_require_file(truth, "truth")) if truth is not None else None
+    if truth is not None:  # the fit reads the truth twice: to check it, then to score it
+        truth = partial(parse_genotype_csv, _require_file(truth, "truth"))
     seed = cfg.seeds()["mf"]
     imputed, curve, accuracy = mf.fit_impute(geno, cfg.mf, seed, truth)
 

@@ -14,6 +14,7 @@ differentiable at zero, so that convention is used throughout.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,20 +228,25 @@ def _filled(g: GenotypeMatrix, recon: GenotypeMatrix) -> GenotypeMatrix:
 
 
 def fit_impute(g: GenotypeMatrix, cfg: MfConfig, seed: int,
-               truth: GenotypeMatrix | None = None):
-    """Fit, fill the holes once, and score against ``truth`` when given.
+               read_truth: Callable[[], GenotypeMatrix] | None = None):
+    """Fit, fill the holes once, and score against the truth ``read_truth()`` returns, if given.
 
     Returns (imputed matrix, cost curve, accuracy); accuracy is None without a truth, else
     (missing_pct, full_pct) of the rounded reconstruction, whose holes the imputation took.
-    A truth of another shape than ``g``, or with holes, is rejected before the fit.
+    The truth is read twice, so the fit holds none of it: before the fit, to reject a truth of
+    another shape than ``g`` or with holes, and after it, to score.
     """
-    if truth is not None and (truth.codes.shape != g.codes.shape or not truth.fully_observed()):
+    if read_truth is not None and not _fits(g, read_truth()):
         raise DataError(f"truth must be a fully observed {g.samples}x{g.snps} genotype matrix")
     factors, curve = mf_fit(g, cfg, seed)
     recon = rounded_reconstruction(g, factors)
     imputed = _filled(g, recon)
-    accuracy = imputation_accuracy(truth, recon, ~g.observed) if truth is not None else None
+    accuracy = imputation_accuracy(read_truth(), recon, ~g.observed) if read_truth else None
     return imputed, curve, accuracy
+
+
+def _fits(g: GenotypeMatrix, truth: GenotypeMatrix) -> bool:
+    return truth.codes.shape == g.codes.shape and truth.fully_observed()
 
 
 def rounded_reconstruction(g: GenotypeMatrix, fp: FactorPair) -> GenotypeMatrix:

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -267,15 +268,15 @@ def run_pipeline(geno_path, pheno_path, cfg: PipelineConfig, truth_path=None) ->
     t0 = time.perf_counter()
     geno = parse_genotype_csv(geno_path)
     phenos = parse_phenotype_csv(pheno_path)
-    truth = parse_genotype_csv(truth_path) if truth_path is not None else None
     log.info("stage parse took %.3f s", time.perf_counter() - t0)
     if geno.samples != phenos.samples:
         raise DataError(f"genotype has {geno.samples} samples, phenotypes {phenos.samples}")
     check_traits(cfg.traits, phenos)
 
     t0 = time.perf_counter()
+    read_truth = partial(parse_genotype_csv, truth_path) if truth_path is not None else None
     geno, report.mf_curve, report.mf_accuracy = mf.fit_impute(geno, cfg.mf, cfg.seeds()["mf"],
-                                                              truth)
+                                                              read_truth)
     log.info("stage impute took %.3f s", time.perf_counter() - t0)
 
     split = cfg.split(geno.samples)

@@ -18,6 +18,7 @@ backpropagation through time and optional global-norm gradient clipping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -30,6 +31,8 @@ from .linalg import Rng, buffer, sigmoid
 CELLS = ("simple_tanh", "lstm", "relu_identity")
 TENSORS = ("w_ih", "w_hh", "w_ho", "b_h", "b_o")  # parameter order of tensors() and checkpoints
 CHECKPOINT_VERSION = "genoseq-rnn-v2"
+# a checkpoint entry as repr(float) writes it, or "1e308"; inf and nan fail the finite check later
+_DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?|inf|nan)")
 
 # Remember-by-default forget gates: with a bias of 1 the cell state decays
 # by sigmoid(1) ~ 0.73 per step, so signals spanning ~100 timesteps (and
@@ -520,7 +523,7 @@ def _encode_array(a: np.ndarray) -> dict:
 
 def _decode_array(doc: dict) -> np.ndarray:
     data, shape = doc["data"], doc["shape"]
-    if not (type(data) is list and all(type(s) is str for s in data) and type(shape) is list
-            and all(type(d) is int and d >= 0 for d in shape)):
+    if not (type(data) is list and all(type(s) is str and _DECIMAL.fullmatch(s) for s in data)
+            and type(shape) is list and all(type(d) is int and d >= 0 for d in shape)):
         raise ValueError("a tensor needs a list of decimal strings and a list of sizes >= 0")
     return np.array([float(s) for s in data], dtype=np.float64).reshape(shape)

@@ -490,8 +490,13 @@ class TestPredict:
         _with_b_o("data", [True]),
         _with_b_o("data", [0.25]),  # a JSON number, not a decimal string
         _with_b_o("shape", [-1]),  # a size that numpy would infer
+        # strings that float() reads but no writer makes
+        _with_b_o("data", ["1_0"]),
+        _with_b_o("data", [" 0.5\n"]),
+        _with_b_o("data", ["\u0663"]),  # ARABIC-INDIC DIGIT THREE
     ], ids=["not_json", "no_tensors", "no_w_hh", "nan_w_ho", "huge_int_w_ho", "zero_outputs",
-            "two_outputs", "string_b_o", "bool_b_o", "number_b_o", "inferred_shape_b_o"])
+            "two_outputs", "string_b_o", "bool_b_o", "number_b_o", "inferred_shape_b_o",
+            "underscore_b_o", "padded_b_o", "arabic_indic_b_o"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, mangle):
         data, imputed = _imputed(tmp_path)
         model_dir = tmp_path / "model"

@@ -1,11 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import genoseq.gradcheck as gc
-from genoseq.data import (MISSING_SENTINEL, GenotypeMatrix, synth_lowrank_genotypes,
-                          synth_population_genotypes)
+from genoseq.data import (MISSING_SENTINEL, GenotypeMatrix, genotype_to_csv, parse_genotype_csv,
+                          synth_lowrank_genotypes, synth_population_genotypes)
 from genoseq.errors import ConfigError, DataError
 from genoseq.linalg import Rng
 import genoseq.mf
@@ -538,12 +539,36 @@ class TestImputationAccuracy:
         # missing_pct is the imputation's, full_pct the rounded reconstruction's
         holed, truth = synth_lowrank_genotypes(12, 10, rank=2, missing_frac=missing_frac, seed=4)
         cfg = MfConfig(features=2, alpha=0.005, epochs=20)
-        imputed, _, accuracy = fit_impute(holed, cfg, 3, truth)
+        imputed, _, accuracy = fit_impute(holed, cfg, 3, lambda: truth)
         recon = rounded_reconstruction(holed, mf_fit(holed, cfg, 3)[0])
         holes = ~holed.observed
         assert accuracy == (imputation_accuracy(truth, imputed, holes)[0],
                             imputation_accuracy(truth, recon, holes)[1])
         assert (accuracy[0] is None) == (missing_frac == 0.0)
+
+    def test_fit_impute_reads_the_truth_before_and_after_the_fit_and_holds_none(
+            self, tmp_path, monkeypatch):
+        holed, truth = synth_lowrank_genotypes(12, 10, rank=2, missing_frac=0.2, seed=4)
+        genotype_to_csv(truth, tmp_path / "truth.csv")
+        reads, alive_at_epochs = [], []
+
+        def read_truth():
+            matrix = parse_genotype_csv(tmp_path / "truth.csv")
+            reads.append(weakref.ref(matrix))
+            return matrix
+
+        def watched_epoch(*args, **kwargs):
+            alive_at_epochs.append([read() is not None for read in reads])
+            return mf_epoch(*args, **kwargs)
+
+        cfg = MfConfig(features=2, alpha=0.005, epochs=20)
+        monkeypatch.setattr(genoseq.mf, "mf_epoch", watched_epoch)
+        imputed, curve, accuracy = fit_impute(holed, cfg, 3, read_truth)
+        assert len(reads) == 2 and alive_at_epochs[0] == [False]
+        assert accuracy == fit_impute(holed, cfg, 3, lambda: truth)[2]
+        unscored, unscored_curve, none = fit_impute(holed, cfg, 3)
+        assert none is None and np.array_equal(imputed.codes, unscored.codes)
+        assert curve.to_rows() == unscored_curve.to_rows()
 
     def test_shape_mismatch(self):
         a = GenotypeMatrix([[1]])

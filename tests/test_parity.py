@@ -1,5 +1,6 @@
 """tools/parity.py on one small synth: a copy of the tree matches, a one-ulp change is named;
-``--test04`` on stubbed final losses: the digest follows its recipe."""
+``--test04`` on stubbed final losses: the digest follows its recipe; ``--threads`` on a stub
+program: an output that differs between thread counts is named, and the run still passes."""
 
 import hashlib
 import importlib.util
@@ -62,3 +63,17 @@ def test_test04_hashes_the_final_losses_in_one_order(tmp_path, monkeypatch, caps
 
     assert capsys.readouterr().out == (f"parent: {line(0.75, 10)}"
                                        f"change: {line(change_lstm, lstm_wins)}")
+
+
+def test_threads_names_each_output_that_differs_and_passes(tmp_path, monkeypatch, capsys):
+    package = tmp_path / "src" / "genoseq"  # a stub program that writes its BLAS thread count
+    package.mkdir(parents=True)
+    (package / "__init__.py").touch()
+    (package / "cli.py").write_text("import os, pathlib\npathlib.Path('threads.txt').write_text("
+                                    "os.environ['OPENBLAS_NUM_THREADS'])\n", encoding="utf-8")
+    monkeypatch.setattr(parity, "ROOT", tmp_path)
+    monkeypatch.setattr(parity, "COMMANDS", [parity._cli("stub")])
+    assert parity.main(["--threads"]) == 0
+    # the exit code, stdout and stderr of the one command, the three inputs and threads.txt
+    assert capsys.readouterr().out == ("differs: file threads.txt\n"
+                                       "threads: 1 of 7 outputs differ at 1 and 2 threads\n")

@@ -10,6 +10,10 @@ test_04's ten repetitions instead, in each tree's own ``src`` and ``tests`` and 
 workers, as test_04 does. For each tree it prints the sha256 of the 30 final-loss ``repr``s
 joined by newlines (repetition-major, cells in the order tanh, lstm, relu) and test_04's two win
 counts; it exits 1 when the digests differ. It takes about a minute a tree on two cores.
+
+``python tools/parity.py --threads`` runs the command list on this working tree alone, at
+``OPENBLAS_NUM_THREADS=1`` and at 2, and prints each output whose bytes differ between the two
+and a count. It only reports: it exits 0 whatever differs.
 """
 
 import argparse
@@ -100,10 +104,12 @@ COMMANDS = [
 ]
 
 
-def run(tree: Path, work: Path) -> dict[str, str]:
-    """The sha256 of each command stream and output file of the command list run on ``tree``."""
+def run(tree: Path, work: Path, **environ: str) -> dict[str, str]:
+    """The sha256 of each command stream and output file of the command list run on ``tree``,
+    with ``environ`` added to the environment."""
     work.mkdir()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / d) for d in ("src", "benchmarks")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / d) for d in ("src", "benchmarks")),
+               **environ)
     for name, text in INPUTS.items():
         (work / name).write_text(text, encoding="utf-8")
     blobs = {}
@@ -140,12 +146,28 @@ def _source_tree(parent: str, scratch: Path) -> Path:
     return scratch
 
 
+def _differ(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    differ = [k for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
+    for key in differ:
+        print(f"differs: {key}")
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="git revision or source tree to compare against")
+    parser.add_argument("parent", nargs="?", help="git revision or source tree to compare against")
     parser.add_argument("--test04", action="store_true",
                         help="compare test_04's final losses instead of the command list")
+    parser.add_argument("--threads", action="store_true",
+                        help="compare this tree at OPENBLAS_NUM_THREADS=1 and 2; report only")
     args = parser.parse_args(argv)
+    if args.threads:
+        with tempfile.TemporaryDirectory() as tmp:
+            one, two = (run(ROOT, Path(tmp, n), OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        print(f"threads: {len(_differ(one, two))} of {len(two)} outputs differ at 1 and 2 threads")
+        return 0
+    if args.parent is None:
+        parser.error("give a PARENT to compare against, or --threads")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _source_tree(args.parent, Path(tmp, "tree")), "change": ROOT}
         if args.test04:
@@ -156,13 +178,11 @@ def main(argv=None) -> int:
                 print(f"{side}: test_04 sha256 {digest} relu<tanh {relu}/10 lstm<tanh {lstm}/10")
             return 1 if len(digests) > 1 else 0
         before, after = (run(tree, Path(tmp, side)) for side, tree in trees.items())
-    differ = [k for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
-    for key in differ:
-        print(f"differs: {key}")
-    if not differ:
-        n_files = sum(key.startswith("file ") for key in after)
-        print(f"parity: {n_files} files and {len(COMMANDS)} commands matched")
-    return 1 if differ else 0
+    if _differ(before, after):
+        return 1
+    n_files = sum(key.startswith("file ") for key in after)
+    print(f"parity: {n_files} files and {len(COMMANDS)} commands matched")
+    return 0
 
 
 if __name__ == "__main__":
